@@ -16,8 +16,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError, ResourceLimitError
-from .models import LinearizedState, ModelSpec, forward, logits_program, predict_logits
-from .params import ParamTree
+from .models import LinearizedState, ModelSpec, forward, logits_program, paradigm_logits, predict_logits
+from .params import ParamTree, combine
 from .task_vectors import TaskVector
 from .tasks import Dataset
 from .training import batch_loss_and_grad, ce_logit_gradient, cross_entropy_loss
@@ -67,7 +67,7 @@ def _ordered_pair(nu1: TaskVector, l1: float, d1: Dataset, nu2: TaskVector, l2: 
 
 def _combined_tree(phi0: ParamTree, first: tuple, second: tuple) -> ParamTree:
     (nu_a, l_a, _), (nu_b, l_b, _) = first, second
-    return phi0.add(nu_a.delta.scale(l_a)).add(nu_b.delta.scale(l_b))
+    return combine(phi0, [nu_a.delta, nu_b.delta], [l_a, l_b])
 
 
 def _predictions(spec: ModelSpec, theta0: ParamTree, phi0: ParamTree, tree: ParamTree, xs) -> np.ndarray:
@@ -100,7 +100,7 @@ def disentanglement_error(
     combined = _combined_tree(phi0, first, second)
     total = 0.0
     for nu, lam, data in (first, second):
-        single = phi0.add(nu.delta.scale(lam))
+        single = combine(phi0, [nu.delta], [lam])
         p_single = _predictions(spec, theta0, phi0, single, data.xs)
         p_combined = _predictions(spec, theta0, phi0, combined, data.xs)
         total += float(np.mean(p_single != p_combined))
@@ -145,10 +145,10 @@ def disentanglement_grid(
     singles1 = {}
     singles2 = {}
     for l1 in axis1:
-        tree = phi0.add(nu1.delta.scale(float(l1)))
+        tree = combine(phi0, [nu1.delta], [l1])
         singles1[float(l1)] = _predictions(spec, theta0, phi0, tree, d1.xs)
     for l2 in axis2:
-        tree = phi0.add(nu2.delta.scale(float(l2)))
+        tree = combine(phi0, [nu2.delta], [l2])
         singles2[float(l2)] = _predictions(spec, theta0, phi0, tree, d2.xs)
 
     raw = np.zeros((resolution, resolution))
@@ -193,7 +193,7 @@ def loss_landscape_grid(
     loss = np.zeros((axis1.size, axis2.size))
     for i, l1 in enumerate(axis1):
         for j, l2 in enumerate(axis2):
-            theta = theta0.add(v1.scale(float(l1))).add(v2.scale(float(l2)))
+            theta = combine(theta0, [v1, v2], [l1, l2])
             total = 0.0
             for data in (d1, d2):
                 logits = forward(spec.with_mode("full_ft"), theta0, theta, data.xs)
@@ -255,9 +255,7 @@ def ntk_one_step_check(
             jac[i, c] = ad.vjp(f_i, anchor_flat, ct)
 
     flat = lin.phi.flatten()
-    f_batch = logits_program(spec, theta0, xs, lin.phi0)
-    value, tangent = ad.jvp(f_batch, anchor_flat, flat - anchor_flat)
-    outputs_before = value + tangent
+    _, _, outputs_before = paradigm_logits(spec, theta0, lin.phi0, anchor_flat, flat, xs)
     g = ce_logit_gradient(outputs_before, ys)
 
     kernel = np.einsum("icp,jdp->ijcd", jac, jac)
@@ -265,8 +263,8 @@ def ntk_one_step_check(
 
     _, grad_flat = batch_loss_and_grad(spec, theta0, anchor_flat, lin.phi0, flat, xs, ys)
     stepped = flat - eta * grad_flat
-    value2, tangent2 = ad.jvp(f_batch, anchor_flat, stepped - anchor_flat)
-    observed = (value2 + tangent2) - outputs_before
+    _, _, outputs_after = paradigm_logits(spec, theta0, lin.phi0, anchor_flat, stepped, xs)
+    observed = outputs_after - outputs_before
 
     obs_norm = float(np.linalg.norm(observed))
     if obs_norm == 0.0:

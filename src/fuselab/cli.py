@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--subset", help="comma-separated task ids to merge")
     group.add_argument("--all-subsets", action="store_true",
                        help="merge every subset of size >= 2")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for subset merging")
+    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; merges run serially")
 
     p = sub.add_parser("analyze", help="emit geometry and dynamics CSV artifacts")
     _add_common(p)

@@ -172,5 +172,4 @@ def fusion_config(resolved: dict, algorithm: str) -> FusionConfig:
         ties_lambda_grid=tuple(f["ties_lambda_grid"]),
         lorahub_alpha=float(f["lorahub_alpha"]),
         lorahub_max_steps=int(f["lorahub_max_steps"]),
-        lorahub_fewshot_per_task=int(f["fewshot_per_task"]),
     )

@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize as sciopt
 
-from .autodiff import Tensor
 from .checkpoints import Checkpoint
 from .errors import ContractError
 from .models import ModelSpec, predict_logits
-from .params import ParamTree, mean_tree
+from .params import ParamTree, combine
 from .task_vectors import TaskVector, compute_task_vector
 from .tasks import Dataset
 from .training import cross_entropy_loss, evaluate
@@ -35,7 +34,6 @@ class FusionConfig:
     ties_lambda_grid: tuple[float, ...] = DEFAULT_TIES_GRID
     lorahub_alpha: float = 0.05
     lorahub_max_steps: int = 40
-    lorahub_fewshot_per_task: int = 32
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -76,18 +74,14 @@ def _common_context(checkpoints: list[Checkpoint]) -> tuple[ModelSpec, int, Para
     return head.spec, head.init_seed, head.theta0(), head.initial
 
 
-def _sorted_by_task(items, key):
-    return sorted(items, key=key)
-
-
 def simple_average(initial: ParamTree, checkpoints: list[Checkpoint]) -> MergedModel:
     """Elementwise mean of the trained trainable trees."""
     if len(checkpoints) < 2:
         raise ContractError("simple average needs at least two checkpoints")
     spec, seed, theta0, shared_initial = _common_context(checkpoints)
     initial.require_congruent(shared_initial, "initial trees")
-    ordered = _sorted_by_task(checkpoints, key=lambda c: c.task_id)
-    merged = mean_tree([c.trained for c in ordered])
+    ordered = sorted(checkpoints, key=lambda c: c.task_id)
+    merged = initial.with_flat(np.mean([c.trained.flatten() for c in ordered], axis=0))
     return MergedModel(
         spec=spec,
         theta0=theta0,
@@ -107,17 +101,10 @@ def summed_vector(vectors: list[TaskVector]) -> ParamTree:
     """Canonically ordered sum of task-vector deltas."""
     if not vectors:
         raise ContractError("need at least one task vector")
-    ordered = _sorted_by_task(vectors, key=lambda v: v.task_id)
-    head = ordered[0].delta
-    for v in ordered[1:]:
-        head.require_congruent(v.delta, "task vectors")
-    entries = {}
-    for path in head.paths():
-        acc = ordered[0].delta[path].array
-        for v in ordered[1:]:
-            acc = acc + v.delta[path].array
-        entries[path] = Tensor(acc)
-    return ParamTree(entries)
+    ordered = sorted(vectors, key=lambda v: v.task_id)
+    rest = ordered[1:]
+    # Starting from the first delta rather than zeros keeps its -0.0 entries.
+    return combine(ordered[0].delta, [v.delta for v in rest], [1.0] * len(rest), "task vectors")
 
 
 def task_arithmetic(
@@ -127,9 +114,7 @@ def task_arithmetic(
     context: tuple[ModelSpec, int, ParamTree] | None = None,
 ) -> MergedModel:
     """initial + lam * (sum of task vectors), one coefficient for the sum."""
-    total = summed_vector(vectors)
-    initial.require_congruent(total, "initial tree and task vectors")
-    merged = initial.add(total.scale(float(lam)))
+    merged = combine(initial, [summed_vector(vectors)], [lam], "initial tree and task vectors")
     spec, seed, theta0 = context if context is not None else (None, None, None)
     return MergedModel(
         spec=spec,
@@ -176,7 +161,7 @@ def ties_merge(
     """
     if not vectors:
         raise ContractError("ties merging needs at least one task vector")
-    ordered = _sorted_by_task(vectors, key=lambda v: v.task_id)
+    ordered = sorted(vectors, key=lambda v: v.task_id)
     head = ordered[0].delta
     for v in ordered[1:]:
         head.require_congruent(v.delta, "task vectors")
@@ -189,7 +174,7 @@ def ties_merge(
     merged_flat = np.divide(
         sums, counts, out=np.zeros_like(sums), where=counts > 0
     )
-    merged = initial.add(initial.with_flat(merged_flat).scale(float(lam)))
+    merged = combine(initial, [initial.with_flat(merged_flat)], [lam])
     spec, seed, theta0 = context if context is not None else (None, None, None)
     return MergedModel(
         spec=spec,
@@ -230,24 +215,15 @@ def lorahub_optimize(
         raise ContractError("lorahub needs a non-empty few-shot dataset")
     if not vectors:
         raise ContractError("lorahub needs at least one task vector")
-    ordered = _sorted_by_task(vectors, key=lambda v: v.task_id)
+    ordered = sorted(vectors, key=lambda v: v.task_id)
     n = len(ordered)
-    deltas = [v.delta.flatten() for v in ordered]
-    initial_flat = initial.flatten()
-    template = initial
-
-    def merged_tree(w: np.ndarray) -> ParamTree:
-        flat = initial_flat.copy()
-        for wi, dv in zip(w, deltas):
-            flat = flat + float(wi) * dv
-        return template.with_flat(flat)
-
+    deltas = [v.delta for v in ordered]
     best = {"obj": np.inf, "w": np.zeros(n)}
 
     def objective(w: np.ndarray) -> float:
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             try:
-                tree = merged_tree(w)
+                tree = combine(initial, deltas, w)
                 loss = _fewshot_loss(spec, theta0, initial, tree, fewshot)
             except ContractError:  # non-finite candidate: discard
                 return np.inf
@@ -274,7 +250,7 @@ def lorahub_optimize(
         },
     )
     weights = [float(v) for v in best["w"]]
-    merged = merged_tree(best["w"])
+    merged = combine(initial, deltas, best["w"])
     model = MergedModel(
         spec=spec,
         theta0=theta0,
@@ -330,7 +306,7 @@ def sweep_and_select(
     go to the smaller scaling factor, then the smaller trim fraction.
     """
     spec, init_seed, theta0, initial = _common_context(checkpoints)
-    ordered = _sorted_by_task(checkpoints, key=lambda c: c.task_id)
+    ordered = sorted(checkpoints, key=lambda c: c.task_id)
     for c in ordered:
         ds = validation.get(c.task_id)
         if ds is None or len(ds) == 0:
@@ -410,10 +386,7 @@ def replay_merge(provenance: dict, checkpoints: list[Checkpoint]) -> ParamTree:
     if algorithm == "ties_merging":
         return ties_merge(initial, vectors, hp["k"], hp["lambda"], context).trainable
     if algorithm == "lorahub":
-        weights = hp["weights"]
-        ordered = _sorted_by_task(vectors, key=lambda v: v.task_id)
-        flat = initial.flatten().copy()
-        for v in ordered:
-            flat = flat + float(weights[v.task_id]) * v.delta.flatten()
-        return initial.with_flat(flat)
+        ordered = sorted(vectors, key=lambda v: v.task_id)
+        weights = [hp["weights"][v.task_id] for v in ordered]
+        return combine(initial, [v.delta for v in ordered], weights)
     raise ContractError(f"unknown fusion algorithm {algorithm!r}")

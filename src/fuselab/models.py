@@ -136,9 +136,6 @@ class LinearizedState:
     def __post_init__(self):
         self.phi0.require_congruent(self.phi, "linearized-state trees")
 
-    def with_phi(self, phi: ParamTree) -> "LinearizedState":
-        return LinearizedState(phi0=self.phi0, phi=phi)
-
 
 def build_model(spec: ModelSpec, seed: int) -> tuple[ParamTree, ParamTree]:
     """Seeded initialization: returns (backbone theta0, initial trainable tree).
@@ -221,6 +218,24 @@ def logits_program(spec: ModelSpec, theta0: ParamTree, x: np.ndarray, template: 
     return f
 
 
+def paradigm_logits(spec: ModelSpec, theta0: ParamTree, template: ParamTree,
+                    anchor_flat: np.ndarray, flat: np.ndarray, x):
+    """The one route to a paradigm's logits at a flat trainable vector.
+
+    Returns ``(f, point, logits)``: the network program ``f``, the point
+    the paradigm expands around, and the logits. Linearized paradigms
+    evaluate the tangent model ``f(anchor) + J(anchor)(flat - anchor)`` with
+    one JVP at ``point = anchor_flat``; the others evaluate ``f(flat)`` at
+    ``point = flat``. The gradient of any loss of the logits is then the
+    VJP of ``f`` at ``point``.
+    """
+    f = logits_program(spec, theta0, x, template)
+    if spec.mode.is_linearized:
+        value, tangent = ad.jvp(f, anchor_flat, flat - anchor_flat)
+        return f, anchor_flat, value + tangent
+    return f, flat, f(flat)
+
+
 def forward(spec: ModelSpec, theta0: ParamTree, trainable: ParamTree, x) -> Tensor:
     """Nonlinear forward pass under the spec's paradigm."""
     _require_backbone(spec, theta0)
@@ -242,10 +257,8 @@ def forward_linearized(spec: ModelSpec, theta0: ParamTree, lin: LinearizedState,
     _require_trainable(spec, lin.phi0)
     lin.phi0.require_congruent(lin.phi, "linearized-state trees")
     x = x.array if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    f = logits_program(spec, theta0, x, lin.phi0)
-    phi0_flat = lin.phi0.flatten()
-    value, tangent = ad.jvp(f, phi0_flat, lin.phi.flatten() - phi0_flat)
-    return Tensor(value + tangent)
+    _, _, logits = paradigm_logits(spec, theta0, lin.phi0, lin.phi0.flatten(), lin.phi.flatten(), x)
+    return Tensor(logits)
 
 
 def predict_logits(spec: ModelSpec, theta0: ParamTree, anchor: ParamTree, trainable: ParamTree, x) -> Tensor:

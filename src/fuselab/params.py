@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -120,13 +120,19 @@ def zeros_like(tree: ParamTree) -> ParamTree:
     return ParamTree({p: Tensor(np.zeros(t.shape)) for p, t in tree.items()})
 
 
-def mean_tree(trees: list[ParamTree]) -> ParamTree:
-    if not trees:
-        raise ContractError("cannot average an empty list of parameter trees")
-    head = trees[0]
-    for t in trees[1:]:
-        head.require_congruent(t)
-    entries = {
-        p: Tensor(np.mean([t[p].array for t in trees], axis=0)) for p in head.paths()
-    }
-    return ParamTree(entries)
+def combine(base: ParamTree, deltas: Sequence[ParamTree], weights: Sequence[float],
+            what: str = "base tree and deltas") -> ParamTree:
+    """base + Σ wᵢ·δᵢ over the flat vector, the one weighted-sum route.
+
+    Terms accumulate left to right in the order given, each as
+    ``acc + float(w) * delta``, so a caller fixes the float summation order
+    by how it orders ``deltas`` (fusion sorts by task id). Every delta must
+    be congruent with ``base``.
+    """
+    if len(deltas) != len(weights):
+        raise ContractError(f"{len(deltas)} deltas but {len(weights)} weights")
+    flat = base.flatten()
+    for delta, w in zip(deltas, weights):
+        base.require_congruent(delta, what)
+        flat = flat + float(w) * delta.flatten()
+    return base.with_flat(flat)

@@ -10,7 +10,6 @@ byte-identical output trees.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -206,7 +205,13 @@ def stage_fuse(
     subsets: list[tuple[str, ...]] | None = None,
     jobs: int = 1,
 ) -> list[Path]:
-    """Merge checkpoint subsets and write merged models plus provenance."""
+    """Merge checkpoint subsets and write merged models plus provenance.
+
+    Subsets merge one after another in enumeration order, and a mode's
+    files are written only after all of its merges succeed. ``jobs`` is
+    accepted for compatibility and ignored: at these sizes a thread pool
+    ran slower than the serial loop.
+    """
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown fusion algorithm {algorithm!r}")
     paths, digest = ensure_run_dir(resolved, out)
@@ -247,12 +252,7 @@ def stage_fuse(
             )
             return merged, provenance
 
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(merge_one, chosen))
-        else:
-            results = [merge_one(s) for s in chosen]
-
+        results = [merge_one(s) for s in chosen]
         for subset, (merged, provenance) in zip(chosen, results):
             merged_ckpt = Checkpoint(
                 spec=merged.spec,

@@ -19,7 +19,7 @@ from .autodiff import Tensor
 from .checkpoints import Checkpoint
 from .errors import ContractError, UndefinedSimilarityError
 from .models import ModeTag, ModelSpec
-from .params import ParamTree
+from .params import ParamTree, combine, zeros_like
 
 
 @dataclass(frozen=True)
@@ -48,33 +48,18 @@ def compute_task_vector(ckpt: Checkpoint) -> TaskVector:
     )
 
 
-def _require_combinable(vectors: list[TaskVector]):
-    if not vectors:
-        raise ContractError("need at least one task vector")
-    head = vectors[0]
-    for v in vectors[1:]:
-        if v.mode != head.mode:
-            raise ContractError(
-                f"cannot combine task vectors across modes ({head.mode.value} vs {v.mode.value})"
-            )
-        head.delta.require_congruent(v.delta, "task vectors")
-
-
 def linear_combine(vectors: list[TaskVector], weights: list[float]) -> TaskVector:
     """Elementwise weighted sum of congruent same-mode task vectors."""
-    _require_combinable(vectors)
-    if len(vectors) != len(weights):
-        raise ContractError(
-            f"{len(vectors)} vectors but {len(weights)} weights"
-        )
-    entries = {}
-    for path in vectors[0].delta.paths():
-        acc = np.zeros(vectors[0].delta[path].shape)
-        for v, w in zip(vectors, weights):
-            acc = acc + float(w) * v.delta[path].array
-        entries[path] = Tensor(acc)
+    if not vectors:
+        raise ContractError("need at least one task vector")
+    for v in vectors[1:]:
+        if v.mode != vectors[0].mode:
+            raise ContractError(
+                f"cannot combine task vectors across modes ({vectors[0].mode.value} vs {v.mode.value})"
+            )
     return TaskVector(
-        delta=ParamTree(entries),
+        delta=combine(zeros_like(vectors[0].delta), [v.delta for v in vectors], weights,
+                      "task vectors"),
         mode=vectors[0].mode,
         task_id="+".join(v.task_id for v in vectors),
     )

@@ -19,7 +19,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoints import Checkpoint, backbone_for
 from .errors import ContractError, TrainingDivergedError
-from .models import LinearizedState, ModeTag, ModelSpec, forward, forward_linearized, logits_program
+from .models import ModelSpec, paradigm_logits, predict_logits
 from .params import ParamTree
 from .tasks import Dataset, Task
 
@@ -93,16 +93,8 @@ def batch_loss_and_grad(
     model anchored at ``anchor_flat``; otherwise through the network at
     ``flat`` directly.
     """
-    f = logits_program(spec, theta0, xs, template)
-    if spec.mode.is_linearized:
-        value, tangent = ad.jvp(f, anchor_flat, flat - anchor_flat)
-        logits = value + tangent
-        glogits = ce_logit_gradient(logits, ys)
-        g = ad.vjp(f, anchor_flat, glogits)
-    else:
-        logits = f(flat)
-        glogits = ce_logit_gradient(logits, ys)
-        g = ad.vjp(f, flat, glogits)
+    f, point, logits = paradigm_logits(spec, theta0, template, anchor_flat, flat, xs)
+    g = ad.vjp(f, point, ce_logit_gradient(logits, ys))
     loss = float(ad.mean_all(ad.neg(ad.pick_rows(ad.log_softmax(logits), ys))))
     return loss, g
 
@@ -200,13 +192,17 @@ def finetune(
             if not np.isfinite(loss):
                 raise TrainingDivergedError(step)
             flat = opt.step(flat, g)
+            if not np.isfinite(flat).all():
+                raise TrainingDivergedError(step, f"parameters became non-finite at step {step}")
             val_acc = _accuracy_from_flat(spec, theta0, anchor_flat, init_trainable, flat, task.val)
             history.append((step, loss, val_acc))
+        final_train_loss, _ = batch_loss_and_grad(
+            spec, theta0, anchor_flat, init_trainable, flat, task.train.xs, task.train.ys
+        )
+        if not np.isfinite(final_train_loss):
+            raise TrainingDivergedError(config.steps)
 
     trained = init_trainable.with_flat(flat)
-    final_train_loss, _ = batch_loss_and_grad(
-        spec, theta0, anchor_flat, init_trainable, flat, task.train.xs, task.train.ys
-    )
     metrics = {
         "final_train_loss": float(final_train_loss),
         "final_val_accuracy": history[-1][2],
@@ -223,12 +219,7 @@ def finetune(
 
 
 def _accuracy_from_flat(spec, theta0, anchor_flat, template, flat, dataset: Dataset) -> float:
-    f = logits_program(spec, theta0, dataset.xs, template)
-    if spec.mode.is_linearized:
-        value, tangent = ad.jvp(f, anchor_flat, flat - anchor_flat)
-        logits = value + tangent
-    else:
-        logits = f(flat)
+    _, _, logits = paradigm_logits(spec, theta0, template, anchor_flat, flat, dataset.xs)
     preds = np.argmax(logits, axis=1)
     return float(np.mean(preds == dataset.ys))
 
@@ -238,7 +229,6 @@ def evaluate(
     theta0: ParamTree,
     trainable: ParamTree,
     dataset: Dataset,
-    mode: ModeTag | None = None,
     anchor: ParamTree | None = None,
 ) -> float:
     """Fraction of argmax-correct predictions; argmax ties go to the lowest class.
@@ -248,13 +238,9 @@ def evaluate(
     """
     if len(dataset) == 0:
         raise ContractError("cannot evaluate on an empty dataset")
-    eval_spec = spec if mode is None else spec.with_mode(mode)
-    if eval_spec.mode.is_linearized:
-        if anchor is None:
-            raise ContractError("linearized evaluation requires the tangent anchor")
-        logits = forward_linearized(eval_spec, theta0, LinearizedState(anchor, trainable), dataset.xs)
-    else:
-        logits = forward(eval_spec, theta0, trainable, dataset.xs)
+    if spec.mode.is_linearized and anchor is None:
+        raise ContractError("linearized evaluation requires the tangent anchor")
+    logits = predict_logits(spec, theta0, anchor, trainable, dataset.xs)
     preds = np.argmax(logits.array, axis=1)
     return float(np.mean(preds == dataset.ys))
 

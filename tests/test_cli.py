@@ -309,3 +309,20 @@ def test_seven_tasks_all_subsets_emit_120_merges(tmp_path):
                  "--jobs", "2"]) == 0
     provs = list((out / "fusion/simple_average/lora").glob("*.provenance.json"))
     assert len(provs) == 120
+
+
+@pytest.mark.parametrize("learning_rate", ["1e400", "1e308"])
+def test_final_step_divergence_exits_two_without_checkpoint(tmp_path, learning_rate):
+    # One SGD step. 1e400 reads as inf and leaves non-finite parameters; 1e308
+    # leaves finite parameters whose final train loss overflows.
+    cfg = tmp_path / "diverge.json"
+    cfg.write_text('{"master_seed": 5, "suite": {"samples_per_split": 24}, '
+                   '"model": {"hidden_dims": [8]}, '
+                   '"train": {"steps": 1, "optimizer": "sgd", "learning_rate": %s}}'
+                   % learning_rate)
+    out = tmp_path / "out"
+    assert main(["gen-tasks", "--config", str(cfg), "--out", str(out)]) == 0
+    code = main(["finetune", "--config", str(cfg), "--out", str(out),
+                 "--mode", "full_ft", "--task", "task0"])
+    assert code == 2
+    assert not (out / "checkpoints/full_ft/task0.json").exists()

@@ -2,13 +2,17 @@
 
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuselab.autodiff import Tensor
 from fuselab.checkpoints import Checkpoint
 from fuselab.errors import ContractError
 from fuselab.fusion import (
+    ALGORITHMS,
     FusionConfig,
     enumerate_subsets,
     lorahub_optimize,
@@ -365,3 +369,75 @@ def test_summed_vector_canonical_order():
     a = summed_vector(vs).flatten()
     b = summed_vector(list(reversed(vs))).flatten()
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_replay_bit_identical_for_every_algorithm(trained_setting, algorithm):
+    suite, cks = trained_setting
+    validation = {t.id: t.val for t in suite.tasks}
+    fewshot = suite.tasks[0].val.take(range(16))
+    cfg = FusionConfig(algorithm=algorithm, lorahub_max_steps=10)
+    merged = sweep_and_select(cfg, cks, validation, fewshot=fewshot, seed=3)
+    replayed = replay_merge(merged.provenance, list(reversed(cks)))
+    assert replayed.equal_bits(merged.trainable)
+
+
+# --- properties over random congruent trees ------------------------------------
+
+finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def merge_cases(draw):
+    """(initial tree, trained trees in task-id order, a permutation of them)."""
+    shapes = draw(st.lists(st.lists(st.integers(1, 3), max_size=2).map(tuple),
+                           min_size=1, max_size=3))
+    n = draw(st.integers(2, 4))
+
+    def tree():
+        return ParamTree({f"p{i}": draw(hnp.arrays(np.float64, s, elements=finite))
+                          for i, s in enumerate(shapes)})
+
+    initial = tree()
+    trained = [tree() for _ in range(n)]
+    return initial, trained, draw(st.permutations(range(n)))
+
+
+def as_checkpoints(initial, trained):
+    spec = ModelSpec(input_dim=2, hidden_dims=(), num_classes=2, mode=ModeTag.FULL_FT)
+    return [Checkpoint(spec, f"task{i}", 0, initial, t) for i, t in enumerate(trained)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(merge_cases(), st.sampled_from([0.25, 0.5, 0.75, 1.0]), st.sampled_from([0.3, 1.0]))
+def test_merges_bit_invariant_under_permutation(case, k, lam):
+    initial, trained, perm = case
+    cks = as_checkpoints(initial, trained)
+    shuffled = [cks[i] for i in perm]
+    vectors = [compute_task_vector(c) for c in cks]
+    shuffled_vectors = [vectors[i] for i in perm]
+    assert simple_average(initial, shuffled).trainable.equal_bits(
+        simple_average(initial, cks).trainable)
+    assert task_arithmetic(initial, shuffled_vectors, lam).trainable.equal_bits(
+        task_arithmetic(initial, vectors, lam).trainable)
+    assert ties_merge(initial, shuffled_vectors, k, lam).trainable.equal_bits(
+        ties_merge(initial, vectors, k, lam).trainable)
+
+
+@settings(max_examples=60, deadline=None)
+@given(merge_cases())
+def test_task_arithmetic_lambda_zero_is_initial(case):
+    initial, trained, _ = case
+    vectors = [compute_task_vector(c) for c in as_checkpoints(initial, trained)]
+    assert task_arithmetic(initial, vectors, 0.0).trainable.equal_bits(initial)
+
+
+@settings(max_examples=60, deadline=None)
+@given(merge_cases(), st.sampled_from([0.25, 0.5, 0.75, 1.0]), st.sampled_from([0.25, 1.0]))
+def test_ties_merge_matches_reference(case, k, lam):
+    initial, trained, _ = case
+    vectors = [compute_task_vector(c) for c in as_checkpoints(initial, trained)]
+    got = ties_merge(initial, vectors, k, lam).trainable.flatten()
+    deltas = [list(map(float, v.delta.flatten())) for v in vectors]
+    want = initial.flatten() + np.array(reference_ties(deltas, k, lam))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-9)
