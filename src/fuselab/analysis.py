@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError, ResourceLimitError
+from .files import write_atomic
 from .models import LinearizedState, ModelSpec, forward, logits_program, paradigm_logits, predict_logits
 from .params import ParamTree, combine
 from .task_vectors import TaskVector
@@ -52,27 +53,44 @@ class LandscapeGrid:
             raise ContractError("landscape losses must be finite")
 
 
-def _ordered_pair(nu1: TaskVector, l1: float, d1: Dataset, nu2: TaskVector, l2: float, d2: Dataset):
-    """Canonical ordering of the two (vector, factor, data) triples.
+def _errors(
+    spec: ModelSpec,
+    theta0: ParamTree,
+    phi0: ParamTree,
+    nu1: TaskVector,
+    nu2: TaskVector,
+    eval_sets: tuple[Dataset, Dataset],
+    cells,
+) -> list[float]:
+    """Raw disentanglement error, in [0, 2], at each (lambda1, lambda2) of ``cells``.
 
-    Fixes the float summation order of the combined parameters so the
-    error is exactly symmetric under swapping the task pair.
+    The one route for every cell. The pair is put in canonical (task id,
+    digest) order once; that order fixes the float summation order of the
+    combined parameters, so the error is exactly symmetric under swapping
+    the task pair. Single-vector predictions depend on one slot's factor
+    only and are computed once per (slot, factor).
     """
-    k1 = (nu1.task_id, nu1.delta.digest())
-    k2 = (nu2.task_id, nu2.delta.digest())
-    if k2 < k1:
-        return (nu2, l2, d2), (nu1, l1, d1)
-    return (nu1, l1, d1), (nu2, l2, d2)
+    base = phi0.flatten()
+    deltas = (nu1.delta.flatten(), nu2.delta.flatten())
+    swapped = (nu2.task_id, nu2.delta.digest()) < (nu1.task_id, nu1.delta.digest())
+    order = (1, 0) if swapped else (0, 1)
 
+    def predictions(flat: np.ndarray, slot: int) -> np.ndarray:
+        logits = predict_logits(spec, theta0, phi0, phi0.with_flat(flat), eval_sets[slot].xs)
+        return np.argmax(logits.array, axis=1)
 
-def _combined_tree(phi0: ParamTree, first: tuple, second: tuple) -> ParamTree:
-    (nu_a, l_a, _), (nu_b, l_b, _) = first, second
-    return combine(phi0, [nu_a.delta, nu_b.delta], [l_a, l_b])
-
-
-def _predictions(spec: ModelSpec, theta0: ParamTree, phi0: ParamTree, tree: ParamTree, xs) -> np.ndarray:
-    logits = predict_logits(spec, theta0, phi0, tree, xs)
-    return np.argmax(logits.array, axis=1)
+    singles: dict[tuple[int, float], np.ndarray] = {}
+    out = []
+    for cell in cells:
+        lams = (float(cell[0]), float(cell[1]))
+        combined = combine(base, [deltas[s] for s in order], [lams[s] for s in order])
+        total = 0.0
+        for s in order:
+            if (s, lams[s]) not in singles:
+                singles[s, lams[s]] = predictions(combine(base, [deltas[s]], [lams[s]]), s)
+            total += float(np.mean(singles[s, lams[s]] != predictions(combined, s)))
+        out.append(total)
+    return out
 
 
 def disentanglement_error(
@@ -96,15 +114,7 @@ def disentanglement_error(
         raise ContractError("disentanglement eval sets must be non-empty")
     phi0.require_congruent(nu1.delta, "anchor tree and first task vector")
     phi0.require_congruent(nu2.delta, "anchor tree and second task vector")
-    first, second = _ordered_pair(nu1, lambda1, d1, nu2, lambda2, d2)
-    combined = _combined_tree(phi0, first, second)
-    total = 0.0
-    for nu, lam, data in (first, second):
-        single = combine(phi0, [nu.delta], [lam])
-        p_single = _predictions(spec, theta0, phi0, single, data.xs)
-        p_combined = _predictions(spec, theta0, phi0, combined, data.xs)
-        total += float(np.mean(p_single != p_combined))
-    return total
+    return _errors(spec, theta0, phi0, nu1, nu2, eval_sets, [(lambda1, lambda2)])[0]
 
 
 def disentanglement_grid(
@@ -122,9 +132,10 @@ def disentanglement_grid(
 
     A scalar range r means the symmetric box [-r, r]^2; the default box
     is [-1, 2]^2, covering and exceeding the [0, 1]^2 region fusion
-    sweeps search. Single-vector predictions depend on one axis only and
-    are computed once per axis value; results are identical to calling
-    disentanglement_error cell by cell.
+    sweeps search. Every cell goes through the same route as
+    disentanglement_error, so each equals the direct call bit for bit;
+    the pair is ordered once and each single-vector prediction is made
+    once per axis value.
     """
     if resolution < 2:
         raise ContractError("grid resolution must be at least 2")
@@ -141,26 +152,10 @@ def disentanglement_grid(
     phi0.require_congruent(nu2.delta, "anchor tree and second task vector")
     axis1 = np.linspace(lo, hi, resolution)
     axis2 = np.linspace(lo, hi, resolution)
-
-    singles1 = {}
-    singles2 = {}
-    for l1 in axis1:
-        tree = combine(phi0, [nu1.delta], [l1])
-        singles1[float(l1)] = _predictions(spec, theta0, phi0, tree, d1.xs)
-    for l2 in axis2:
-        tree = combine(phi0, [nu2.delta], [l2])
-        singles2[float(l2)] = _predictions(spec, theta0, phi0, tree, d2.xs)
-
-    raw = np.zeros((resolution, resolution))
-    for i, l1 in enumerate(axis1):
-        for j, l2 in enumerate(axis2):
-            first, second = _ordered_pair(nu1, float(l1), d1, nu2, float(l2), d2)
-            combined = _combined_tree(phi0, first, second)
-            pc1 = _predictions(spec, theta0, phi0, combined, d1.xs)
-            pc2 = _predictions(spec, theta0, phi0, combined, d2.xs)
-            raw[i, j] = float(np.mean(singles1[float(l1)] != pc1)) + float(
-                np.mean(singles2[float(l2)] != pc2)
-            )
+    cells = [(l1, l2) for l1 in axis1 for l2 in axis2]
+    raw = np.array(_errors(spec, theta0, phi0, nu1, nu2, eval_sets, cells)).reshape(
+        resolution, resolution
+    )
     meta = {"mode": spec.mode.value, "tasks": [nu1.task_id, nu2.task_id]}
     meta.update(metadata or {})
     return DisentanglementGrid(
@@ -188,12 +183,13 @@ def loss_landscape_grid(
         raise ContractError("landscape eval sets must be non-empty")
     axis1 = np.asarray(lambda1_axis, dtype=np.float64)
     axis2 = np.asarray(lambda2_axis, dtype=np.float64)
-    v1 = theta1.sub(theta0)
-    v2 = theta2.sub(theta0)
+    base = theta0.flatten()
+    v1 = theta1.flatten() - base
+    v2 = theta2.flatten() - base
     loss = np.zeros((axis1.size, axis2.size))
     for i, l1 in enumerate(axis1):
         for j, l2 in enumerate(axis2):
-            theta = combine(theta0, [v1, v2], [l1, l2])
+            theta = theta0.with_flat(combine(base, [v1, v2], [l1, l2]))
             total = 0.0
             for data in (d1, d2):
                 logits = forward(spec.with_mode("full_ft"), theta0, theta, data.xs)
@@ -339,7 +335,7 @@ def write_grid_csv(axis1, axis2, values, path, meta: str = "") -> None:
     lines.append(",".join(["lambda1\\lambda2", *("%.17g" % v for v in axis2)]))
     for l1, row in zip(axis1, values):
         lines.append(",".join(["%.17g" % l1, *("%.17g" % v for v in row)]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_grid_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -365,7 +361,7 @@ def write_report_csv(report: FusionReport, path, meta: str = "") -> None:
             "%s,%s,%s,%d,%.17g,%.17g"
             % (r.algorithm, r.mode, size, r.n_subsets, r.mean_normalized, r.std_normalized)
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def format_report_table(report: FusionReport) -> str:

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ContractError
+from .files import write_atomic
 from .models import ModelSpec, build_model
 from .params import ParamTree
 
@@ -99,7 +100,7 @@ def checkpoint_payload(ckpt: Checkpoint, config_digest: str = "") -> dict:
 
 def save_checkpoint(ckpt: Checkpoint, path, config_digest: str = "") -> None:
     payload = checkpoint_payload(ckpt, config_digest)
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    write_atomic(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def load_checkpoint(path, expected_config_digest: str | None = None) -> Checkpoint:

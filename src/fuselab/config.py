@@ -69,10 +69,33 @@ def derive_seed(master: int, *labels) -> int:
     return int.from_bytes(hashlib.sha256(data).digest()[:8], "little")
 
 
+def _kind_matches(value, default) -> bool:
+    """True when ``value`` has the kind of ``default``: int, float, str or list of those.
+
+    Booleans are never numbers here, and an int is a valid float.
+    """
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, int):
+        return isinstance(value, int)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, str):
+        return isinstance(value, str)
+    return isinstance(value, list) and all(_kind_matches(v, default[0]) for v in value)
+
+
 def _merge_strict(section: str, given: dict, defaults: dict) -> dict:
+    if not isinstance(given, dict):
+        raise ConfigError(f"section {section!r} must be a JSON object")
     unknown = set(given) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
+    for key, value in given.items():
+        if not _kind_matches(value, defaults[key]):
+            raise ConfigError(
+                f"{section}.{key} = {value!r} does not have the kind of its default {defaults[key]!r}"
+            )
     out = dict(defaults)
     out.update(given)
     return out
@@ -87,7 +110,9 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> dict:
     unknown = set(raw) - top_known
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-    master = int(raw.get("master_seed", 42))
+    master = raw.get("master_seed", 42)
+    if not _kind_matches(master, 42):
+        raise ConfigError(f"master_seed = {master!r} is not an int")
     if seed_override is not None:
         master = int(seed_override)
     overrides = raw.get("train_overrides", {})

@@ -1,9 +1,13 @@
 """Multi-task fusion algorithms, their hyperparameter sweeps, and the subset harness.
 
-All order-sensitive reductions canonicalize their inputs by task id
-before summing, so permuting the caller's checkpoint or vector order can
-never change a merged result. The derivative-free combiner is excluded
-from that guarantee and promises determinism under a fixed seed instead.
+Every algorithm builds ``initial + Σ wᵢ·dᵢ`` on the flat trainable vector,
+and ``_candidates`` is the one place that spells out each algorithm's
+directions and weights: the public merges, the sweep and the replay all
+take their parameters from it. All order-sensitive reductions canonicalize
+their inputs by task id before summing, so permuting the caller's
+checkpoint or vector order can never change a merged result. That holds
+for lorahub too: its Nelder-Mead search draws no random numbers, and its
+``seed`` is only recorded in provenance.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .task_vectors import TaskVector, compute_task_vector
 from .tasks import Dataset
 from .training import cross_entropy_loss, evaluate
 
+ALGORITHMS = ("simple_average", "task_arithmetic", "ties_merging", "lorahub")
 DEFAULT_LAMBDA_GRID = tuple(round(0.05 * i, 2) for i in range(21))
 DEFAULT_TIES_GRID = (0.25, 0.5, 0.75, 1.0)
 
@@ -74,61 +79,20 @@ def _common_context(checkpoints: list[Checkpoint]) -> tuple[ModelSpec, int, Para
     return head.spec, head.init_seed, head.theta0(), head.initial
 
 
-def simple_average(initial: ParamTree, checkpoints: list[Checkpoint]) -> MergedModel:
-    """Elementwise mean of the trained trainable trees."""
-    if len(checkpoints) < 2:
-        raise ContractError("simple average needs at least two checkpoints")
-    spec, seed, theta0, shared_initial = _common_context(checkpoints)
-    initial.require_congruent(shared_initial, "initial trees")
-    ordered = sorted(checkpoints, key=lambda c: c.task_id)
-    merged = initial.with_flat(np.mean([c.trained.flatten() for c in ordered], axis=0))
-    return MergedModel(
-        spec=spec,
-        theta0=theta0,
-        initial=initial,
-        trainable=merged,
-        provenance={
-            "algorithm": "simple_average",
-            "mode": spec.mode.value,
-            "task_ids": [c.task_id for c in ordered],
-            "hyperparameters": {},
-            "init_seed": seed,
-        },
-    )
-
-
-def summed_vector(vectors: list[TaskVector]) -> ParamTree:
-    """Canonically ordered sum of task-vector deltas."""
+def _ordered_flats(initial: ParamTree, vectors: list[TaskVector]) -> tuple[list[TaskVector], list[np.ndarray]]:
+    """Vectors sorted by task id and their flat deltas, each congruent with ``initial``."""
     if not vectors:
         raise ContractError("need at least one task vector")
     ordered = sorted(vectors, key=lambda v: v.task_id)
-    rest = ordered[1:]
-    # Starting from the first delta rather than zeros keeps its -0.0 entries.
-    return combine(ordered[0].delta, [v.delta for v in rest], [1.0] * len(rest), "task vectors")
+    for v in ordered:
+        initial.require_congruent(v.delta, "initial tree and task vectors")
+    return ordered, [v.delta.flatten() for v in ordered]
 
 
-def task_arithmetic(
-    initial: ParamTree,
-    vectors: list[TaskVector],
-    lam: float,
-    context: tuple[ModelSpec, int, ParamTree] | None = None,
-) -> MergedModel:
-    """initial + lam * (sum of task vectors), one coefficient for the sum."""
-    merged = combine(initial, [summed_vector(vectors)], [lam], "initial tree and task vectors")
-    spec, seed, theta0 = context if context is not None else (None, None, None)
-    return MergedModel(
-        spec=spec,
-        theta0=theta0,
-        initial=initial,
-        trainable=merged,
-        provenance={
-            "algorithm": "task_arithmetic",
-            "mode": vectors[0].mode.value,
-            "task_ids": sorted(v.task_id for v in vectors),
-            "hyperparameters": {"lambda": float(lam)},
-            "init_seed": seed,
-        },
-    )
+def _provenance(algorithm: str, ordered: list, hyperparameters: dict, **extra) -> dict:
+    """The record of how a merge was built; ``ordered`` holds vectors or checkpoints."""
+    return {"algorithm": algorithm, "mode": ordered[0].mode.value,
+            "task_ids": [x.task_id for x in ordered], "hyperparameters": hyperparameters, **extra}
 
 
 def ties_trim(flat: np.ndarray, k: float) -> np.ndarray:
@@ -146,6 +110,86 @@ def ties_trim(flat: np.ndarray, k: float) -> np.ndarray:
     return out
 
 
+def _task_sum(deltas: list[np.ndarray]) -> np.ndarray:
+    # Starting from the first delta rather than zeros keeps its -0.0 entries.
+    return combine(deltas[0], deltas[1:], [1.0] * (len(deltas) - 1))
+
+
+def _candidates(algorithm: str, initial_flat: np.ndarray, deltas: list[np.ndarray],
+                trained: list[np.ndarray] | None, grid: list[dict]):
+    """Yield ``(tie-break key, hyperparameters, merged flat)`` for each point of ``grid``.
+
+    The one place each algorithm's formula is spelled out. ``deltas`` and
+    ``trained`` are flat vectors in task-id order; ``grid`` holds the
+    hyperparameter dicts to build, in order (lorahub's ``weights`` listed
+    in task-id order). Directions that stay fixed across a sweep are built
+    once: the task-vector sum once, the TIES merge vector once per k. Ties
+    in score go to the smaller key: scaling factor, then trim fraction.
+    """
+    if algorithm not in ALGORITHMS:
+        raise ContractError(f"unknown fusion algorithm {algorithm!r}")
+    directions: dict = {}
+    for hp in grid:
+        if algorithm == "simple_average":
+            if len(trained) < 2:
+                raise ContractError("simple average needs at least two checkpoints")
+            yield (0.0, 0.0), hp, np.mean(trained, axis=0)
+        elif algorithm == "task_arithmetic":
+            if "sum" not in directions:
+                directions["sum"] = _task_sum(deltas)
+            yield (hp["lambda"], 0.0), hp, combine(initial_flat, [directions["sum"]], [hp["lambda"]])
+        elif algorithm == "ties_merging":
+            k = hp["k"]
+            if k not in directions:
+                trimmed = np.stack([ties_trim(d, k) for d in deltas])
+                elected = np.sign(trimmed.sum(axis=0))
+                match = (np.sign(trimmed) == elected) & (elected != 0)
+                counts = match.sum(axis=0)
+                sums = (trimmed * match).sum(axis=0)
+                directions[k] = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+            yield (hp["lambda"], k), hp, combine(initial_flat, [directions[k]], [hp["lambda"]])
+        else:
+            yield (0.0, 0.0), hp, combine(initial_flat, deltas, hp["weights"])
+
+
+def _merge(algorithm: str, initial: ParamTree, ordered: list, deltas, trained, hp: dict,
+           context: tuple[ModelSpec, int, ParamTree] | None) -> MergedModel:
+    """The model ``algorithm`` builds at ``hp``: a one-point grid."""
+    _, _, flat = next(_candidates(algorithm, initial.flatten(), deltas, trained, [hp]))
+    spec, seed, theta0 = context if context is not None else (None, None, None)
+    return MergedModel(spec, theta0, initial, initial.with_flat(flat),
+                       _provenance(algorithm, ordered, hp, init_seed=seed))
+
+
+def simple_average(initial: ParamTree, checkpoints: list[Checkpoint]) -> MergedModel:
+    """Elementwise mean of the trained trainable trees."""
+    spec, seed, theta0, shared_initial = _common_context(checkpoints)
+    initial.require_congruent(shared_initial, "initial trees")
+    ordered = sorted(checkpoints, key=lambda c: c.task_id)
+    trained = [c.trained.flatten() for c in ordered]
+    return _merge("simple_average", initial, ordered, [], trained, {}, (spec, seed, theta0))
+
+
+def summed_vector(vectors: list[TaskVector]) -> ParamTree:
+    """Canonically ordered sum of task-vector deltas."""
+    if not vectors:
+        raise ContractError("need at least one task vector")
+    head = vectors[0].delta
+    _, deltas = _ordered_flats(head, vectors)
+    return head.with_flat(_task_sum(deltas))
+
+
+def task_arithmetic(
+    initial: ParamTree,
+    vectors: list[TaskVector],
+    lam: float,
+    context: tuple[ModelSpec, int, ParamTree] | None = None,
+) -> MergedModel:
+    """initial + lam * (sum of task vectors), one coefficient for the sum."""
+    ordered, deltas = _ordered_flats(initial, vectors)
+    return _merge("task_arithmetic", initial, ordered, deltas, None, {"lambda": float(lam)}, context)
+
+
 def ties_merge(
     initial: ParamTree,
     vectors: list[TaskVector],
@@ -157,38 +201,12 @@ def ties_merge(
 
     Per coordinate the elected sign is the sign of the summed trimmed
     values; the merged value is the mean of the trimmed values whose sign
-    matches it (zero when the election ties at zero).
+    matches it (zero when the election ties at zero). The result is
+    initial + lam * merged.
     """
-    if not vectors:
-        raise ContractError("ties merging needs at least one task vector")
-    ordered = sorted(vectors, key=lambda v: v.task_id)
-    head = ordered[0].delta
-    for v in ordered[1:]:
-        head.require_congruent(v.delta, "task vectors")
-    initial.require_congruent(head, "initial tree and task vectors")
-    trimmed = np.stack([ties_trim(v.delta.flatten(), k) for v in ordered])
-    elected = np.sign(trimmed.sum(axis=0))
-    match = (np.sign(trimmed) == elected) & (elected != 0)
-    counts = match.sum(axis=0)
-    sums = (trimmed * match).sum(axis=0)
-    merged_flat = np.divide(
-        sums, counts, out=np.zeros_like(sums), where=counts > 0
-    )
-    merged = combine(initial, [initial.with_flat(merged_flat)], [lam])
-    spec, seed, theta0 = context if context is not None else (None, None, None)
-    return MergedModel(
-        spec=spec,
-        theta0=theta0,
-        initial=initial,
-        trainable=merged,
-        provenance={
-            "algorithm": "ties_merging",
-            "mode": vectors[0].mode.value,
-            "task_ids": [v.task_id for v in ordered],
-            "hyperparameters": {"k": float(k), "lambda": float(lam)},
-            "init_seed": seed,
-        },
-    )
+    ordered, deltas = _ordered_flats(initial, vectors)
+    hp = {"k": float(k), "lambda": float(lam)}
+    return _merge("ties_merging", initial, ordered, deltas, None, hp, context)
 
 
 def lorahub_optimize(
@@ -204,28 +222,33 @@ def lorahub_optimize(
     """Derivative-free search for per-task combination weights.
 
     Minimizes few-shot cross-entropy of initial + sum(w_i * v_i) plus an
-    L1 penalty alpha * sum|w_i| with a seeded Nelder-Mead simplex started
-    at uniform weights. The pretrained point w=0 is scored as part of the
-    initial population, so the returned best never loses to it. Budget:
-    at most ``max_steps`` objective evaluations beyond the initial
-    simplex; running out is not an error, the best-so-far wins. NaN
+    L1 penalty alpha * sum|w_i| with a Nelder-Mead simplex started at
+    uniform weights. The search draws no random numbers: ``seed`` is only
+    recorded in provenance, and because the vectors are sorted by task id
+    the result is bit-identical under any permutation of them. The
+    pretrained point w=0 is scored as part of the initial population, so
+    the returned best never loses to it. Budget: at most ``max_steps``
+    objective evaluations beyond the initial simplex; running out is not
+    an error, the best-so-far wins. Non-finite candidates and NaN
     objectives are discarded.
     """
     if len(fewshot) == 0:
         raise ContractError("lorahub needs a non-empty few-shot dataset")
-    if not vectors:
-        raise ContractError("lorahub needs at least one task vector")
-    ordered = sorted(vectors, key=lambda v: v.task_id)
+    ordered, deltas = _ordered_flats(initial, vectors)
     n = len(ordered)
-    deltas = [v.delta for v in ordered]
+    initial_flat = initial.flatten()
     best = {"obj": np.inf, "w": np.zeros(n)}
+
+    def merged_tree(w) -> ParamTree:
+        _, _, flat = next(_candidates("lorahub", initial_flat, deltas, None, [{"weights": w}]))
+        return initial.with_flat(flat)
 
     def objective(w: np.ndarray) -> float:
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             try:
-                tree = combine(initial, deltas, w)
+                tree = merged_tree(w)  # Tensor construction rejects a non-finite candidate
                 loss = _fewshot_loss(spec, theta0, initial, tree, fewshot)
-            except ContractError:  # non-finite candidate: discard
+            except ContractError:
                 return np.inf
         obj = loss + float(alpha) * float(np.sum(np.abs(w)))
         if not np.isfinite(obj):
@@ -250,26 +273,14 @@ def lorahub_optimize(
         },
     )
     weights = [float(v) for v in best["w"]]
-    merged = combine(initial, deltas, best["w"])
-    model = MergedModel(
-        spec=spec,
-        theta0=theta0,
-        initial=initial,
-        trainable=merged,
-        provenance={
-            "algorithm": "lorahub",
-            "mode": ordered[0].mode.value,
-            "task_ids": [v.task_id for v in ordered],
-            "hyperparameters": {
-                "alpha": float(alpha),
-                "max_steps": int(max_steps),
-                "seed": int(seed),
-                "weights": {v.task_id: w for v, w in zip(ordered, weights)},
-            },
-            "objective": float(best["obj"]),
-        },
-    )
-    return weights, model
+    hyperparameters = {
+        "alpha": float(alpha),
+        "max_steps": int(max_steps),
+        "seed": int(seed),
+        "weights": {v.task_id: w for v, w in zip(ordered, weights)},
+    }
+    provenance = _provenance("lorahub", ordered, hyperparameters, objective=float(best["obj"]))
+    return weights, MergedModel(spec, theta0, initial, merged_tree(weights), provenance)
 
 
 def _fewshot_loss(spec, theta0, anchor, tree, fewshot: Dataset) -> float:
@@ -290,9 +301,6 @@ def enumerate_subsets(task_ids: list[str]) -> list[tuple[str, ...]]:
     return out
 
 
-ALGORITHMS = ("simple_average", "task_arithmetic", "ties_merging", "lorahub")
-
-
 def sweep_and_select(
     config: FusionConfig,
     checkpoints: list[Checkpoint],
@@ -300,10 +308,15 @@ def sweep_and_select(
     fewshot: Dataset | None = None,
     seed: int = 0,
 ) -> MergedModel:
-    """Build every candidate on the config's grids and keep the validation argmax.
+    """Score every candidate on the config's grids and keep the validation argmax.
 
-    Mean validation accuracy over the subset's tasks decides; exact ties
-    go to the smaller scaling factor, then the smaller trim fraction.
+    Candidates come from ``_candidates`` in grid order: scaling factor
+    ascending, then trim fraction; lorahub contributes the one candidate
+    its search settles on, with that search's objective and
+    hyperparameters. Mean validation accuracy over the subset's tasks
+    decides; exact ties go to the smaller scaling factor, then the smaller
+    trim fraction. The winner keeps the per-task scores of its scoring
+    pass, and only the winner becomes a ``MergedModel``.
     """
     spec, init_seed, theta0, initial = _common_context(checkpoints)
     ordered = sorted(checkpoints, key=lambda c: c.task_id)
@@ -311,82 +324,62 @@ def sweep_and_select(
         ds = validation.get(c.task_id)
         if ds is None or len(ds) == 0:
             raise ContractError(f"validation set for {c.task_id!r} is empty or missing")
-    vectors = [compute_task_vector(c) for c in ordered]
-    context = (spec, init_seed, theta0)
+    vectors, deltas = _ordered_flats(initial, [compute_task_vector(c) for c in ordered])
+    trained = [c.trained.flatten() for c in ordered]
 
-    def score(model: MergedModel) -> float:
-        accs = [model.evaluate_on(validation[c.task_id]) for c in ordered]
-        return float(np.mean(accs))
-
-    candidates: list[tuple[tuple, MergedModel]] = []
+    recorded: dict = {}
     if config.algorithm == "simple_average":
-        candidates.append(((0.0, 0.0), simple_average(initial, ordered)))
+        grid = [{}]
     elif config.algorithm == "task_arithmetic":
-        for lam in sorted(config.lambda_grid):
-            candidates.append(((lam, 0.0), task_arithmetic(initial, vectors, lam, context)))
+        grid = [{"lambda": float(lam)} for lam in sorted(config.lambda_grid)]
     elif config.algorithm == "ties_merging":
-        for lam in sorted(config.ties_lambda_grid):
-            for k in sorted(config.ties_k_grid):
-                candidates.append(((lam, k), ties_merge(initial, vectors, k, lam, context)))
-    elif config.algorithm == "lorahub":
+        grid = [{"k": float(k), "lambda": float(lam)}
+                for lam in sorted(config.ties_lambda_grid) for k in sorted(config.ties_k_grid)]
+    else:
         if fewshot is None or len(fewshot) == 0:
             raise ContractError("lorahub sweep needs a few-shot dataset")
-        _, model = lorahub_optimize(
+        weights, model = lorahub_optimize(
             spec, theta0, initial, vectors, fewshot,
             alpha=config.lorahub_alpha, max_steps=config.lorahub_max_steps, seed=seed,
         )
-        candidates.append(((0.0, 0.0), model))
+        grid = [{"weights": weights}]
+        recorded = {"hyperparameters": model.provenance["hyperparameters"],
+                    "objective": model.provenance["objective"]}
 
-    best_key = None
-    best_score = -np.inf
-    best_model = None
-    for key, model in candidates:
-        s = score(model)
-        if s > best_score:
-            best_key, best_score, best_model = key, s, model
-    assert best_model is not None
-    per_task = {
-        c.task_id: best_model.evaluate_on(validation[c.task_id]) for c in ordered
-    }
-    provenance = dict(best_model.provenance)
-    provenance["init_seed"] = init_seed
-    provenance["validation_scores"] = per_task
-    provenance["mean_validation_score"] = best_score
-    provenance["candidates_evaluated"] = len(candidates)
-    return MergedModel(
-        spec=best_model.spec,
-        theta0=best_model.theta0,
-        initial=best_model.initial,
-        trainable=best_model.trainable,
-        provenance=provenance,
-    )
+    best = None
+    candidates = _candidates(config.algorithm, initial.flatten(), deltas, trained, grid)
+    for count, (key, hp, flat) in enumerate(candidates, start=1):
+        tree = initial.with_flat(flat)
+        scores = {c.task_id: evaluate(spec, theta0, tree, validation[c.task_id], anchor=initial)
+                  for c in ordered}
+        mean = float(np.mean(list(scores.values())))
+        if best is None or mean > best[0] or (mean == best[0] and key < best[1]):
+            best = (mean, key, hp, tree, scores)
+    mean, _, hp, tree, scores = best
+    provenance = _provenance(config.algorithm, vectors, hp, init_seed=init_seed,
+                             validation_scores=scores, mean_validation_score=mean,
+                             candidates_evaluated=count)
+    provenance.update(recorded)
+    return MergedModel(spec, theta0, initial, tree, provenance)
 
 
 def replay_merge(provenance: dict, checkpoints: list[Checkpoint]) -> ParamTree:
     """Rebuild merged parameters from a provenance record, bit-for-bit.
 
-    Uses the recorded hyperparameters directly; no sweep or search is
-    re-run.
+    Builds the one candidate at the recorded hyperparameters; no sweep or
+    search is re-run.
     """
-    spec, init_seed, theta0, initial = _common_context(checkpoints)
+    _, _, _, initial = _common_context(checkpoints)
     wanted = provenance["task_ids"]
     by_id = {c.task_id: c for c in checkpoints}
     missing = [t for t in wanted if t not in by_id]
     if missing:
         raise ContractError(f"provenance references unknown tasks {missing}")
-    subset = [by_id[t] for t in wanted]
-    vectors = [compute_task_vector(c) for c in subset]
-    algorithm = provenance["algorithm"]
-    hp = provenance.get("hyperparameters", {})
-    context = (spec, init_seed, theta0)
-    if algorithm == "simple_average":
-        return simple_average(initial, subset).trainable
-    if algorithm == "task_arithmetic":
-        return task_arithmetic(initial, vectors, hp["lambda"], context).trainable
-    if algorithm == "ties_merging":
-        return ties_merge(initial, vectors, hp["k"], hp["lambda"], context).trainable
-    if algorithm == "lorahub":
-        ordered = sorted(vectors, key=lambda v: v.task_id)
-        weights = [hp["weights"][v.task_id] for v in ordered]
-        return combine(initial, [v.delta for v in ordered], weights)
-    raise ContractError(f"unknown fusion algorithm {algorithm!r}")
+    subset = sorted((by_id[t] for t in wanted), key=lambda c: c.task_id)
+    ordered, deltas = _ordered_flats(initial, [compute_task_vector(c) for c in subset])
+    trained = [c.trained.flatten() for c in subset]
+    hp = dict(provenance.get("hyperparameters", {}))
+    if provenance["algorithm"] == "lorahub":
+        hp["weights"] = [hp["weights"][v.task_id] for v in ordered]
+    _, _, flat = next(_candidates(provenance["algorithm"], initial.flatten(), deltas, trained, [hp]))
+    return initial.with_flat(flat)

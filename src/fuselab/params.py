@@ -120,19 +120,17 @@ def zeros_like(tree: ParamTree) -> ParamTree:
     return ParamTree({p: Tensor(np.zeros(t.shape)) for p, t in tree.items()})
 
 
-def combine(base: ParamTree, deltas: Sequence[ParamTree], weights: Sequence[float],
-            what: str = "base tree and deltas") -> ParamTree:
-    """base + Σ wᵢ·δᵢ over the flat vector, the one weighted-sum route.
+def combine(base: np.ndarray, deltas: Sequence[np.ndarray], weights: Sequence[float]) -> np.ndarray:
+    """base + Σ wᵢ·δᵢ over flat float64 vectors, the one weighted-sum route.
 
     Terms accumulate left to right in the order given, each as
     ``acc + float(w) * delta``, so a caller fixes the float summation order
-    by how it orders ``deltas`` (fusion sorts by task id). Every delta must
-    be congruent with ``base``.
+    by how it orders ``deltas`` (fusion sorts by task id). Callers check
+    tree congruence where they flatten.
     """
     if len(deltas) != len(weights):
         raise ContractError(f"{len(deltas)} deltas but {len(weights)} weights")
-    flat = base.flatten()
+    acc = np.asarray(base, dtype=np.float64)
     for delta, w in zip(deltas, weights):
-        base.require_congruent(delta, what)
-        flat = flat + float(w) * delta.flatten()
-    return base.with_flat(flat)
+        acc = acc + float(w) * delta
+    return acc

@@ -27,6 +27,7 @@ from .analysis import (
 from .checkpoints import Checkpoint, load_checkpoint, save_checkpoint
 from .config import config_digest, derive_seed, fusion_config, model_spec, train_config
 from .errors import ConfigError
+from .files import write_atomic
 from .fusion import ALGORITHMS, enumerate_subsets, sweep_and_select
 from .models import LinearizedState, ModeTag, build_model
 from .task_vectors import compute_task_vector, similarity_matrix, write_similarity_csv
@@ -92,9 +93,7 @@ def ensure_run_dir(resolved: dict, out: str | Path) -> tuple[RunPaths, str]:
                 f"{paths.root} was produced under a different configuration"
             )
     else:
-        paths.resolved_config.write_text(
-            json.dumps(resolved, sort_keys=True, indent=1) + "\n"
-        )
+        write_atomic(paths.resolved_config, json.dumps(resolved, sort_keys=True, indent=1) + "\n")
     return paths, digest
 
 
@@ -268,7 +267,7 @@ def stage_fuse(
             mf = paths.merged_file(algorithm, mode, subset)
             save_checkpoint(merged_ckpt, mf, config_digest=digest)
             pf = paths.provenance_file(algorithm, mode, subset)
-            pf.write_text(json.dumps(provenance, sort_keys=True, indent=1) + "\n")
+            write_atomic(pf, json.dumps(provenance, sort_keys=True, indent=1) + "\n")
             written.extend([mf, pf])
     return written
 
@@ -378,7 +377,7 @@ def stage_analyze_ntk(resolved: dict, out: str | Path, modes=None, task_id=None)
             "%.17g,%d,%.17g,%.17g,%.17g"
             % (eta, n, rel, float(np.linalg.norm(predicted)), float(np.linalg.norm(observed))),
         ]
-        f.write_text("\n".join(lines) + "\n")
+        write_atomic(f, "\n".join(lines) + "\n")
         written.append(f)
     return written
 
@@ -407,7 +406,7 @@ def stage_report(resolved: dict, out: str | Path) -> tuple:
     csv_path = paths.report_dir / "fusion_report.csv"
     write_report_csv(report, csv_path, meta=f"config_digest={digest}")
     txt_path = paths.report_dir / "fusion_report.txt"
-    txt_path.write_text(format_report_table(report) + "\n")
+    write_atomic(txt_path, format_report_table(report) + "\n")
     return report, [csv_path, txt_path]
 
 

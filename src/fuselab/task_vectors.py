@@ -11,15 +11,15 @@ pairwise cosine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Tensor
 from .checkpoints import Checkpoint
 from .errors import ContractError, UndefinedSimilarityError
+from .files import write_atomic
 from .models import ModeTag, ModelSpec
-from .params import ParamTree, combine, zeros_like
+from .params import ParamTree, combine
 
 
 @dataclass(frozen=True)
@@ -52,14 +52,16 @@ def linear_combine(vectors: list[TaskVector], weights: list[float]) -> TaskVecto
     """Elementwise weighted sum of congruent same-mode task vectors."""
     if not vectors:
         raise ContractError("need at least one task vector")
+    head = vectors[0].delta
     for v in vectors[1:]:
         if v.mode != vectors[0].mode:
             raise ContractError(
                 f"cannot combine task vectors across modes ({vectors[0].mode.value} vs {v.mode.value})"
             )
+        head.require_congruent(v.delta, "task vectors")
+    flat = combine(np.zeros(head.num_values), [v.delta.flatten() for v in vectors], weights)
     return TaskVector(
-        delta=combine(zeros_like(vectors[0].delta), [v.delta for v in vectors], weights,
-                      "task vectors"),
+        delta=head.with_flat(flat),
         mode=vectors[0].mode,
         task_id="+".join(v.task_id for v in vectors),
     )
@@ -143,4 +145,4 @@ def write_similarity_csv(ids: list[str], matrix: np.ndarray, path, meta: str = "
     lines.append(",".join(["task_id", *ids]))
     for task_id, row in zip(ids, matrix):
         lines.append(",".join([task_id, *("%.17g" % v for v in row)]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")

@@ -17,6 +17,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import ContractError
+from .files import write_atomic
 from .params import ParamTree
 
 TEACHER_HIDDEN = 16
@@ -198,7 +199,7 @@ def export_task(task: Task, path, suite: TaskSuite, config_digest: str = "") -> 
         for row, label in zip(ds.xs, ds.ys):
             vals = ",".join("%.17g" % v for v in row)
             lines.append(f"{split_name},{int(label)},{vals}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def import_task(path) -> tuple[Task, dict]:

@@ -11,7 +11,6 @@ backward pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +18,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoints import Checkpoint, backbone_for
 from .errors import ContractError, TrainingDivergedError
+from .files import write_atomic
 from .models import ModelSpec, paradigm_logits, predict_logits
 from .params import ParamTree
 from .tasks import Dataset, Task
@@ -257,4 +257,4 @@ def write_metrics_csv(history, path, meta: str = "") -> None:
     lines.append("step,train_loss,val_accuracy")
     for step, loss, acc in history:
         lines.append("%d,%.17g,%.17g" % (step, loss, acc))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")

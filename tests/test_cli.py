@@ -326,3 +326,24 @@ def test_final_step_divergence_exits_two_without_checkpoint(tmp_path, learning_r
                  "--mode", "full_ft", "--task", "task0"])
     assert code == 2
     assert not (out / "checkpoints/full_ft/task0.json").exists()
+
+
+@pytest.mark.parametrize("raw", [
+    {"model": {"hidden_dims": "44"}},
+    {"train": {"steps": True}},
+    {"train": {"steps": 2.7}},
+    {"master_seed": 3.9},
+    {"suite": 5},
+], ids=["hidden_dims_string", "steps_bool", "steps_float", "master_seed_float",
+        "section_not_object"])
+def test_wrong_leaf_kind_exits_one(tmp_path, raw):
+    # The first four used to be coerced: "44" to (4, 4), true to 1 step,
+    # 2.7 to 2 steps, 3.9 to master seed 3. A section that is not an object
+    # used to crash with a TypeError.
+    with pytest.raises(ConfigError):
+        resolve_config(raw)
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["gen-tasks", "--config", str(p), "--out", str(out)]) == 1
+    assert not out.exists()

@@ -441,3 +441,15 @@ def test_ties_merge_matches_reference(case, k, lam):
     deltas = [list(map(float, v.delta.flatten())) for v in vectors]
     want = initial.flatten() + np.array(reference_ties(deltas, k, lam))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-9)
+
+
+def test_lorahub_bit_invariant_under_permutation(setting):
+    # The Nelder-Mead search draws no random numbers and the vectors are
+    # sorted by task id, so input order cannot change the result.
+    suite, spec, theta0, phi0, cks = setting
+    vectors = [compute_task_vector(c) for c in cks]
+    fewshot = suite.tasks[0].val.take(range(32))
+    w1, m1 = lorahub_optimize(spec, theta0, phi0, vectors, fewshot, max_steps=20)
+    w2, m2 = lorahub_optimize(spec, theta0, phi0, list(reversed(vectors)), fewshot, max_steps=20)
+    assert w1 == w2
+    assert m1.trainable.equal_bits(m2.trainable)

@@ -1,12 +1,13 @@
 """Fine-tuning loop, loss, evaluation, and checkpoint file round-trips."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
 from fuselab.autodiff import Tensor
-from fuselab.checkpoints import load_checkpoint, save_checkpoint
+from fuselab.checkpoints import Checkpoint, load_checkpoint, save_checkpoint
 from fuselab.errors import ContractError, TrainingDivergedError, ConfigError
 from fuselab.models import ModeTag, ModelSpec, build_model
 from fuselab.params import ParamTree
@@ -201,3 +202,19 @@ class TestCheckpointFiles:
         save_checkpoint(ckpt, path, config_digest="sha256:one")
         with pytest.raises(ConfigError):
             load_checkpoint(path, expected_config_digest="sha256:two")
+
+
+def test_failed_checkpoint_write_leaves_no_file(tmp_path, monkeypatch):
+    # A write that fails before its final rename must leave neither a partial
+    # target nor the temp file behind.
+    spec = default_spec(ModeTag.LORA)
+    _, phi0 = build_model(spec, seed=3)
+    ckpt = Checkpoint(spec, "task0", 3, phi0, phi0)
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(ckpt, tmp_path / "ck.json")
+    assert list(tmp_path.iterdir()) == []
