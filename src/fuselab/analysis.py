@@ -17,7 +17,8 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ContractError, ResourceLimitError
 from .files import write_atomic
-from .models import LinearizedState, ModelSpec, forward, logits_program, paradigm_logits, predict_logits
+from .models import (LinearizedState, ModelSpec, affine_logits, forward, logits_program,
+                     paradigm_logits, predict_logits)
 from .params import ParamTree, combine
 from .task_vectors import TaskVector
 from .tasks import Dataset
@@ -66,29 +67,39 @@ def _errors(
 
     The one route for every cell. The pair is put in canonical (task id,
     digest) order once; that order fixes the float summation order of the
-    combined parameters, so the error is exactly symmetric under swapping
-    the task pair. Single-vector predictions depend on one slot's factor
-    only and are computed once per (slot, factor).
+    combined parameters, or for linearized modes of the combined logits,
+    so the error is exactly symmetric under swapping the task pair.
+    Linearized modes take two JVPs per eval set and form each model's
+    logits as an axpy on them. Single-vector predictions depend on one
+    slot's factor only and are computed once per (slot, factor).
     """
     base = phi0.flatten()
     deltas = (nu1.delta.flatten(), nu2.delta.flatten())
     swapped = (nu2.task_id, nu2.delta.digest()) < (nu1.task_id, nu1.delta.digest())
     order = (1, 0) if swapped else (0, 1)
+    affine = None
+    if spec.mode.is_linearized:
+        affine = [affine_logits(spec, theta0, phi0, ds.xs) for ds in eval_sets]
 
-    def predictions(flat: np.ndarray, slot: int) -> np.ndarray:
-        logits = predict_logits(spec, theta0, phi0, phi0.with_flat(flat), eval_sets[slot].xs)
-        return np.argmax(logits.array, axis=1)
+    def predictions(slot: int, terms: tuple[int, ...], lams: tuple[float, float]) -> np.ndarray:
+        """Argmax on ``eval_sets[slot]`` of phi0 + Σ lams[s] * deltas[s] over s in ``terms``."""
+        weights = [lams[s] for s in terms]
+        if affine is None:
+            tree = phi0.with_flat(combine(base, [deltas[s] for s in terms], weights))
+            logits = predict_logits(spec, theta0, phi0, tree, eval_sets[slot].xs).array
+        else:
+            logits = affine[slot]({s: deltas[s] for s in terms}, weights)
+        return np.argmax(logits, axis=1)
 
     singles: dict[tuple[int, float], np.ndarray] = {}
     out = []
     for cell in cells:
         lams = (float(cell[0]), float(cell[1]))
-        combined = combine(base, [deltas[s] for s in order], [lams[s] for s in order])
         total = 0.0
         for s in order:
             if (s, lams[s]) not in singles:
-                singles[s, lams[s]] = predictions(combine(base, [deltas[s]], [lams[s]]), s)
-            total += float(np.mean(singles[s, lams[s]] != predictions(combined, s)))
+                singles[s, lams[s]] = predictions(s, (s,), lams)
+            total += float(np.mean(singles[s, lams[s]] != predictions(s, order, lams)))
         out.append(total)
     return out
 

@@ -101,8 +101,34 @@ def _merge_strict(section: str, given: dict, defaults: dict) -> dict:
     return out
 
 
+def _check_ranges(resolved: dict) -> None:
+    """Reject leaves that have the right kind but would fail only in a later stage."""
+    fusion, analysis = resolved["fusion"], resolved["analysis"]
+    for key in ("lambda_grid", "ties_k_grid", "ties_lambda_grid"):
+        if not fusion[key]:
+            raise ConfigError(f"fusion.{key} must be non-empty")
+    outside = [k for k in fusion["ties_k_grid"] if not 0.0 < k <= 1.0]
+    if outside:
+        raise ConfigError(f"fusion.ties_k_grid items must lie in (0, 1], got {outside}")
+    if analysis["resolution"] < 2:
+        raise ConfigError(f"analysis.resolution = {analysis['resolution']} must be at least 2")
+    if not analysis["lambda_min"] < analysis["lambda_max"]:
+        raise ConfigError(
+            f"analysis.lambda_min = {analysis['lambda_min']} must be below "
+            f"lambda_max = {analysis['lambda_max']}"
+        )
+    if resolved["suite"]["n_tasks"] < 2:
+        raise ConfigError(f"suite.n_tasks = {resolved['suite']['n_tasks']} must be at least 2")
+
+
 def resolve_config(raw: dict, seed_override: int | None = None) -> dict:
-    """Fill every default in; returns the resolved configuration dict."""
+    """Fill every default in; returns the resolved configuration dict.
+
+    Leaves are checked for their default's kind and, where a stage would
+    otherwise fail after the ones before it had run, for range: non-empty
+    fusion grids, trim fractions in (0, 1], a grid resolution of at least
+    2, ``lambda_min < lambda_max`` and at least two tasks.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("run configuration must be a JSON object")
     top_known = {"master_seed", "suite", "model", "train", "train_overrides",
@@ -134,6 +160,7 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> dict:
         "fusion": _merge_strict("fusion", raw.get("fusion", {}), FUSION_DEFAULTS),
         "analysis": _merge_strict("analysis", raw.get("analysis", {}), ANALYSIS_DEFAULTS),
     }
+    _check_ranges(resolved)
     # derived seeds documented for reproducibility audits
     resolved["derived_seeds"] = {
         "suite": derive_seed(master, "suite"),

@@ -18,13 +18,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize as sciopt
 
+from .autodiff import Tensor
 from .checkpoints import Checkpoint
 from .errors import ContractError
-from .models import ModelSpec, predict_logits
+from .models import ModelSpec, affine_logits, predict_logits
 from .params import ParamTree, combine
 from .task_vectors import TaskVector, compute_task_vector
 from .tasks import Dataset
-from .training import cross_entropy_loss, evaluate
+from .training import accuracy, cross_entropy_loss, evaluate
 
 ALGORITHMS = ("simple_average", "task_arithmetic", "ties_merging", "lorahub")
 DEFAULT_LAMBDA_GRID = tuple(round(0.05 * i, 2) for i in range(21))
@@ -117,45 +118,56 @@ def _task_sum(deltas: list[np.ndarray]) -> np.ndarray:
 
 def _candidates(algorithm: str, initial_flat: np.ndarray, deltas: list[np.ndarray],
                 trained: list[np.ndarray] | None, grid: list[dict]):
-    """Yield ``(tie-break key, hyperparameters, merged flat)`` for each point of ``grid``.
+    """Yield ``(tie-break key, hyperparameters, merged flat, directions, weights)`` per point of ``grid``.
 
     The one place each algorithm's formula is spelled out. ``deltas`` and
     ``trained`` are flat vectors in task-id order; ``grid`` holds the
     hyperparameter dicts to build, in order (lorahub's ``weights`` listed
-    in task-id order). Directions that stay fixed across a sweep are built
-    once: the task-vector sum once, the TIES merge vector once per k. Ties
-    in score go to the smaller key: scaling factor, then trim fraction.
+    in task-id order). ``directions`` maps a name to a fixed vector and
+    ``weights`` holds their coefficients, so the merged flat is
+    ``initial + Σ wᵢ·dᵢ`` over them; a name means the same vector for the
+    whole sweep, which lets a linearized scorer take one JVP per name.
+    Fixed directions are built once: the task-vector sum once, the TIES
+    merge vector once per k. simple_average's merged flat is the mean of
+    the trained vectors and its one direction that mean minus the initial
+    vector. Ties in score go to the smaller key: scaling factor, then trim
+    fraction.
     """
     if algorithm not in ALGORITHMS:
         raise ContractError(f"unknown fusion algorithm {algorithm!r}")
-    directions: dict = {}
+    fixed: dict = {}
     for hp in grid:
         if algorithm == "simple_average":
             if len(trained) < 2:
                 raise ContractError("simple average needs at least two checkpoints")
-            yield (0.0, 0.0), hp, np.mean(trained, axis=0)
-        elif algorithm == "task_arithmetic":
-            if "sum" not in directions:
-                directions["sum"] = _task_sum(deltas)
-            yield (hp["lambda"], 0.0), hp, combine(initial_flat, [directions["sum"]], [hp["lambda"]])
+            merged = np.mean(trained, axis=0)
+            yield (0.0, 0.0), hp, merged, {"average": merged - initial_flat}, [1.0]
+            continue
+        if algorithm == "task_arithmetic":
+            key, name, weights = (hp["lambda"], 0.0), "sum", [hp["lambda"]]
+            if name not in fixed:
+                fixed[name] = _task_sum(deltas)
+            directions = {name: fixed[name]}
         elif algorithm == "ties_merging":
-            k = hp["k"]
-            if k not in directions:
-                trimmed = np.stack([ties_trim(d, k) for d in deltas])
+            key, name, weights = (hp["lambda"], hp["k"]), ("ties", hp["k"]), [hp["lambda"]]
+            if name not in fixed:
+                trimmed = np.stack([ties_trim(d, hp["k"]) for d in deltas])
                 elected = np.sign(trimmed.sum(axis=0))
                 match = (np.sign(trimmed) == elected) & (elected != 0)
                 counts = match.sum(axis=0)
                 sums = (trimmed * match).sum(axis=0)
-                directions[k] = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-            yield (hp["lambda"], k), hp, combine(initial_flat, [directions[k]], [hp["lambda"]])
+                fixed[name] = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+            directions = {name: fixed[name]}
         else:
-            yield (0.0, 0.0), hp, combine(initial_flat, deltas, hp["weights"])
+            key, weights = (0.0, 0.0), hp["weights"]
+            directions = {("task", i): d for i, d in enumerate(deltas)}
+        yield key, hp, combine(initial_flat, list(directions.values()), weights), directions, weights
 
 
 def _merge(algorithm: str, initial: ParamTree, ordered: list, deltas, trained, hp: dict,
            context: tuple[ModelSpec, int, ParamTree] | None) -> MergedModel:
     """The model ``algorithm`` builds at ``hp``: a one-point grid."""
-    _, _, flat = next(_candidates(algorithm, initial.flatten(), deltas, trained, [hp]))
+    flat = next(_candidates(algorithm, initial.flatten(), deltas, trained, [hp]))[2]
     spec, seed, theta0 = context if context is not None else (None, None, None)
     return MergedModel(spec, theta0, initial, initial.with_flat(flat),
                        _provenance(algorithm, ordered, hp, init_seed=seed))
@@ -223,7 +235,8 @@ def lorahub_optimize(
 
     Minimizes few-shot cross-entropy of initial + sum(w_i * v_i) plus an
     L1 penalty alpha * sum|w_i| with a Nelder-Mead simplex started at
-    uniform weights. The search draws no random numbers: ``seed`` is only
+    uniform weights; see ``_lorahub_objective`` for how a linearized mode
+    scores a weighting. The search draws no random numbers: ``seed`` is only
     recorded in provenance, and because the vectors are sorted by task id
     the result is bit-identical under any permutation of them. The
     pretrained point w=0 is scored as part of the initial population, so
@@ -236,23 +249,11 @@ def lorahub_optimize(
         raise ContractError("lorahub needs a non-empty few-shot dataset")
     ordered, deltas = _ordered_flats(initial, vectors)
     n = len(ordered)
-    initial_flat = initial.flatten()
     best = {"obj": np.inf, "w": np.zeros(n)}
-
-    def merged_tree(w) -> ParamTree:
-        _, _, flat = next(_candidates("lorahub", initial_flat, deltas, None, [{"weights": w}]))
-        return initial.with_flat(flat)
+    penalized_loss = _lorahub_objective(spec, theta0, initial, deltas, fewshot, alpha)
 
     def objective(w: np.ndarray) -> float:
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            try:
-                tree = merged_tree(w)  # Tensor construction rejects a non-finite candidate
-                loss = _fewshot_loss(spec, theta0, initial, tree, fewshot)
-            except ContractError:
-                return np.inf
-        obj = loss + float(alpha) * float(np.sum(np.abs(w)))
-        if not np.isfinite(obj):
-            return np.inf
+        obj = penalized_loss(w)
         if obj < best["obj"]:
             best["obj"] = obj
             best["w"] = np.array(w, dtype=np.float64)
@@ -280,7 +281,39 @@ def lorahub_optimize(
         "weights": {v.task_id: w for v, w in zip(ordered, weights)},
     }
     provenance = _provenance("lorahub", ordered, hyperparameters, objective=float(best["obj"]))
-    return weights, MergedModel(spec, theta0, initial, merged_tree(weights), provenance)
+    flat = next(_candidates("lorahub", initial.flatten(), deltas, None, [{"weights": weights}]))[2]
+    return weights, MergedModel(spec, theta0, initial, initial.with_flat(flat), provenance)
+
+
+def _lorahub_objective(spec, theta0, initial: ParamTree, deltas: list[np.ndarray],
+                       fewshot: Dataset, alpha: float):
+    """``w -> few-shot cross-entropy + alpha * sum|w_i|`` at ``initial + Σ wᵢ·dᵢ``.
+
+    A weighting whose merged vector, logits or objective is not finite
+    scores ``inf``. Linearized modes take the few-shot tangent features of
+    the task deltas on the first call, so every call is an axpy on the
+    logits plus the cross-entropy; the others evaluate the merged network.
+    """
+    initial_flat = initial.flatten()
+    affine = affine_logits(spec, theta0, initial, fewshot.xs) if spec.mode.is_linearized else None
+
+    def objective(w) -> float:
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            _, _, flat, directions, weights = next(
+                _candidates("lorahub", initial_flat, deltas, None, [{"weights": w}]))
+            try:  # Tensor construction rejects a non-finite candidate and non-finite logits
+                if affine is None:
+                    loss = _fewshot_loss(spec, theta0, initial, initial.with_flat(flat), fewshot)
+                elif np.all(np.isfinite(flat)):
+                    loss = cross_entropy_loss(Tensor(affine(directions, weights)), fewshot.ys)
+                else:
+                    return np.inf
+            except ContractError:
+                return np.inf
+            obj = loss + float(alpha) * float(np.sum(np.abs(w)))
+        return obj if np.isfinite(obj) else np.inf
+
+    return objective
 
 
 def _fewshot_loss(spec, theta0, anchor, tree, fewshot: Dataset) -> float:
@@ -316,7 +349,9 @@ def sweep_and_select(
     hyperparameters. Mean validation accuracy over the subset's tasks
     decides; exact ties go to the smaller scaling factor, then the smaller
     trim fraction. The winner keeps the per-task scores of its scoring
-    pass, and only the winner becomes a ``MergedModel``.
+    pass, and only the winner becomes a ``MergedModel``. Linearized modes
+    score a candidate from its directions and weights: one JVP per
+    (validation set, direction), then an axpy on the logits per candidate.
     """
     spec, init_seed, theta0, initial = _common_context(checkpoints)
     ordered = sorted(checkpoints, key=lambda c: c.task_id)
@@ -346,21 +381,29 @@ def sweep_and_select(
         recorded = {"hyperparameters": model.provenance["hyperparameters"],
                     "objective": model.provenance["objective"]}
 
+    ids = [c.task_id for c in ordered]
+    affine = None
+    if spec.mode.is_linearized:
+        affine = {t: affine_logits(spec, theta0, initial, validation[t].xs) for t in ids}
     best = None
     candidates = _candidates(config.algorithm, initial.flatten(), deltas, trained, grid)
-    for count, (key, hp, flat) in enumerate(candidates, start=1):
-        tree = initial.with_flat(flat)
-        scores = {c.task_id: evaluate(spec, theta0, tree, validation[c.task_id], anchor=initial)
-                  for c in ordered}
+    for count, (key, hp, flat, directions, weights) in enumerate(candidates, start=1):
+        if affine is None:
+            tree = initial.with_flat(flat)
+            scores = {t: evaluate(spec, theta0, tree, validation[t], anchor=initial) for t in ids}
+        elif not np.all(np.isfinite(flat)):
+            raise ContractError(f"{config.algorithm} candidate {hp} has non-finite parameters")
+        else:
+            scores = {t: accuracy(affine[t](directions, weights), validation[t].ys) for t in ids}
         mean = float(np.mean(list(scores.values())))
         if best is None or mean > best[0] or (mean == best[0] and key < best[1]):
-            best = (mean, key, hp, tree, scores)
-    mean, _, hp, tree, scores = best
+            best = (mean, key, hp, flat, scores)
+    mean, _, hp, flat, scores = best
     provenance = _provenance(config.algorithm, vectors, hp, init_seed=init_seed,
                              validation_scores=scores, mean_validation_score=mean,
                              candidates_evaluated=count)
     provenance.update(recorded)
-    return MergedModel(spec, theta0, initial, tree, provenance)
+    return MergedModel(spec, theta0, initial, initial.with_flat(flat), provenance)
 
 
 def replay_merge(provenance: dict, checkpoints: list[Checkpoint]) -> ParamTree:
@@ -381,5 +424,5 @@ def replay_merge(provenance: dict, checkpoints: list[Checkpoint]) -> ParamTree:
     hp = dict(provenance.get("hyperparameters", {}))
     if provenance["algorithm"] == "lorahub":
         hp["weights"] = [hp["weights"][v.task_id] for v in ordered]
-    _, _, flat = next(_candidates(provenance["algorithm"], initial.flatten(), deltas, trained, [hp]))
+    flat = next(_candidates(provenance["algorithm"], initial.flatten(), deltas, trained, [hp]))[2]
     return initial.with_flat(flat)

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError
-from .params import ParamTree
+from .params import ParamTree, combine
 
 
 class ModeTag(str, Enum):
@@ -224,16 +224,39 @@ def paradigm_logits(spec: ModelSpec, theta0: ParamTree, template: ParamTree,
 
     Returns ``(f, point, logits)``: the network program ``f``, the point
     the paradigm expands around, and the logits. Linearized paradigms
-    evaluate the tangent model ``f(anchor) + J(anchor)(flat - anchor)`` with
-    one JVP at ``point = anchor_flat``; the others evaluate ``f(flat)`` at
+    evaluate the tangent model ``f(anchor) + J(anchor)(flat - anchor)`` as
+    ``tangent_features`` at the anchor tree ``template`` (whose flat vector
+    is ``anchor_flat``) along the one direction ``flat - anchor_flat``, with
+    ``point = anchor_flat``; the others evaluate ``f(flat)`` at
     ``point = flat``. The gradient of any loss of the logits is then the
     VJP of ``f`` at ``point``.
     """
     f = logits_program(spec, theta0, x, template)
     if spec.mode.is_linearized:
-        value, tangent = ad.jvp(f, anchor_flat, flat - anchor_flat)
-        return f, anchor_flat, value + tangent
+        f0, jds = tangent_features(spec, theta0, template, [flat - anchor_flat], x)
+        return f, anchor_flat, combine(f0, jds, [1.0])
     return f, flat, f(flat)
+
+
+def tangent_features(spec: ModelSpec, theta0: ParamTree, anchor: ParamTree, directions, x):
+    """Anchor logits and one JVP per direction: ``(f(anchor), [J(anchor)·d, ...])`` on ``x``.
+
+    The one place the network's JVP is taken. A tangent model is affine in
+    its trainable parameters, so on fixed inputs its logits at
+    ``anchor + Σ wᵢ·dᵢ`` are ``combine(f(anchor), [J·dᵢ], [wᵢ])``: a caller
+    that reuses fixed directions under many weights pays one JVP per
+    direction and an axpy per weighting. With no directions this is one
+    plain forward pass.
+    """
+    f = logits_program(spec, theta0, x, anchor)
+    anchor_flat = anchor.flatten()
+    if not directions:
+        return f(anchor_flat), []
+    jds = []
+    for d in directions:
+        f0, jd = ad.jvp(f, anchor_flat, d)
+        jds.append(jd)
+    return f0, jds
 
 
 def forward(spec: ModelSpec, theta0: ParamTree, trainable: ParamTree, x) -> Tensor:
@@ -266,3 +289,25 @@ def predict_logits(spec: ModelSpec, theta0: ParamTree, anchor: ParamTree, traina
     if spec.mode.is_linearized:
         return forward_linearized(spec, theta0, LinearizedState(anchor, trainable), x)
     return forward(spec, theta0, trainable, x)
+
+
+def affine_logits(spec: ModelSpec, theta0: ParamTree, anchor: ParamTree, x):
+    """Tangent-model logits on fixed inputs as an affine map of named directions.
+
+    Returns ``logits(directions, weights)``: the logits at
+    ``anchor + Σ wᵢ·dᵢ`` for ``directions``, a dict from a name to its
+    vector, and ``weights`` in the same order, formed as
+    ``combine(f(anchor), [J·dᵢ], [wᵢ])``. The JVP along each name is taken
+    once, on first use, so a name must always mean the same vector.
+    """
+    f0, jds = None, {}
+
+    def logits(directions: dict, weights) -> np.ndarray:
+        nonlocal f0
+        missing = [name for name in directions if name not in jds]
+        if f0 is None or missing:
+            f0, new = tangent_features(spec, theta0, anchor, [directions[n] for n in missing], x)
+            jds.update(zip(missing, new))
+        return combine(f0, [jds[name] for name in directions], weights)
+
+    return logits

@@ -9,6 +9,7 @@ independent. Suites are reproducible from their seed alone.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
@@ -172,8 +173,23 @@ def teacher_agreement(suite: TaskSuite, n_points: int = 10000, probe_seed: int =
 FORMAT_LINE = "# fuselab-task v1"
 
 
+def _rows_digest(rows: list[str]) -> str:
+    """sha256 over the data rows, each terminated by a newline."""
+    return "sha256:" + hashlib.sha256("".join(r + "\n" for r in rows).encode()).hexdigest()
+
+
 def export_task(task: Task, path, suite: TaskSuite, config_digest: str = "") -> None:
-    """Write one task as columnar text: header lines, then one sample per row."""
+    """Write one task as columnar text: header lines, then one sample per row.
+
+    The header carries the per-split row counts and ``content_digest``,
+    the sha256 of the data rows, which ``import_task`` verifies.
+    """
+    rows = []
+    for split_name in ("train", "val", "test"):
+        ds: Dataset = getattr(task, split_name)
+        for row, label in zip(ds.xs, ds.ys):
+            vals = ",".join("%.17g" % v for v in row)
+            rows.append(f"{split_name},{int(label)},{vals}")
     lines = [FORMAT_LINE]
     lines.append(
         "# "
@@ -188,35 +204,39 @@ def export_task(task: Task, path, suite: TaskSuite, config_digest: str = "") -> 
                 ("train", len(task.train)),
                 ("val", len(task.val)),
                 ("test", len(task.test)),
+                ("content_digest", _rows_digest(rows)),
                 ("config_digest", config_digest or "none"),
             ]
         )
     )
     cols = ["split", "label"] + [f"x{j}" for j in range(suite.input_dim)]
     lines.append(",".join(cols))
-    for split_name in ("train", "val", "test"):
-        ds: Dataset = getattr(task, split_name)
-        for row, label in zip(ds.xs, ds.ys):
-            vals = ",".join("%.17g" % v for v in row)
-            lines.append(f"{split_name},{int(label)},{vals}")
-    write_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines + rows) + "\n")
 
 
 def import_task(path) -> tuple[Task, dict]:
-    """Read a task file back; the teacher is not part of the text format."""
+    """Read a task file back; the teacher is not part of the text format.
+
+    The data rows must match the header's ``content_digest`` and per-split
+    counts, so an edited or truncated file is a ``ContractError``.
+    """
     text = Path(path).read_text().splitlines()
-    if not text or text[0] != FORMAT_LINE:
+    if len(text) < 3 or text[0] != FORMAT_LINE:
         raise ContractError(f"{path} is not a task file")
     meta = {}
     for part in text[1].lstrip("# ").split():
         k, _, v = part.partition("=")
         meta[k] = v
+    data = text[3:]
+    if meta.get("content_digest") != _rows_digest(data):
+        raise ContractError(f"{path}: data rows do not match the header's content_digest")
     rows = {"train": ([], []), "val": ([], []), "test": ([], [])}
-    for line in text[3:]:
-        if not line:
-            continue
+    for line in data:
         split, label, rest = line.split(",", 2)
         rows[split][0].append([float(v) for v in rest.split(",")])
         rows[split][1].append(int(label))
+    for name, (_, labels) in rows.items():
+        if meta.get(name) != str(len(labels)):
+            raise ContractError(f"{path}: {len(labels)} {name} rows, header says {meta.get(name)}")
     splits = {name: Dataset(np.array(xs), np.array(ys)) for name, (xs, ys) in rows.items()}
     return Task(id=meta["task_id"], teacher=None, **splits), meta

@@ -218,10 +218,14 @@ def finetune(
     return ckpt, history
 
 
+def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of rows whose argmax is the label; argmax ties go to the lowest class."""
+    return float(np.mean(np.argmax(logits, axis=1) == labels))
+
+
 def _accuracy_from_flat(spec, theta0, anchor_flat, template, flat, dataset: Dataset) -> float:
     _, _, logits = paradigm_logits(spec, theta0, template, anchor_flat, flat, dataset.xs)
-    preds = np.argmax(logits, axis=1)
-    return float(np.mean(preds == dataset.ys))
+    return accuracy(logits, dataset.ys)
 
 
 def evaluate(
@@ -231,7 +235,7 @@ def evaluate(
     dataset: Dataset,
     anchor: ParamTree | None = None,
 ) -> float:
-    """Fraction of argmax-correct predictions; argmax ties go to the lowest class.
+    """``accuracy`` of the paradigm's logits on ``dataset``.
 
     Linearized paradigms need the tangent anchor (the trainable tree the
     model was linearized around).
@@ -241,8 +245,7 @@ def evaluate(
     if spec.mode.is_linearized and anchor is None:
         raise ContractError("linearized evaluation requires the tangent anchor")
     logits = predict_logits(spec, theta0, anchor, trainable, dataset.xs)
-    preds = np.argmax(logits.array, axis=1)
-    return float(np.mean(preds == dataset.ys))
+    return accuracy(logits.array, dataset.ys)
 
 
 def evaluate_checkpoint(ckpt: Checkpoint, dataset: Dataset) -> float:

@@ -347,3 +347,38 @@ def test_wrong_leaf_kind_exits_one(tmp_path, raw):
     out = tmp_path / "out"
     assert main(["gen-tasks", "--config", str(p), "--out", str(out)]) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("raw", [
+    {"fusion": {"lambda_grid": []}},
+    {"fusion": {"ties_k_grid": []}},
+    {"fusion": {"ties_lambda_grid": []}},
+    {"fusion": {"ties_k_grid": [0.5, 1.5]}},
+    {"fusion": {"ties_k_grid": [0.0]}},
+    {"fusion": {"ties_k_grid": [-0.25]}},
+    {"analysis": {"resolution": 1}},
+    {"analysis": {"lambda_min": 2.0, "lambda_max": 2.0}},
+    {"analysis": {"lambda_min": 3.0, "lambda_max": -1.0}},
+    {"suite": {"n_tasks": 1}},
+], ids=["empty_lambda_grid", "empty_ties_k_grid", "empty_ties_lambda_grid", "ties_k_above_one",
+        "ties_k_zero", "ties_k_negative", "resolution_one", "lambda_range_empty",
+        "lambda_range_reversed", "one_task"])
+def test_out_of_range_leaf_exits_one_before_any_stage(tmp_path, raw):
+    # Each of these used to resolve cleanly and fail only in the fuse or
+    # analyze stage (or, for one task, in gen-tasks), after the stages
+    # before it had run.
+    with pytest.raises(ConfigError):
+        resolve_config(raw)
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["gen-tasks", "--config", str(p), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_boundary_leaves_resolve():
+    resolved = resolve_config({"fusion": {"ties_k_grid": [1.0]},
+                               "analysis": {"resolution": 2, "lambda_min": -0.5,
+                                            "lambda_max": -0.25},
+                               "suite": {"n_tasks": 2}})
+    assert resolved["fusion"]["ties_k_grid"] == [1.0]

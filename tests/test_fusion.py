@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuselab import fusion
 from fuselab.autodiff import Tensor
 from fuselab.checkpoints import Checkpoint
 from fuselab.errors import ContractError
 from fuselab.fusion import (
     ALGORITHMS,
     FusionConfig,
+    _fewshot_loss,
+    _lorahub_objective,
     enumerate_subsets,
     lorahub_optimize,
     replay_merge,
@@ -25,9 +28,9 @@ from fuselab.fusion import (
     ties_trim,
 )
 from fuselab.models import ModeTag, ModelSpec, build_model
-from fuselab.params import ParamTree
+from fuselab.params import ParamTree, combine
 from fuselab.task_vectors import TaskVector, compute_task_vector
-from fuselab.tasks import make_task_suite
+from fuselab.tasks import Dataset, make_task_suite
 from fuselab.training import TrainConfig, finetune
 
 
@@ -453,3 +456,77 @@ def test_lorahub_bit_invariant_under_permutation(setting):
     w2, m2 = lorahub_optimize(spec, theta0, phi0, list(reversed(vectors)), fewshot, max_steps=20)
     assert w1 == w2
     assert m1.trainable.equal_bits(m2.trainable)
+
+
+# --- linearized modes: affine scoring against the traced evaluate route -------
+
+
+@pytest.fixture(scope="module")
+def trained_llora_setting():
+    suite = make_task_suite(n_tasks=2, seed=401, samples_per_split=64)
+    spec = ModelSpec(input_dim=16, hidden_dims=(32, 32), num_classes=3,
+                     lora_rank=2, mode=ModeTag.LLORA)
+    theta0, phi0 = build_model(spec, seed=401)
+    cfg = TrainConfig(steps=120, learning_rate=0.02, shuffle_seed=5)
+    cks = [finetune(spec, theta0, phi0, t, cfg, init_seed=401)[0] for t in suite.tasks]
+    return suite, cks
+
+
+def test_llora_selection_matches_exhaustive_oracle(trained_llora_setting):
+    # The sweep scores l_lora candidates as axpys on tangent features; the
+    # oracle scores every lambda through MergedModel.evaluate_on, i.e. the
+    # traced JVP at the merged tree.
+    suite, cks = trained_llora_setting
+    validation = {t.id: t.val for t in suite.tasks}
+    cfg = FusionConfig(algorithm="task_arithmetic")
+    merged = sweep_and_select(cfg, cks, validation)
+    vectors = [compute_task_vector(c) for c in sorted(cks, key=lambda c: c.task_id)]
+    phi0 = cks[0].initial
+    context = (cks[0].spec, cks[0].init_seed, cks[0].theta0())
+    scores = {}
+    for lam in sorted(cfg.lambda_grid):
+        cand = task_arithmetic(phi0, vectors, lam, context)
+        scores[lam] = np.mean([cand.evaluate_on(validation[c.task_id]) for c in cks])
+    best_lam = max(scores, key=lambda lam: (scores[lam], -lam))
+    assert len(set(scores.values())) > 1  # the grid is not flat, so the choice means something
+    assert merged.provenance["hyperparameters"]["lambda"] == best_lam
+    assert merged.provenance["mean_validation_score"] == pytest.approx(scores[best_lam])
+
+
+def linear_lorahub_case(mode):
+    spec, theta0, phi0, cks = make_checkpoints(n=3, seed=5, mode=mode)
+    vectors = [compute_task_vector(c) for c in cks]
+    rng = np.random.default_rng(6)
+    fewshot = Dataset(rng.standard_normal((24, 4)), rng.integers(0, 3, size=24))
+    return spec, theta0, phi0, vectors, fewshot
+
+
+@pytest.mark.parametrize("mode", [ModeTag.FULL_LINEAR, ModeTag.LLORA])
+def test_affine_lorahub_objective_matches_fewshot_loss(mode):
+    spec, theta0, phi0, vectors, fewshot = linear_lorahub_case(mode)
+    deltas = [v.delta.flatten() for v in vectors]
+    objective = _lorahub_objective(spec, theta0, phi0, deltas, fewshot, alpha=0.05)
+    for w in ([0.0, 0.0, 0.0], [1 / 3, 1 / 3, 1 / 3], [1.3, -0.4, 0.05]):
+        tree = phi0.with_flat(combine(phi0.flatten(), deltas, w))
+        want = _fewshot_loss(spec, theta0, phi0, tree, fewshot) + 0.05 * np.sum(np.abs(w))
+        assert abs(objective(np.array(w)) - want) <= 1e-12 * max(abs(want), 1.0)
+
+
+def test_non_finite_lorahub_candidate_scores_inf_and_is_never_selected(monkeypatch):
+    spec, theta0, phi0, vectors, fewshot = linear_lorahub_case(ModeTag.LLORA)
+    deltas = [v.delta.flatten() for v in vectors]
+    huge = np.full(3, 1e308)
+    with np.errstate(over="ignore"):
+        assert not np.all(np.isfinite(combine(phi0.flatten(), deltas, huge)))
+    objective = _lorahub_objective(spec, theta0, phi0, deltas, fewshot, alpha=0.05)
+    assert objective(huge) == np.inf
+
+    def probe(fun, x0, **options):  # stands in for Nelder-Mead: one huge, one finite step
+        fun(huge)
+        fun(np.array([0.5, 0.25, 0.0]))
+
+    monkeypatch.setattr(fusion.sciopt, "minimize", probe)
+    weights, model = lorahub_optimize(spec, theta0, phi0, vectors, fewshot)
+    assert weights in ([0.0, 0.0, 0.0], [0.5, 0.25, 0.0])
+    assert np.isfinite(model.provenance["objective"])
+    assert np.all(np.isfinite(model.trainable.flatten()))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fuselab import autodiff as ad
 from fuselab.autodiff import Tensor, jvp
 from fuselab.errors import ContractError
+from fuselab.fusion import ties_trim
 from fuselab.models import (
     LinearizedState,
     ModeTag,
@@ -16,8 +17,9 @@ from fuselab.models import (
     forward,
     forward_linearized,
     predict_logits,
+    tangent_features,
 )
-from fuselab.params import ParamTree
+from fuselab.params import ParamTree, combine
 
 
 def small_spec(mode, hidden=(8,), rank=2):
@@ -195,3 +197,44 @@ def test_tangent_logits_are_affine_in_the_parameters(case, a, b):
     combined = offset(base + a * d1 + b * d2)
     scale = max(np.abs(a * o1).max(), np.abs(b * o2).max(), np.abs(f0).max(), 1.0)
     assert np.max(np.abs(combined - (a * o1 + b * o2))) <= 1e-12 * scale
+
+
+# --- the affine fast path against the traced oracle ---------------------------
+
+
+@pytest.mark.parametrize("mode", [ModeTag.FULL_LINEAR, ModeTag.LLORA])
+@pytest.mark.parametrize("case", ["random", "ties_trim", "lorahub"])
+def test_tangent_features_match_forward_linearized(mode, case):
+    # combine(f(anchor), [J·dᵢ], [wᵢ]) against the tangent model evaluated
+    # at the merged tree anchor + Σ wᵢ·dᵢ. Equal in real arithmetic; the
+    # float64 difference comes only from the order of rounding, so the
+    # tolerance is 1e-12 of the largest term.
+    spec = ModelSpec(input_dim=16, hidden_dims=(32, 32), num_classes=3, lora_rank=2, mode=mode)
+    theta0, anchor = build_model(spec, seed=11)
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((64, 16))
+    base = anchor.flatten()
+    deltas = list(0.1 * rng.standard_normal((4, base.size)))
+    if case == "random":
+        directions, weights = deltas[:2], list(rng.uniform(-2.0, 2.0, size=2))
+    elif case == "ties_trim":
+        directions, weights = [ties_trim(deltas[0] + deltas[1], 0.25)], [0.75]
+    else:
+        directions, weights = deltas, list(rng.uniform(-1.5, 1.5, size=4))
+
+    f0, jds = tangent_features(spec, theta0, anchor, directions, x)
+    fast = combine(f0, jds, weights)
+    merged = anchor.with_flat(combine(base, directions, weights))
+    oracle = forward_linearized(spec, theta0, LinearizedState(anchor, merged), x).array
+    scale = max([np.abs(f0).max(), 1.0] + [abs(w) * np.abs(j).max() for w, j in zip(weights, jds)])
+    assert np.max(np.abs(fast - oracle)) <= 1e-12 * scale
+    assert np.abs(fast - f0).max() > 1e-6  # the directions move the logits
+
+
+def test_tangent_features_without_directions_is_the_anchor_forward():
+    spec = small_spec(ModeTag.LLORA)
+    theta0, anchor = build_model(spec, seed=3)
+    x = np.random.default_rng(4).standard_normal((5, 4))
+    f0, jds = tangent_features(spec, theta0, anchor, [], x)
+    assert jds == []
+    assert np.array_equal(f0, forward_linearized(spec, theta0, LinearizedState(anchor, anchor), x).array)

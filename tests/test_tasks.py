@@ -1,5 +1,7 @@
 """Synthetic task generation: determinism, overlap semantics, balance."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -74,3 +76,42 @@ def test_export_deterministic_bytes(tmp_path):
     export_task(suite.tasks[1], p1, suite)
     export_task(suite.tasks[1], p2, suite)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _exported_lines(tmp_path):
+    suite = make_task_suite(seed=31, samples_per_split=16, input_dim=4)
+    path = tmp_path / "task0.csv"
+    export_task(suite.tasks[0], path, suite)
+    return path, path.read_text().splitlines()
+
+
+def _write(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_import_rejects_an_edited_value(tmp_path):
+    path, lines = _exported_lines(tmp_path)
+    split, label, first, rest = lines[5].split(",", 3)
+    lines[5] = ",".join([split, label, repr(float(first) + 0.5), rest])
+    _write(path, lines)
+    with pytest.raises(ContractError, match="content_digest"):
+        import_task(path)
+
+
+def test_import_rejects_a_dropped_row(tmp_path):
+    path, lines = _exported_lines(tmp_path)
+    _write(path, lines[:-1])
+    with pytest.raises(ContractError, match="content_digest"):
+        import_task(path)
+
+
+def test_import_rejects_counts_that_disagree_with_the_rows(tmp_path):
+    # A dropped row whose digest was recomputed still fails on the header's count.
+    path, lines = _exported_lines(tmp_path)
+    rows = lines[3:-1]
+    digest = "sha256:" + hashlib.sha256("".join(r + "\n" for r in rows).encode()).hexdigest()
+    header = " ".join(f"content_digest={digest}" if part.startswith("content_digest=") else part
+                      for part in lines[1].split(" "))
+    _write(path, [lines[0], header, lines[2], *rows])
+    with pytest.raises(ContractError, match="test rows"):
+        import_task(path)
