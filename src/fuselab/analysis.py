@@ -17,8 +17,8 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ContractError, ResourceLimitError
 from .files import write_atomic
-from .models import (LinearizedState, ModelSpec, affine_logits, forward, logits_program,
-                     paradigm_logits, predict_logits)
+from .models import (LinearizedState, ModelSpec, candidate_logits, logits_program,
+                     paradigm_logits)
 from .params import ParamTree, combine
 from .task_vectors import TaskVector
 from .tasks import Dataset
@@ -67,29 +67,24 @@ def _errors(
 
     The one route for every cell. The pair is put in canonical (task id,
     digest) order once; that order fixes the float summation order of the
-    combined parameters, or for linearized modes of the combined logits,
-    so the error is exactly symmetric under swapping the task pair.
-    Linearized modes take two JVPs per eval set and form each model's
-    logits as an axpy on them. Single-vector predictions depend on one
-    slot's factor only and are computed once per (slot, factor).
+    combined parameters, and for linearized modes of the combined logits,
+    so the error is exactly symmetric under swapping the task pair. Logits
+    come from ``candidate_logits``, built once per eval set, so linearized
+    modes take two JVPs per eval set. Single-vector predictions depend on
+    one slot's factor only and are computed once per (slot, factor).
     """
     base = phi0.flatten()
     deltas = (nu1.delta.flatten(), nu2.delta.flatten())
     swapped = (nu2.task_id, nu2.delta.digest()) < (nu1.task_id, nu1.delta.digest())
     order = (1, 0) if swapped else (0, 1)
-    affine = None
-    if spec.mode.is_linearized:
-        affine = [affine_logits(spec, theta0, phi0, ds.xs) for ds in eval_sets]
+    logits = [candidate_logits(spec, theta0, phi0, ds.xs) for ds in eval_sets]
 
     def predictions(slot: int, terms: tuple[int, ...], lams: tuple[float, float]) -> np.ndarray:
         """Argmax on ``eval_sets[slot]`` of phi0 + Σ lams[s] * deltas[s] over s in ``terms``."""
+        directions = {s: deltas[s] for s in terms}
         weights = [lams[s] for s in terms]
-        if affine is None:
-            tree = phi0.with_flat(combine(base, [deltas[s] for s in terms], weights))
-            logits = predict_logits(spec, theta0, phi0, tree, eval_sets[slot].xs).array
-        else:
-            logits = affine[slot]({s: deltas[s] for s in terms}, weights)
-        return np.argmax(logits, axis=1)
+        flat = combine(base, list(directions.values()), weights)
+        return np.argmax(logits[slot](flat, directions, weights), axis=1)
 
     singles: dict[tuple[int, float], np.ndarray] = {}
     out = []
@@ -197,14 +192,15 @@ def loss_landscape_grid(
     base = theta0.flatten()
     v1 = theta1.flatten() - base
     v2 = theta2.flatten() - base
+    directions = {"theta1": v1, "theta2": v2}
+    logits = [candidate_logits(spec.with_mode("full_ft"), theta0, theta0, d.xs) for d in eval_sets]
     loss = np.zeros((axis1.size, axis2.size))
     for i, l1 in enumerate(axis1):
         for j, l2 in enumerate(axis2):
-            theta = theta0.with_flat(combine(base, [v1, v2], [l1, l2]))
+            flat = combine(base, [v1, v2], [l1, l2])
             total = 0.0
-            for data in (d1, d2):
-                logits = forward(spec.with_mode("full_ft"), theta0, theta, data.xs)
-                total += cross_entropy_loss(logits, data.ys)
+            for data, lg in zip((d1, d2), logits):
+                total += cross_entropy_loss(lg(flat, directions, [l1, l2]), data.ys)
             loss[i, j] = total
     meta = dict(metadata or {})
     return LandscapeGrid(lambda1_axis=axis1, lambda2_axis=axis2, loss=loss, metadata=meta)

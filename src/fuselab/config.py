@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .fusion import DEFAULT_LAMBDA_GRID, DEFAULT_TIES_GRID, FusionConfig
 from .models import ModeTag, ModelSpec
 from .training import TrainConfig
@@ -96,6 +97,9 @@ def _merge_strict(section: str, given: dict, defaults: dict) -> dict:
             raise ConfigError(
                 f"{section}.{key} = {value!r} does not have the kind of its default {defaults[key]!r}"
             )
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (value if isinstance(value, list) else [value])):
+            raise ConfigError(f"{section}.{key} = {value!r} is not finite")
     out = dict(defaults)
     out.update(given)
     return out
@@ -119,15 +123,29 @@ def _check_ranges(resolved: dict) -> None:
         )
     if resolved["suite"]["n_tasks"] < 2:
         raise ConfigError(f"suite.n_tasks = {resolved['suite']['n_tasks']} must be at least 2")
+    trains = {"train": resolved["train"]}
+    trains.update((f"train_overrides.{m}", t) for m, t in resolved["train_overrides"].items())
+    for section, train in trains.items():
+        if train["learning_rate"] < 0:
+            raise ConfigError(f"{section}.learning_rate = {train['learning_rate']} is negative")
+    if fusion["lorahub_alpha"] < 0:
+        raise ConfigError(f"fusion.lorahub_alpha = {fusion['lorahub_alpha']} is negative")
+    try:  # the adapter paradigms check lora_rank against every layer
+        model_spec(resolved, ModeTag.LORA)
+    except ContractError as e:
+        raise ConfigError(f"suite and model sections do not build the adapter network: {e}") from e
 
 
 def resolve_config(raw: dict, seed_override: int | None = None) -> dict:
     """Fill every default in; returns the resolved configuration dict.
 
-    Leaves are checked for their default's kind and, where a stage would
-    otherwise fail after the ones before it had run, for range: non-empty
-    fusion grids, trim fractions in (0, 1], a grid resolution of at least
-    2, ``lambda_min < lambda_max`` and at least two tasks.
+    Leaves are checked for their default's kind, float leaves and list
+    items for finiteness, and, where a stage would otherwise fail after the
+    ones before it had run, for range: non-empty fusion grids, trim
+    fractions in (0, 1], a grid resolution of at least 2,
+    ``lambda_min < lambda_max``, at least two tasks, non-negative learning
+    rates and ``lorahub_alpha``, and layer sizes and a ``lora_rank`` that
+    build the adapter network.
     """
     if not isinstance(raw, dict):
         raise ConfigError("run configuration must be a JSON object")

@@ -3,9 +3,10 @@
 Every algorithm builds ``initial + Σ wᵢ·dᵢ`` on the flat trainable vector,
 and ``_candidates`` is the one place that spells out each algorithm's
 directions and weights: the public merges, the sweep and the replay all
-take their parameters from it. All order-sensitive reductions canonicalize
-their inputs by task id before summing, so permuting the caller's
-checkpoint or vector order can never change a merged result. That holds
+take their parameters from it, and ``models.candidate_logits`` scores them
+in every paradigm. All order-sensitive reductions canonicalize their inputs
+by task id before summing, so permuting the caller's checkpoint or vector
+order can never change a merged result. That holds
 for lorahub too: its Nelder-Mead search draws no random numbers, and its
 ``seed`` is only recorded in provenance.
 """
@@ -18,10 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize as sciopt
 
-from .autodiff import Tensor
 from .checkpoints import Checkpoint
 from .errors import ContractError
-from .models import ModelSpec, affine_logits, predict_logits
+from .models import ModelSpec, candidate_logits, predict_logits
 from .params import ParamTree, combine
 from .task_vectors import TaskVector, compute_task_vector
 from .tasks import Dataset
@@ -289,25 +289,19 @@ def _lorahub_objective(spec, theta0, initial: ParamTree, deltas: list[np.ndarray
                        fewshot: Dataset, alpha: float):
     """``w -> few-shot cross-entropy + alpha * sum|w_i|`` at ``initial + Σ wᵢ·dᵢ``.
 
-    A weighting whose merged vector, logits or objective is not finite
-    scores ``inf``. Linearized modes take the few-shot tangent features of
-    the task deltas on the first call, so every call is an axpy on the
-    logits plus the cross-entropy; the others evaluate the merged network.
+    Logits come from ``candidate_logits`` on the few-shot inputs; a
+    weighting whose merged vector, logits or objective is not finite
+    scores ``inf``.
     """
     initial_flat = initial.flatten()
-    affine = affine_logits(spec, theta0, initial, fewshot.xs) if spec.mode.is_linearized else None
+    logits = candidate_logits(spec, theta0, initial, fewshot.xs)
 
     def objective(w) -> float:
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             _, _, flat, directions, weights = next(
                 _candidates("lorahub", initial_flat, deltas, None, [{"weights": w}]))
-            try:  # Tensor construction rejects a non-finite candidate and non-finite logits
-                if affine is None:
-                    loss = _fewshot_loss(spec, theta0, initial, initial.with_flat(flat), fewshot)
-                elif np.all(np.isfinite(flat)):
-                    loss = cross_entropy_loss(Tensor(affine(directions, weights)), fewshot.ys)
-                else:
-                    return np.inf
+            try:
+                loss = cross_entropy_loss(logits(flat, directions, weights), fewshot.ys)
             except ContractError:
                 return np.inf
             obj = loss + float(alpha) * float(np.sum(np.abs(w)))
@@ -349,9 +343,10 @@ def sweep_and_select(
     hyperparameters. Mean validation accuracy over the subset's tasks
     decides; exact ties go to the smaller scaling factor, then the smaller
     trim fraction. The winner keeps the per-task scores of its scoring
-    pass, and only the winner becomes a ``MergedModel``. Linearized modes
-    score a candidate from its directions and weights: one JVP per
-    (validation set, direction), then an axpy on the logits per candidate.
+    pass, and only the winner becomes a ``MergedModel``. Candidates are
+    scored through ``candidate_logits``, built once per validation set, so a
+    linearized mode takes one JVP per (validation set, direction); non-finite
+    parameters or logits raise ``ContractError``.
     """
     spec, init_seed, theta0, initial = _common_context(checkpoints)
     ordered = sorted(checkpoints, key=lambda c: c.task_id)
@@ -382,19 +377,11 @@ def sweep_and_select(
                     "objective": model.provenance["objective"]}
 
     ids = [c.task_id for c in ordered]
-    affine = None
-    if spec.mode.is_linearized:
-        affine = {t: affine_logits(spec, theta0, initial, validation[t].xs) for t in ids}
+    logits = {t: candidate_logits(spec, theta0, initial, validation[t].xs) for t in ids}
     best = None
     candidates = _candidates(config.algorithm, initial.flatten(), deltas, trained, grid)
     for count, (key, hp, flat, directions, weights) in enumerate(candidates, start=1):
-        if affine is None:
-            tree = initial.with_flat(flat)
-            scores = {t: evaluate(spec, theta0, tree, validation[t], anchor=initial) for t in ids}
-        elif not np.all(np.isfinite(flat)):
-            raise ContractError(f"{config.algorithm} candidate {hp} has non-finite parameters")
-        else:
-            scores = {t: accuracy(affine[t](directions, weights), validation[t].ys) for t in ids}
+        scores = {t: accuracy(logits[t](flat, directions, weights), validation[t].ys) for t in ids}
         mean = float(np.mean(list(scores.values())))
         if best is None or mean > best[0] or (mean == best[0] and key < best[1]):
             best = (mean, key, hp, flat, scores)

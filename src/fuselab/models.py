@@ -220,36 +220,29 @@ def logits_program(spec: ModelSpec, theta0: ParamTree, x: np.ndarray, template: 
 
 def paradigm_logits(spec: ModelSpec, theta0: ParamTree, template: ParamTree,
                     anchor_flat: np.ndarray, flat: np.ndarray, x):
-    """The one route to a paradigm's logits at a flat trainable vector.
+    """A paradigm's logits at one flat trainable vector, for training.
 
     Returns ``(f, point, logits)``: the network program ``f``, the point
     the paradigm expands around, and the logits. Linearized paradigms
-    evaluate the tangent model ``f(anchor) + J(anchor)(flat - anchor)`` as
-    ``tangent_features`` at the anchor tree ``template`` (whose flat vector
-    is ``anchor_flat``) along the one direction ``flat - anchor_flat``, with
+    evaluate the tangent model ``f(anchor) + J(anchor)(flat - anchor)`` at
+    the anchor tree ``template`` (whose flat vector is ``anchor_flat``)
+    along the one direction ``flat - anchor_flat``, with
     ``point = anchor_flat``; the others evaluate ``f(flat)`` at
     ``point = flat``. The gradient of any loss of the logits is then the
     VJP of ``f`` at ``point``.
     """
     f = logits_program(spec, theta0, x, template)
     if spec.mode.is_linearized:
-        f0, jds = tangent_features(spec, theta0, template, [flat - anchor_flat], x)
+        f0, jds = _tangent(f, anchor_flat, [flat - anchor_flat])
         return f, anchor_flat, combine(f0, jds, [1.0])
     return f, flat, f(flat)
 
 
-def tangent_features(spec: ModelSpec, theta0: ParamTree, anchor: ParamTree, directions, x):
-    """Anchor logits and one JVP per direction: ``(f(anchor), [J(anchor)·d, ...])`` on ``x``.
+def _tangent(f, anchor_flat: np.ndarray, directions):
+    """``(f(anchor), [J(anchor)·d, ...])`` of a built program ``f``.
 
-    The one place the network's JVP is taken. A tangent model is affine in
-    its trainable parameters, so on fixed inputs its logits at
-    ``anchor + Σ wᵢ·dᵢ`` are ``combine(f(anchor), [J·dᵢ], [wᵢ])``: a caller
-    that reuses fixed directions under many weights pays one JVP per
-    direction and an axpy per weighting. With no directions this is one
-    plain forward pass.
+    The one place the network's JVP is taken.
     """
-    f = logits_program(spec, theta0, x, anchor)
-    anchor_flat = anchor.flatten()
     if not directions:
         return f(anchor_flat), []
     jds = []
@@ -257,6 +250,18 @@ def tangent_features(spec: ModelSpec, theta0: ParamTree, anchor: ParamTree, dire
         f0, jd = ad.jvp(f, anchor_flat, d)
         jds.append(jd)
     return f0, jds
+
+
+def tangent_features(spec: ModelSpec, theta0: ParamTree, anchor: ParamTree, directions, x):
+    """Anchor logits and one JVP per direction: ``(f(anchor), [J(anchor)·d, ...])`` on ``x``.
+
+    A tangent model is affine in its trainable parameters, so on fixed
+    inputs its logits at ``anchor + Σ wᵢ·dᵢ`` are
+    ``combine(f(anchor), [J·dᵢ], [wᵢ])``: a caller that reuses fixed
+    directions under many weights pays one JVP per direction and an axpy
+    per weighting. With no directions this is one plain forward pass.
+    """
+    return _tangent(logits_program(spec, theta0, x, anchor), anchor.flatten(), directions)
 
 
 def forward(spec: ModelSpec, theta0: ParamTree, trainable: ParamTree, x) -> Tensor:
@@ -291,23 +296,36 @@ def predict_logits(spec: ModelSpec, theta0: ParamTree, anchor: ParamTree, traina
     return forward(spec, theta0, trainable, x)
 
 
-def affine_logits(spec: ModelSpec, theta0: ParamTree, anchor: ParamTree, x):
-    """Tangent-model logits on fixed inputs as an affine map of named directions.
+def candidate_logits(spec: ModelSpec, theta0: ParamTree, anchor: ParamTree, x):
+    """The one route from a merge candidate to its logits on fixed inputs ``x``.
 
-    Returns ``logits(directions, weights)``: the logits at
-    ``anchor + Σ wᵢ·dᵢ`` for ``directions``, a dict from a name to its
-    vector, and ``weights`` in the same order, formed as
-    ``combine(f(anchor), [J·dᵢ], [wᵢ])``. The JVP along each name is taken
-    once, on first use, so a name must always mean the same vector.
+    Returns ``logits(flat, directions, weights)``: the paradigm's logits at
+    ``flat = anchor + Σ wᵢ·dᵢ``, ``directions`` mapping a name to its vector.
+    Nonlinear paradigms run the network, built once, at ``flat``; linearized
+    ones form ``combine(f(anchor), [J·dᵢ], [wᵢ])`` from JVPs taken once per
+    name, on first use, so a name must always mean the same vector. A
+    non-finite ``flat`` or non-finite logits raise ``ContractError``.
     """
+    _require_backbone(spec, theta0)
+    _require_trainable(spec, anchor)
+    f = logits_program(spec, theta0, x, anchor)
+    anchor_flat = anchor.flatten()
     f0, jds = None, {}
 
-    def logits(directions: dict, weights) -> np.ndarray:
+    def logits(flat: np.ndarray, directions: dict, weights) -> np.ndarray:
         nonlocal f0
-        missing = [name for name in directions if name not in jds]
-        if f0 is None or missing:
-            f0, new = tangent_features(spec, theta0, anchor, [directions[n] for n in missing], x)
-            jds.update(zip(missing, new))
-        return combine(f0, [jds[name] for name in directions], weights)
+        if not np.isfinite(flat).all():
+            raise ContractError("candidate parameters must be finite")
+        if spec.mode.is_linearized:
+            missing = [name for name in directions if name not in jds]
+            if f0 is None or missing:
+                f0, new = _tangent(f, anchor_flat, [directions[n] for n in missing])
+                jds.update(zip(missing, new))
+            out = combine(f0, [jds[name] for name in directions], weights)
+        else:
+            out = f(flat)
+        if not np.isfinite(out).all():
+            raise ContractError("candidate logits must be finite")
+        return out
 
     return logits

@@ -14,6 +14,7 @@ from fuselab.models import (
     ModeTag,
     ModelSpec,
     build_model,
+    candidate_logits,
     forward,
     forward_linearized,
     predict_logits,
@@ -238,3 +239,58 @@ def test_tangent_features_without_directions_is_the_anchor_forward():
     f0, jds = tangent_features(spec, theta0, anchor, [], x)
     assert jds == []
     assert np.array_equal(f0, forward_linearized(spec, theta0, LinearizedState(anchor, anchor), x).array)
+
+
+# --- one route from a merge candidate to its logits ---------------------------
+
+
+@pytest.mark.parametrize("mode", list(ModeTag))
+def test_candidate_logits_match_predict_logits(mode):
+    # Two weightings of the same named directions, so linearized modes reuse
+    # their cached JVPs on the second call. Nonlinear modes run the same
+    # program at the same vector and must agree bit for bit; linearized
+    # modes differ from the traced oracle only in rounding order, so the
+    # tolerance is 1e-12 of the largest term.
+    spec = ModelSpec(input_dim=16, hidden_dims=(32, 32), num_classes=3, lora_rank=2, mode=mode)
+    theta0, anchor = build_model(spec, seed=21)
+    rng = np.random.default_rng(22)
+    x = rng.standard_normal((64, 16))
+    base = anchor.flatten()
+    directions = dict(zip("ab", 0.1 * rng.standard_normal((2, base.size))))
+    logits = candidate_logits(spec, theta0, anchor, x)
+    for weights in ([0.7, -1.3], [1.5, 0.25]):
+        flat = combine(base, list(directions.values()), weights)
+        got = logits(flat, directions, weights)
+        want = predict_logits(spec, theta0, anchor, anchor.with_flat(flat), x).array
+        if mode.is_linearized:
+            f0 = predict_logits(spec, theta0, anchor, anchor, x).array
+            scale = max(np.abs(f0).max(), np.abs(want - f0).max(), 1.0)
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        else:
+            assert np.array_equal(got, want)
+        assert np.abs(got - predict_logits(spec, theta0, anchor, anchor, x).array).max() > 1e-6
+
+
+@pytest.mark.parametrize("mode", list(ModeTag))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_candidate_logits_reject_a_non_finite_vector(mode, bad):
+    spec = small_spec(mode)
+    theta0, anchor = build_model(spec, seed=23)
+    logits = candidate_logits(spec, theta0, anchor, np.ones((2, 4)))
+    flat = anchor.flatten()
+    flat[0] = bad
+    with pytest.raises(ContractError):
+        logits(flat, {"d": flat - anchor.flatten()}, [1.0])
+
+
+@pytest.mark.parametrize("mode", list(ModeTag))
+def test_candidate_logits_reject_overflowed_logits(mode):
+    # Every trainable value at 1e308 is finite, but on all-ones inputs the
+    # pre-activations of every layer overflow, so the logits (at the anchor,
+    # for a linearized mode) are infinite.
+    spec = small_spec(mode)
+    theta0, built = build_model(spec, seed=24)
+    anchor = built.with_flat(np.full(built.num_values, 1e308))
+    logits = candidate_logits(spec, theta0, anchor, np.ones((2, 4)))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ContractError):
+        logits(anchor.flatten(), {}, [])
