@@ -1,11 +1,12 @@
 """Desk-scale laboratory for merging task-specific fine-tuned models.
 
-Implements four fine-tuning paradigms over a self-contained tensor and
-autodiff core (full fine-tuning, full-model linearization, low-rank
-adapters, and partially linearized low-rank adapters trained in tangent
-space), four multi-task fusion algorithms with their hyperparameter
-sweeps, and a weight-disentanglement analysis suite, all on deterministic
-synthetic task families.
+Implements four fine-tuning paradigms (full fine-tuning, full-model
+linearization, low-rank adapters, and partially linearized low-rank
+adapters trained in tangent space) on one hand-written network kernel,
+four multi-task fusion algorithms with their hyperparameter sweeps, and a
+weight-disentanglement analysis suite, all on deterministic synthetic
+task families. A self-contained tensor and autodiff core is the public
+differentiation API and the kernel's test oracle.
 """
 
 from .autodiff import Tensor, grad, jvp, matmul, vjp

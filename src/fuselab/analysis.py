@@ -14,11 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import ContractError, ResourceLimitError
 from .files import write_atomic
-from .models import (LinearizedState, ModelSpec, candidate_logits, logits_program,
-                     paradigm_logits)
+from .models import LinearizedState, ModelSpec, Network, candidate_logits, paradigm_logits
 from .params import ParamTree, combine
 from .task_vectors import TaskVector
 from .tasks import Dataset
@@ -70,7 +68,8 @@ def _errors(
     combined parameters, and for linearized modes of the combined logits,
     so the error is exactly symmetric under swapping the task pair. Logits
     come from ``candidate_logits``, built once per eval set, so linearized
-    modes take two JVPs per eval set. Single-vector predictions depend on
+    modes take two JVPs per eval set. A cell's combined vector is built
+    once and scored on both eval sets; single-vector predictions depend on
     one slot's factor only and are computed once per (slot, factor).
     """
     base = phi0.flatten()
@@ -79,22 +78,25 @@ def _errors(
     order = (1, 0) if swapped else (0, 1)
     logits = [candidate_logits(spec, theta0, phi0, ds.xs) for ds in eval_sets]
 
-    def predictions(slot: int, terms: tuple[int, ...], lams: tuple[float, float]) -> np.ndarray:
-        """Argmax on ``eval_sets[slot]`` of phi0 + Σ lams[s] * deltas[s] over s in ``terms``."""
+    def point(terms: tuple[int, ...], lams: tuple[float, float]):
+        """(flat, directions, weights) of phi0 + Σ lams[s] * deltas[s] over s in ``terms``."""
         directions = {s: deltas[s] for s in terms}
         weights = [lams[s] for s in terms]
-        flat = combine(base, list(directions.values()), weights)
-        return np.argmax(logits[slot](flat, directions, weights), axis=1)
+        return combine(base, list(directions.values()), weights), directions, weights
+
+    def predictions(slot: int, candidate) -> np.ndarray:
+        return np.argmax(logits[slot](*candidate), axis=1)
 
     singles: dict[tuple[int, float], np.ndarray] = {}
     out = []
     for cell in cells:
         lams = (float(cell[0]), float(cell[1]))
+        combined = point(order, lams)
         total = 0.0
         for s in order:
             if (s, lams[s]) not in singles:
-                singles[s, lams[s]] = predictions(s, (s,), lams)
-            total += float(np.mean(singles[s, lams[s]] != predictions(s, order, lams)))
+                singles[s, lams[s]] = predictions(s, point((s,), lams))
+            total += float(np.mean(singles[s, lams[s]] != predictions(s, combined)))
         out.append(total)
     return out
 
@@ -251,11 +253,11 @@ def ntk_one_step_check(
     # Per-sample output Jacobians at the anchor, one VJP per class.
     jac = np.zeros((batch, num_classes, num_params))
     for i in range(batch):
-        f_i = logits_program(spec, theta0, xs[i : i + 1], lin.phi0)
+        net = Network(spec, theta0, xs[i : i + 1], lin.phi0)
         for c in range(num_classes):
             ct = np.zeros((1, num_classes))
             ct[0, c] = 1.0
-            jac[i, c] = ad.vjp(f_i, anchor_flat, ct)
+            jac[i, c] = net.vjp(anchor_flat, ct)
 
     flat = lin.phi.flatten()
     _, _, outputs_before = paradigm_logits(spec, theta0, lin.phi0, anchor_flat, flat, xs)

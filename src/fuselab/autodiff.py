@@ -11,6 +11,13 @@ arrays and scalars mix in freely as constants.
 Reverse mode runs a taped backward pass over the recorded graph; forward
 mode (``jvp``) carries a (primal, tangent) pair through a single forward
 pass and never materializes a Jacobian.
+
+This module is fuselab's public differentiation API and the test oracle
+for the network: no runtime path traces the network. Training, merging
+and analysis run ``models.Network``, a hand-written forward, JVP and VJP
+of the tanh MLP, and ``tests/test_network.py`` checks that it equals this
+module's ``jvp`` and ``vjp`` of the same network written in these ops, bit
+for bit.
 """
 
 from __future__ import annotations

@@ -14,12 +14,11 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .files import write_atomic
+from .files import read_json_object, write_atomic
 from .models import ModelSpec, build_model
 from .params import ParamTree
 
@@ -109,25 +108,27 @@ def load_checkpoint(path, expected_config_digest: str | None = None) -> Checkpoi
     Raises ContractError on corruption or format mismatch and ConfigError
     when the file was produced under a different resolved configuration.
     """
-    payload = json.loads(Path(path).read_text())
+    payload = read_json_object(path, "checkpoint")
     if payload.get("format") != FORMAT or payload.get("version") != VERSION:
         raise ContractError(f"{path} is not a version-{VERSION} checkpoint file")
     stored = payload.pop("digest", None)
     if stored != _payload_digest(payload):
         raise ContractError(f"checkpoint {path} is corrupted (digest mismatch)")
-    if expected_config_digest is not None and payload["config_digest"] != expected_config_digest:
+    if expected_config_digest is not None and payload.get("config_digest") != expected_config_digest:
         raise ConfigError(
             f"checkpoint {path} was produced under a different configuration"
         )
-    spec = ModelSpec.from_dict(payload["spec"])
-    ckpt = Checkpoint(
-        spec=spec,
-        task_id=payload["task_id"],
-        init_seed=int(payload["seed"]),
-        initial=_decode_tree(payload["initial"]),
-        trained=_decode_tree(payload["trained"]),
-        metrics=dict(payload["metrics"]),
-    )
-    if ckpt.theta0().digest() != payload["theta0_digest"]:
+    try:
+        ckpt = Checkpoint(
+            spec=ModelSpec.from_dict(payload["spec"]),
+            task_id=payload["task_id"],
+            init_seed=int(payload["seed"]),
+            initial=_decode_tree(payload["initial"]),
+            trained=_decode_tree(payload["trained"]),
+            metrics=dict(payload["metrics"]),
+        )
+    except (KeyError, TypeError, ValueError) as e:
+        raise ContractError(f"checkpoint {path} is malformed: {e!r}") from e
+    if ckpt.theta0().digest() != payload.get("theta0_digest"):
         raise ContractError(f"checkpoint {path} backbone digest does not match its seed")
     return ckpt

@@ -1,9 +1,12 @@
-"""Crash-safe artifact writes."""
+"""Crash-safe artifact writes and checked artifact reads."""
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
+
+from .errors import ContractError
 
 
 def write_atomic(path, text: str) -> None:
@@ -23,3 +26,18 @@ def write_atomic(path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def read_json_object(path, what: str) -> dict:
+    """The JSON object stored in ``path``, a ``what`` file.
+
+    A file that is not JSON (truncated, or not UTF-8) or holds something
+    other than an object raises ``ContractError`` naming the file.
+    """
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+        raise ContractError(f"{path} is not a {what} file: {e}") from e
+    if not isinstance(payload, dict):
+        raise ContractError(f"{path} is not a {what} file: it holds no JSON object")
+    return payload

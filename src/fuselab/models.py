@@ -16,9 +16,8 @@ from enum import Enum
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractError
+from .errors import ContractError, DimensionError
 from .params import ParamTree, combine
 
 
@@ -177,77 +176,157 @@ def _require_backbone(spec: ModelSpec, theta0: ParamTree):
         raise ContractError("backbone tree does not match the architecture")
 
 
-def logits_program(spec: ModelSpec, theta0: ParamTree, x: np.ndarray, template: ParamTree):
-    """Build f(flat trainable vector) -> logits for the spec's paradigm.
+class Network:
+    """The spec's tanh MLP on fixed inputs ``x``, as a function of flat trainable vectors.
 
-    The returned closure runs identically over plain arrays, reverse-mode
-    traces, and dual numbers, which is what ties training, linearization,
-    and evaluation to one definition of the network.
+    The flat vectors are laid out like ``template``. One hand-written
+    kernel, built once per (spec, θ₀, x, layout), with three methods:
+    ``forward(flat)``, ``jvp(anchor, d) -> (f(anchor), J(anchor)·d)`` and
+    ``vjp(point, ct) -> J(point)ᵀ·ct``. Adapter paradigms run the frozen
+    backbone with ``W₀ + (α/r)·B·A`` per layer. Each method repeats the
+    numpy operations of the same network written in ``autodiff`` ops and
+    traced, in their order and on operands of the same layouts, so it
+    equals that traced program's forward, ``autodiff.jvp`` and
+    ``autodiff.vjp`` bit for bit (``tests/test_network.py`` holds the
+    traced program and checks this). The ``+ 0.0`` and ``· 0.0`` terms
+    exist only for that: the traced JVP starts every matmul tangent from a
+    zero accumulator and gives frozen operands a zero tangent, and the
+    traced VJP sums zero-padded per-path gradients. A ``+ 0.0`` turns a
+    ``-0.0`` into ``+0.0``; ``BA·0.0`` is NaN where ``B·A`` overflowed.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
-        raise ContractError(f"input batch must have shape (batch, {spec.input_dim})")
-    layout = template.layout()
-    peft = spec.mode.is_peft
-    scale = spec.lora_alpha / spec.lora_rank
-    layer_dims = spec.layer_dims()
-    theta_arrays = {p: t.array for p, t in theta0.items()}
 
-    def f(flat):
-        parts = {
-            path: ad.reshape(ad.slice1d(flat, start, stop), shape)
-            for path, start, stop, shape in layout
-        }
-        h = x
-        last = len(layer_dims) - 1
-        for i in range(len(layer_dims)):
-            if peft:
-                w0 = theta_arrays[f"layers.{i}.weight"]
-                b0 = theta_arrays[f"layers.{i}.bias"]
-                delta = ad.mul(ad.matmul(parts[f"layers.{i}.lora_b"], parts[f"layers.{i}.lora_a"]), scale)
-                w_eff = ad.add(w0, delta)
-                z = ad.add(ad.matmul(h, ad.transpose2d(w_eff)), b0)
+    def __init__(self, spec: ModelSpec, theta0: ParamTree, x, template: ParamTree):
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != spec.input_dim:
+            raise ContractError(f"input batch must have shape (batch, {spec.input_dim})")
+        spans = {path: (start, stop, shape) for path, start, stop, shape in template.layout()}
+        self.x = x
+        self.size = template.num_values
+        self.peft = spec.mode.is_peft
+        self.scale = spec.lora_alpha / spec.lora_rank
+        first, second = ("lora_b", "lora_a") if self.peft else ("weight", "bias")
+        # Per layer: the flat spans of (B, A) or (W, b), and the frozen (W₀, b₀).
+        self.layers = [
+            (spans[f"layers.{i}.{first}"], spans[f"layers.{i}.{second}"],
+             theta0[f"layers.{i}.weight"].array, theta0[f"layers.{i}.bias"].array)
+            for i in range(len(spec.layer_dims()))
+        ]
+
+    def _parts(self, flat: np.ndarray, i: int):
+        (s0, e0, shape0), (s1, e1, shape1), _, _ = self.layers[i]
+        return flat[s0:e0].reshape(shape0), flat[s1:e1].reshape(shape1)
+
+    def _weights(self, flat: np.ndarray, i: int):
+        """Layer ``i``'s effective ``(W, b)`` at ``flat``."""
+        p, q = self._parts(flat, i)
+        if self.peft:
+            w0, b0 = self.layers[i][2:]
+            return w0 + (p @ q) * self.scale, b0
+        return p, q
+
+    def _activations(self, flat: np.ndarray):
+        """``(logits, inputs, weights)`` at ``flat``: the network's output, and
+        each layer's input and effective weight matrix."""
+        inputs, weights = [], []
+        h = self.x
+        last = len(self.layers) - 1
+        for i in range(len(self.layers)):
+            w, b = self._weights(flat, i)
+            inputs.append(h)
+            weights.append(w)
+            z = h @ w.T + b
+            h = z if i == last else np.tanh(z)
+        return h, inputs, weights
+
+    def forward(self, flat: np.ndarray) -> np.ndarray:
+        return self._activations(flat)[0]
+
+    def jvp(self, anchor: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if d.shape != anchor.shape:
+            raise DimensionError(
+                f"direction shape {d.shape} does not match parameter shape {anchor.shape}"
+            )
+        h, t = self.x, None
+        last = len(self.layers) - 1
+        for i in range(len(self.layers)):
+            p, q = self._parts(anchor, i)
+            dp, dq = self._parts(d, i)
+            if self.peft:
+                # traced rules: matmul tangent 0 + dB·A + B·dA, scale tangent
+                # dBA·s + BA·0, frozen W₀ and b₀ tangents 0
+                w0, b = self.layers[i][2:]
+                ba = p @ q
+                dba = (dp @ q + 0.0) + p @ dq
+                w = w0 + ba * self.scale
+                dw = 0.0 + (dba * self.scale + ba * 0.0)
+                db = 0.0
             else:
-                z = ad.add(
-                    ad.matmul(h, ad.transpose2d(parts[f"layers.{i}.weight"])),
-                    parts[f"layers.{i}.bias"],
-                )
-            h = z if i == last else ad.tanh(z)
-        return h
+                w, b, dw, db = p, q, dp, dq
+            wt = w.T
+            z = h @ wt
+            acc = 0.0 if t is None else t @ wt + 0.0  # the traced matmul's zero accumulator
+            z, t = z + b, (acc + h @ dw.T) + db
+            if i == last:
+                h = z
+            else:
+                h = np.tanh(z)
+                t = (1.0 - h * h) * t
+        return h, t
 
-    return f
+    def vjp(self, point: np.ndarray, ct) -> np.ndarray:
+        ct = np.asarray(ct, dtype=np.float64)
+        out, inputs, weights = self._activations(point)
+        if ct.shape != out.shape:
+            raise DimensionError(f"cotangent shape {ct.shape} does not match output shape {out.shape}")
+        grad = np.zeros(self.size)
+        g = ct
+        for i in range(len(self.layers) - 1, -1, -1):
+            (s0, e0, _), (s1, e1, _), _, _ = self.layers[i]
+            h = inputs[i]
+            gw = (h.T @ g).T
+            if self.peft:
+                p, q = self._parts(point, i)
+                gd = gw * self.scale
+                grad[s0:e0] = (gd @ q.T).reshape(-1)
+                grad[s1:e1] = (p.T @ gd).reshape(-1)
+            else:
+                grad[s0:e0] = gw.reshape(-1)
+                grad[s1:e1] = g.sum(axis=0)
+            if i:
+                g = (g @ weights[i]) * (1.0 - h * h)
+        return grad + 0.0
 
 
 def paradigm_logits(spec: ModelSpec, theta0: ParamTree, template: ParamTree,
                     anchor_flat: np.ndarray, flat: np.ndarray, x):
     """A paradigm's logits at one flat trainable vector, for training.
 
-    Returns ``(f, point, logits)``: the network program ``f``, the point
+    Returns ``(net, point, logits)``: the ``Network`` on ``x``, the point
     the paradigm expands around, and the logits. Linearized paradigms
     evaluate the tangent model ``f(anchor) + J(anchor)(flat - anchor)`` at
     the anchor tree ``template`` (whose flat vector is ``anchor_flat``)
     along the one direction ``flat - anchor_flat``, with
     ``point = anchor_flat``; the others evaluate ``f(flat)`` at
-    ``point = flat``. The gradient of any loss of the logits is then the
-    VJP of ``f`` at ``point``.
+    ``point = flat``. The gradient of any loss of the logits is then
+    ``net.vjp(point, dloss/dlogits)``.
     """
-    f = logits_program(spec, theta0, x, template)
+    net = Network(spec, theta0, x, template)
     if spec.mode.is_linearized:
-        f0, jds = _tangent(f, anchor_flat, [flat - anchor_flat])
-        return f, anchor_flat, combine(f0, jds, [1.0])
-    return f, flat, f(flat)
+        f0, jds = _tangent(net, anchor_flat, [flat - anchor_flat])
+        return net, anchor_flat, combine(f0, jds, [1.0])
+    return net, flat, net.forward(flat)
 
 
-def _tangent(f, anchor_flat: np.ndarray, directions):
-    """``(f(anchor), [J(anchor)·d, ...])`` of a built program ``f``.
+def _tangent(net: Network, anchor_flat: np.ndarray, directions):
+    """``(f(anchor), [J(anchor)·d, ...])`` of a built ``Network``.
 
     The one place the network's JVP is taken.
     """
     if not directions:
-        return f(anchor_flat), []
+        return net.forward(anchor_flat), []
     jds = []
     for d in directions:
-        f0, jd = ad.jvp(f, anchor_flat, d)
+        f0, jd = net.jvp(anchor_flat, d)
         jds.append(jd)
     return f0, jds
 
@@ -261,7 +340,7 @@ def tangent_features(spec: ModelSpec, theta0: ParamTree, anchor: ParamTree, dire
     directions under many weights pays one JVP per direction and an axpy
     per weighting. With no directions this is one plain forward pass.
     """
-    return _tangent(logits_program(spec, theta0, x, anchor), anchor.flatten(), directions)
+    return _tangent(Network(spec, theta0, x, anchor), anchor.flatten(), directions)
 
 
 def forward(spec: ModelSpec, theta0: ParamTree, trainable: ParamTree, x) -> Tensor:
@@ -269,8 +348,7 @@ def forward(spec: ModelSpec, theta0: ParamTree, trainable: ParamTree, x) -> Tens
     _require_backbone(spec, theta0)
     _require_trainable(spec, trainable)
     x = x.array if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    f = logits_program(spec, theta0, x, trainable)
-    return Tensor(f(trainable.flatten()))
+    return Tensor(Network(spec, theta0, x, trainable).forward(trainable.flatten()))
 
 
 def forward_linearized(spec: ModelSpec, theta0: ParamTree, lin: LinearizedState, x) -> Tensor:
@@ -308,7 +386,7 @@ def candidate_logits(spec: ModelSpec, theta0: ParamTree, anchor: ParamTree, x):
     """
     _require_backbone(spec, theta0)
     _require_trainable(spec, anchor)
-    f = logits_program(spec, theta0, x, anchor)
+    net = Network(spec, theta0, x, anchor)
     anchor_flat = anchor.flatten()
     f0, jds = None, {}
 
@@ -319,11 +397,11 @@ def candidate_logits(spec: ModelSpec, theta0: ParamTree, anchor: ParamTree, x):
         if spec.mode.is_linearized:
             missing = [name for name in directions if name not in jds]
             if f0 is None or missing:
-                f0, new = _tangent(f, anchor_flat, [directions[n] for n in missing])
+                f0, new = _tangent(net, anchor_flat, [directions[n] for n in missing])
                 jds.update(zip(missing, new))
             out = combine(f0, [jds[name] for name in directions], weights)
         else:
-            out = f(flat)
+            out = net.forward(flat)
         if not np.isfinite(out).all():
             raise ContractError("candidate logits must be finite")
         return out

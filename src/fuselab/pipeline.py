@@ -26,8 +26,8 @@ from .analysis import (
 )
 from .checkpoints import Checkpoint, load_checkpoint, save_checkpoint
 from .config import config_digest, derive_seed, fusion_config, model_spec, train_config
-from .errors import ConfigError
-from .files import write_atomic
+from .errors import ConfigError, ContractError
+from .files import read_json_object, write_atomic
 from .fusion import ALGORITHMS, enumerate_subsets, sweep_and_select
 from .models import LinearizedState, ModeTag, build_model
 from .task_vectors import compute_task_vector, similarity_matrix, write_similarity_csv
@@ -87,7 +87,7 @@ def ensure_run_dir(resolved: dict, out: str | Path) -> tuple[RunPaths, str]:
     digest = config_digest(resolved)
     paths.root.mkdir(parents=True, exist_ok=True)
     if paths.resolved_config.exists():
-        existing = json.loads(paths.resolved_config.read_text())
+        existing = read_json_object(paths.resolved_config, "resolved configuration")
         if config_digest(existing) != digest:
             raise ConfigError(
                 f"{paths.root} was produced under a different configuration"
@@ -390,17 +390,20 @@ def stage_report(resolved: dict, out: str | Path) -> tuple:
         raise ConfigError("no fusion outputs found; run fuse first")
     rows = []
     for pf in sorted(fusion_root.glob("*/*/*.provenance.json")):
-        record = json.loads(pf.read_text())
+        record = read_json_object(pf, "provenance")
         if record.get("config_digest") != digest:
             raise ConfigError(f"{pf} was produced under a different configuration")
-        rows.append(
-            {
-                "algorithm": record["algorithm"],
-                "mode": record["mode"],
-                "subset": tuple(record["subset"]),
-                "mean_normalized_score": record["mean_normalized_score"],
-            }
-        )
+        try:
+            rows.append(
+                {
+                    "algorithm": record["algorithm"],
+                    "mode": record["mode"],
+                    "subset": tuple(record["subset"]),
+                    "mean_normalized_score": record["mean_normalized_score"],
+                }
+            )
+        except (KeyError, TypeError) as e:
+            raise ContractError(f"{pf} is not a provenance record: {e!r}") from e
     report = aggregate_report(rows)
     paths.report_dir.mkdir(parents=True, exist_ok=True)
     csv_path = paths.report_dir / "fusion_report.csv"

@@ -230,11 +230,20 @@ def import_task(path) -> tuple[Task, dict]:
     data = text[3:]
     if meta.get("content_digest") != _rows_digest(data):
         raise ContractError(f"{path}: data rows do not match the header's content_digest")
+    columns = len(text[2].split(","))
     rows = {"train": ([], []), "val": ([], []), "test": ([], [])}
-    for line in data:
-        split, label, rest = line.split(",", 2)
-        rows[split][0].append([float(v) for v in rest.split(",")])
-        rows[split][1].append(int(label))
+    for n, line in enumerate(data, start=4):
+        parts = line.split(",")
+        try:
+            if len(parts) != columns:
+                raise ValueError(f"{len(parts)} columns, the header names {columns}")
+            xs, ys = rows[parts[0]]
+            xs.append([float(v) for v in parts[2:]])
+            ys.append(int(parts[1]))
+        except KeyError:
+            raise ContractError(f"{path}: line {n} has unknown split {parts[0]!r}") from None
+        except ValueError as e:
+            raise ContractError(f"{path}: line {n} is not a data row: {e}") from e
     for name, (_, labels) in rows.items():
         if meta.get(name) != str(len(labels)):
             raise ContractError(f"{path}: {len(labels)} {name} rows, header says {meta.get(name)}")

@@ -1,9 +1,9 @@
 """Task-specific fine-tuning under any of the four paradigms.
 
-Linearized paradigms train the tangent model: logits come from a single
-dual-number forward pass anchored at the initial trainable parameters,
-and the parameter gradient is the anchored network's VJP with the
-cross-entropy logit gradient. Nonlinear paradigms run the same VJP at the
+Linearized paradigms train the tangent model: logits come from one JVP of
+the network anchored at the initial trainable parameters, and the
+parameter gradient is the anchored network's VJP with the cross-entropy
+logit gradient. Nonlinear paradigms run the same VJP at the
 current parameters. Either way one optimizer step costs a forward and a
 backward pass.
 """
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoints import Checkpoint, backbone_for
 from .errors import ContractError, TrainingDivergedError
@@ -56,13 +55,20 @@ def _check_labels(labels: np.ndarray, num_classes: int):
 
 
 def cross_entropy_loss(logits, labels) -> float:
-    """Mean negative log-softmax probability of the true class."""
+    """Mean negative log-softmax probability of the true class.
+
+    The numpy ops of ``autodiff``'s log_softmax → pick_rows → ×(−1) →
+    mean_all, in that order, so the loss keeps the bits it had when it was
+    computed with them.
+    """
     arr = logits.array if isinstance(logits, Tensor) else np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[0] != labels.shape[0]:
         raise ContractError(f"logits {arr.shape} do not match {labels.shape[0]} labels")
     _check_labels(labels, arr.shape[1])
-    return float(ad.mean_all(ad.neg(ad.pick_rows(ad.log_softmax(arr), labels))))
+    shifted = arr - arr.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return float((log_probs[np.arange(labels.shape[0]), labels] * -1.0).mean())
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -93,10 +99,9 @@ def batch_loss_and_grad(
     model anchored at ``anchor_flat``; otherwise through the network at
     ``flat`` directly.
     """
-    f, point, logits = paradigm_logits(spec, theta0, template, anchor_flat, flat, xs)
-    g = ad.vjp(f, point, ce_logit_gradient(logits, ys))
-    loss = float(ad.mean_all(ad.neg(ad.pick_rows(ad.log_softmax(logits), ys))))
-    return loss, g
+    net, point, logits = paradigm_logits(spec, theta0, template, anchor_flat, flat, xs)
+    loss = cross_entropy_loss(logits, ys)
+    return loss, net.vjp(point, ce_logit_gradient(logits, ys))
 
 
 class _Batcher:

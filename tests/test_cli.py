@@ -1,13 +1,15 @@
 """CLI subcommands, file flows, digests, and end-to-end determinism."""
 
+import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fuselab.analysis import read_grid_csv
-from fuselab.checkpoints import load_checkpoint
+from fuselab.checkpoints import _payload_digest, load_checkpoint
 from fuselab.cli import main
 from fuselab.config import config_digest, load_config, resolve_config
 from fuselab.errors import ConfigError
@@ -402,3 +404,102 @@ def test_boundary_leaves_resolve():
                                             "lambda_max": -0.25},
                                "suite": {"n_tasks": 2}})
     assert resolved["fusion"]["ties_k_grid"] == [1.0]
+
+
+# --- malformed run artifacts: exit 1 with an error naming the file ------------
+
+
+@pytest.fixture
+def run_copy(run_dir, tmp_path):
+    """A private copy of the shared run, free to corrupt."""
+    cfg, out = run_dir
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    return cfg, copy
+
+
+def rewrite_checkpoint(path: Path, edit) -> None:
+    payload = json.loads(path.read_text())
+    del payload["digest"]
+    edit(payload)
+    payload["digest"] = _payload_digest(payload)
+    path.write_text(json.dumps(payload))
+
+
+def rewrite_task_row(path: Path, edit) -> None:
+    """Edit the first data row and recompute the header's content_digest."""
+    lines = path.read_text().splitlines()
+    lines[3] = edit(lines[3])
+    rows = lines[3:]
+    digest = "sha256:" + hashlib.sha256("".join(r + "\n" for r in rows).encode()).hexdigest()
+    lines[1] = " ".join(f"content_digest={digest}" if part.startswith("content_digest=") else part
+                        for part in lines[1].split(" "))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def truncate(path: Path) -> None:
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+
+
+def fuse_one_pair(cfg, out) -> int:
+    return main(["fuse", "--config", str(cfg), "--out", str(out), "--algorithm",
+                 "simple_average", "--subset", "task0,task1", "--mode", "full_ft"])
+
+
+@pytest.mark.parametrize("corrupt", [
+    truncate,
+    lambda p: p.write_text("[1, 2]"),
+    lambda p: rewrite_checkpoint(p, lambda payload: payload.pop("spec")),
+], ids=["truncated", "not_an_object", "key_missing_digest_recomputed"])
+def test_malformed_checkpoint_exits_one_naming_the_file(run_copy, capsys, corrupt):
+    # A truncated file used to raise a raw JSONDecodeError, a non-object an
+    # AttributeError and a missing key a KeyError.
+    cfg, out = run_copy
+    path = out / "checkpoints/full_ft/task0.json"
+    corrupt(path)
+    capsys.readouterr()
+    assert fuse_one_pair(cfg, out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda row: "holdout," + row.split(",", 1)[1],
+    lambda row: row + ",0.5",
+    lambda row: row.rsplit(",", 1)[0],
+    lambda row: "{0},one,{2}".format(*row.split(",", 2)),
+], ids=["unknown_split", "extra_column", "missing_column", "non_numeric_label"])
+def test_malformed_task_row_exits_one_naming_the_file(run_copy, capsys, edit):
+    # Rows that match a recomputed content_digest used to raise a KeyError
+    # (unknown split) or a ValueError (column count, label).
+    cfg, out = run_copy
+    path = out / "tasks/task0.csv"
+    rewrite_task_row(path, edit)
+    capsys.readouterr()
+    assert fuse_one_pair(cfg, out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("corrupt", [
+    truncate,
+    lambda p: p.write_text('"provenance"'),
+], ids=["truncated", "not_an_object"])
+def test_malformed_provenance_exits_one_naming_the_file(run_copy, capsys, corrupt):
+    cfg, out = run_copy
+    path = out / "fusion/task_arithmetic/lora/task0+task1.provenance.json"
+    corrupt(path)
+    capsys.readouterr()
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
+def test_truncated_resolved_config_exits_one_naming_the_file(run_copy, capsys):
+    cfg, out = run_copy
+    truncate(out / "resolved_config.json")
+    capsys.readouterr()
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out / "resolved_config.json") in err

@@ -61,3 +61,58 @@ def test_scoring_loops_build_no_parameter_trees():
                     if isinstance(node, ast.Attribute) and node.attr == "with_flat":
                         offenders.append(f"{name}:{fn}:{node.lineno}")
     assert offenders == []
+
+
+AUTODIFF_FREE = ("training.py", "fusion.py", "analysis.py")
+TRACED_TRANSFORMS = {"jvp", "vjp", "grad"}
+
+
+def autodiff_bindings(tree: ast.Module) -> tuple[set, set]:
+    """Names bound to the autodiff module, and to functions imported from it."""
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "autodiff":
+                names |= {a.asname or a.name for a in node.names}
+            else:
+                modules |= {a.asname or a.name for a in node.names if a.name == "autodiff"}
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name.endswith("autodiff")}
+    return modules, names
+
+
+def test_training_fusion_and_analysis_never_touch_autodiff():
+    # Importing the Tensor type is the one reference allowed.
+    offenders = []
+    for name in AUTODIFF_FREE:
+        tree = parse(name)
+        modules, names = autodiff_bindings(tree)
+        offenders += [f"{name}: imports {n} from autodiff" for n in sorted(names - {"Tensor"})]
+        offenders += [f"{name}: binds the autodiff module as {m}" for m in sorted(modules)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id in ("ad", "autodiff"):
+                offenders.append(f"{name}:{node.lineno}: {node.id}")
+    assert offenders == []
+
+
+def test_only_autodiff_runs_its_traced_transforms():
+    # The network's forward, JVP and VJP are models.Network's; autodiff's
+    # jvp, vjp and grad are public API and the test oracle, not a runtime path.
+    calls = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "autodiff.py":
+            continue
+        tree = parse(path.name)
+        modules, names = autodiff_bindings(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in names & TRACED_TRANSFORMS:
+                calls.append(f"{path.name}:{node.lineno}: {func.id}")
+            elif isinstance(func, ast.Attribute) and func.attr in TRACED_TRANSFORMS:
+                owner = func.value
+                if (isinstance(owner, ast.Name) and owner.id in modules) or (
+                        isinstance(owner, ast.Attribute) and owner.attr == "autodiff"):
+                    calls.append(f"{path.name}:{node.lineno}: {ast.unparse(func)}")
+    assert calls == []
