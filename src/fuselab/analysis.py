@@ -254,13 +254,14 @@ def ntk_one_step_check(
     jac = np.zeros((batch, num_classes, num_params))
     for i in range(batch):
         net = Network(spec, theta0, xs[i : i + 1], lin.phi0)
+        acts = net.activations(anchor_flat)
         for c in range(num_classes):
             ct = np.zeros((1, num_classes))
             ct[0, c] = 1.0
-            jac[i, c] = net.vjp(anchor_flat, ct)
+            jac[i, c] = net.vjp(anchor_flat, ct, acts)
 
     flat = lin.phi.flatten()
-    _, _, outputs_before = paradigm_logits(spec, theta0, lin.phi0, anchor_flat, flat, xs)
+    outputs_before, _ = paradigm_logits(spec, theta0, lin.phi0, anchor_flat, flat, xs)
     g = ce_logit_gradient(outputs_before, ys)
 
     kernel = np.einsum("icp,jdp->ijcd", jac, jac)
@@ -268,7 +269,7 @@ def ntk_one_step_check(
 
     _, grad_flat = batch_loss_and_grad(spec, theta0, anchor_flat, lin.phi0, flat, xs, ys)
     stepped = flat - eta * grad_flat
-    _, _, outputs_after = paradigm_logits(spec, theta0, lin.phi0, anchor_flat, stepped, xs)
+    outputs_after, _ = paradigm_logits(spec, theta0, lin.phi0, anchor_flat, stepped, xs)
     observed = outputs_after - outputs_before
 
     obs_norm = float(np.linalg.norm(observed))

@@ -13,12 +13,12 @@ import base64
 import functools
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .files import read_json_object, write_atomic
+from .files import json_object, read_memoized, write_atomic
 from .models import ModelSpec, build_model
 from .params import ParamTree
 
@@ -107,17 +107,26 @@ def load_checkpoint(path, expected_config_digest: str | None = None) -> Checkpoi
 
     Raises ContractError on corruption or format mismatch and ConfigError
     when the file was produced under a different resolved configuration.
+    Verified parses are memoised per process on the file's bytes
+    (``files.read_memoized``); the configuration check runs on every call,
+    and each call gets its own copy of the metrics dict.
     """
-    payload = read_json_object(path, "checkpoint")
+    ckpt, config = read_memoized(path, _parse_checkpoint)
+    if expected_config_digest is not None and config != expected_config_digest:
+        raise ConfigError(
+            f"checkpoint {path} was produced under a different configuration"
+        )
+    return replace(ckpt, metrics=dict(ckpt.metrics))
+
+
+def _parse_checkpoint(path, data: bytes) -> tuple[Checkpoint, object]:
+    """The verified checkpoint in ``data`` and the config digest it records."""
+    payload = json_object(path, data, "checkpoint")
     if payload.get("format") != FORMAT or payload.get("version") != VERSION:
         raise ContractError(f"{path} is not a version-{VERSION} checkpoint file")
     stored = payload.pop("digest", None)
     if stored != _payload_digest(payload):
         raise ContractError(f"checkpoint {path} is corrupted (digest mismatch)")
-    if expected_config_digest is not None and payload.get("config_digest") != expected_config_digest:
-        raise ConfigError(
-            f"checkpoint {path} was produced under a different configuration"
-        )
     try:
         ckpt = Checkpoint(
             spec=ModelSpec.from_dict(payload["spec"]),
@@ -127,8 +136,8 @@ def load_checkpoint(path, expected_config_digest: str | None = None) -> Checkpoi
             trained=_decode_tree(payload["trained"]),
             metrics=dict(payload["metrics"]),
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ContractError) as e:
         raise ContractError(f"checkpoint {path} is malformed: {e!r}") from e
     if ckpt.theta0().digest() != payload.get("theta0_digest"):
         raise ContractError(f"checkpoint {path} backbone digest does not match its seed")
-    return ckpt
+    return ckpt, payload.get("config_digest")

@@ -182,7 +182,8 @@ class Network:
     The flat vectors are laid out like ``template``. One hand-written
     kernel, built once per (spec, θ₀, x, layout), with three methods:
     ``forward(flat)``, ``jvp(anchor, d) -> (f(anchor), J(anchor)·d)`` and
-    ``vjp(point, ct) -> J(point)ᵀ·ct``. Adapter paradigms run the frozen
+    ``vjp(point, ct) -> J(point)ᵀ·ct``; the last two accept the forward
+    pass's ``activations`` at their point. Adapter paradigms run the frozen
     backbone with ``W₀ + (α/r)·B·A`` per layer. Each method repeats the
     numpy operations of the same network written in ``autodiff`` ops and
     traced, in their order and on operands of the same layouts, so it
@@ -224,9 +225,11 @@ class Network:
             return w0 + (p @ q) * self.scale, b0
         return p, q
 
-    def _activations(self, flat: np.ndarray):
+    def activations(self, flat: np.ndarray):
         """``(logits, inputs, weights)`` at ``flat``: the network's output, and
-        each layer's input and effective weight matrix."""
+        each layer's input and effective weight matrix. ``jvp`` and ``vjp``
+        at ``flat`` take them as ``acts`` instead of running the forward
+        pass again."""
         inputs, weights = [], []
         h = self.x
         last = len(self.layers) - 1
@@ -239,43 +242,38 @@ class Network:
         return h, inputs, weights
 
     def forward(self, flat: np.ndarray) -> np.ndarray:
-        return self._activations(flat)[0]
+        return self.activations(flat)[0]
 
-    def jvp(self, anchor: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def jvp(self, anchor: np.ndarray, d: np.ndarray, acts=None) -> tuple[np.ndarray, np.ndarray]:
         if d.shape != anchor.shape:
             raise DimensionError(
                 f"direction shape {d.shape} does not match parameter shape {anchor.shape}"
             )
-        h, t = self.x, None
+        out, inputs, weights = acts or self.activations(anchor)
+        t = None
         last = len(self.layers) - 1
         for i in range(len(self.layers)):
-            p, q = self._parts(anchor, i)
             dp, dq = self._parts(d, i)
             if self.peft:
                 # traced rules: matmul tangent 0 + dB·A + B·dA, scale tangent
                 # dBA·s + BA·0, frozen W₀ and b₀ tangents 0
-                w0, b = self.layers[i][2:]
+                p, q = self._parts(anchor, i)
                 ba = p @ q
                 dba = (dp @ q + 0.0) + p @ dq
-                w = w0 + ba * self.scale
                 dw = 0.0 + (dba * self.scale + ba * 0.0)
                 db = 0.0
             else:
-                w, b, dw, db = p, q, dp, dq
-            wt = w.T
-            z = h @ wt
-            acc = 0.0 if t is None else t @ wt + 0.0  # the traced matmul's zero accumulator
-            z, t = z + b, (acc + h @ dw.T) + db
-            if i == last:
-                h = z
-            else:
-                h = np.tanh(z)
+                dw, db = dp, dq
+            acc = 0.0 if t is None else t @ weights[i].T + 0.0  # the traced matmul's zero accumulator
+            t = (acc + inputs[i] @ dw.T) + db
+            if i != last:
+                h = inputs[i + 1]
                 t = (1.0 - h * h) * t
-        return h, t
+        return out, t
 
-    def vjp(self, point: np.ndarray, ct) -> np.ndarray:
+    def vjp(self, point: np.ndarray, ct, acts=None) -> np.ndarray:
         ct = np.asarray(ct, dtype=np.float64)
-        out, inputs, weights = self._activations(point)
+        out, inputs, weights = acts or self.activations(point)
         if ct.shape != out.shape:
             raise DimensionError(f"cotangent shape {ct.shape} does not match output shape {out.shape}")
         grad = np.zeros(self.size)
@@ -301,34 +299,34 @@ def paradigm_logits(spec: ModelSpec, theta0: ParamTree, template: ParamTree,
                     anchor_flat: np.ndarray, flat: np.ndarray, x):
     """A paradigm's logits at one flat trainable vector, for training.
 
-    Returns ``(net, point, logits)``: the ``Network`` on ``x``, the point
-    the paradigm expands around, and the logits. Linearized paradigms
-    evaluate the tangent model ``f(anchor) + J(anchor)(flat - anchor)`` at
-    the anchor tree ``template`` (whose flat vector is ``anchor_flat``)
-    along the one direction ``flat - anchor_flat``, with
-    ``point = anchor_flat``; the others evaluate ``f(flat)`` at
-    ``point = flat``. The gradient of any loss of the logits is then
-    ``net.vjp(point, dloss/dlogits)``.
+    Returns ``(logits, pullback)``. Linearized paradigms evaluate the
+    tangent model ``f(anchor) + J(anchor)(flat - anchor)`` at the anchor
+    tree ``template`` (whose flat vector is ``anchor_flat``) along the one
+    direction ``flat - anchor_flat``; the others evaluate ``f(flat)``.
+    ``pullback(dloss/dlogits)`` is the gradient of any loss of the logits:
+    the VJP at the expansion point (``anchor_flat`` or ``flat``), which
+    reuses this call's forward activations.
     """
     net = Network(spec, theta0, x, template)
+    point = anchor_flat if spec.mode.is_linearized else flat
+    acts = net.activations(point)
     if spec.mode.is_linearized:
-        f0, jds = _tangent(net, anchor_flat, [flat - anchor_flat])
-        return net, anchor_flat, combine(f0, jds, [1.0])
-    return net, flat, net.forward(flat)
+        f0, jds = _tangent(net, anchor_flat, [flat - anchor_flat], acts)
+        logits = combine(f0, jds, [1.0])
+    else:
+        logits = acts[0]
+    return logits, lambda ct: net.vjp(point, ct, acts)
 
 
-def _tangent(net: Network, anchor_flat: np.ndarray, directions):
+def _tangent(net: Network, anchor_flat: np.ndarray, directions, acts=None):
     """``(f(anchor), [J(anchor)·d, ...])`` of a built ``Network``.
 
-    The one place the network's JVP is taken.
+    The one place the network's JVP is taken. The forward pass at the
+    anchor runs once for all directions (``acts``, when the caller already
+    has it).
     """
-    if not directions:
-        return net.forward(anchor_flat), []
-    jds = []
-    for d in directions:
-        f0, jd = net.jvp(anchor_flat, d)
-        jds.append(jd)
-    return f0, jds
+    acts = acts or net.activations(anchor_flat)
+    return acts[0], [net.jvp(anchor_flat, d, acts)[1] for d in directions]
 
 
 def tangent_features(spec: ModelSpec, theta0: ParamTree, anchor: ParamTree, directions, x):
@@ -363,7 +361,7 @@ def forward_linearized(spec: ModelSpec, theta0: ParamTree, lin: LinearizedState,
     _require_trainable(spec, lin.phi0)
     lin.phi0.require_congruent(lin.phi, "linearized-state trees")
     x = x.array if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    _, _, logits = paradigm_logits(spec, theta0, lin.phi0, lin.phi0.flatten(), lin.phi.flatten(), x)
+    logits, _ = paradigm_logits(spec, theta0, lin.phi0, lin.phi0.flatten(), lin.phi.flatten(), x)
     return Tensor(logits)
 
 

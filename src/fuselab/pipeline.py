@@ -97,6 +97,21 @@ def ensure_run_dir(resolved: dict, out: str | Path) -> tuple[RunPaths, str]:
     return paths, digest
 
 
+def _require_task_ids(resolved: dict, ids, what: str, least: int = 1) -> None:
+    """Raise ``ConfigError`` naming the id unless ``ids`` are at least
+    ``least`` distinct task ids of this run (``what`` names the argument)."""
+    known = [f"task{i}" for i in range(int(resolved["suite"]["n_tasks"]))]
+    seen = set()
+    for tid in ids:
+        if tid not in known:
+            raise ConfigError(f"unknown task id {tid!r} in {what}; this run has {', '.join(known)}")
+        if tid in seen:
+            raise ConfigError(f"task id {tid!r} appears twice in {what}")
+        seen.add(tid)
+    if len(seen) < least:
+        raise ConfigError(f"{what} {','.join(ids)!r} needs at least {least} distinct task ids")
+
+
 def stage_gen_tasks(resolved: dict, out: str | Path) -> list[Path]:
     """Generate the suite and export one columnar file per task."""
     paths, digest = ensure_run_dir(resolved, out)
@@ -213,6 +228,8 @@ def stage_fuse(
     """
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown fusion algorithm {algorithm!r}")
+    for subset in subsets or []:
+        _require_task_ids(resolved, subset, "fusion subset", least=2)
     paths, digest = ensure_run_dir(resolved, out)
     tasks = {t.id: t for t in load_tasks(resolved, out)}
     validation = {tid: t.val for tid, t in tasks.items()}
@@ -289,6 +306,8 @@ def stage_analyze_similarity(resolved: dict, out: str | Path, modes=None) -> lis
 def stage_analyze_disentangle(
     resolved: dict, out: str | Path, modes=None, pairs=None
 ) -> list[Path]:
+    for pair in pairs or []:
+        _require_task_ids(resolved, pair, "disentanglement pair", least=2)
     paths, digest = ensure_run_dir(resolved, out)
     paths.analysis_dir.mkdir(parents=True, exist_ok=True)
     a = resolved["analysis"]
@@ -320,6 +339,8 @@ def stage_analyze_disentangle(
 
 
 def stage_analyze_landscape(resolved: dict, out: str | Path, pairs=None) -> list[Path]:
+    for pair in pairs or []:
+        _require_task_ids(resolved, pair, "landscape pair", least=2)
     paths, digest = ensure_run_dir(resolved, out)
     paths.analysis_dir.mkdir(parents=True, exist_ok=True)
     a = resolved["analysis"]
@@ -348,6 +369,8 @@ def stage_analyze_landscape(resolved: dict, out: str | Path, pairs=None) -> list
 
 
 def stage_analyze_ntk(resolved: dict, out: str | Path, modes=None, task_id=None) -> list[Path]:
+    if task_id is not None:
+        _require_task_ids(resolved, [task_id], "ntk task")
     paths, digest = ensure_run_dir(resolved, out)
     paths.analysis_dir.mkdir(parents=True, exist_ok=True)
     a = resolved["analysis"]

@@ -12,17 +12,17 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Tensor
 from .errors import ContractError
-from .files import write_atomic
+from .files import read_memoized, write_atomic
 from .params import ParamTree
 
 TEACHER_HIDDEN = 16
 BALANCE_RETRIES = 10
+SPLITS = ("train", "val", "test")
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ def make_task_suite(
         w = wc * w_common + wp * trng.standard_normal((TEACHER_HIDDEN, input_dim))
         v = wc * v_common + wp * trng.standard_normal((num_classes, TEACHER_HIDDEN))
         splits = {}
-        for s, name in enumerate(("train", "val", "test")):
+        for s, name in enumerate(SPLITS):
             for attempt in range(BALANCE_RETRIES + 1):
                 xs = _rng(seed, 2, i, s, attempt).standard_normal((sizes[name], input_dim))
                 ys = _teacher_labels(w, v, xs)
@@ -185,7 +185,7 @@ def export_task(task: Task, path, suite: TaskSuite, config_digest: str = "") -> 
     the sha256 of the data rows, which ``import_task`` verifies.
     """
     rows = []
-    for split_name in ("train", "val", "test"):
+    for split_name in SPLITS:
         ds: Dataset = getattr(task, split_name)
         for row, label in zip(ds.xs, ds.ys):
             vals = ",".join("%.17g" % v for v in row)
@@ -218,34 +218,62 @@ def import_task(path) -> tuple[Task, dict]:
     """Read a task file back; the teacher is not part of the text format.
 
     The data rows must match the header's ``content_digest`` and per-split
-    counts, so an edited or truncated file is a ``ContractError``.
+    counts, so an edited or truncated file is a ``ContractError``. Parses
+    are memoised per process on the file's bytes (``files.read_memoized``);
+    each call gets its own copy of the header dict.
     """
-    text = Path(path).read_text().splitlines()
+    task, meta = read_memoized(path, _parse_task)
+    return task, dict(meta)
+
+
+def _parse_task(path, data: bytes) -> tuple[Task, dict]:
+    try:
+        text = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise ContractError(f"{path} is not a task file: {e}") from e
     if len(text) < 3 or text[0] != FORMAT_LINE:
         raise ContractError(f"{path} is not a task file")
     meta = {}
     for part in text[1].lstrip("# ").split():
         k, _, v = part.partition("=")
         meta[k] = v
-    data = text[3:]
-    if meta.get("content_digest") != _rows_digest(data):
+    if "task_id" not in meta:
+        raise ContractError(f"{path}: the header names no task_id")
+    rows = text[3:]
+    if meta.get("content_digest") != _rows_digest(rows):
         raise ContractError(f"{path}: data rows do not match the header's content_digest")
     columns = len(text[2].split(","))
-    rows = {"train": ([], []), "val": ([], []), "test": ([], [])}
-    for n, line in enumerate(data, start=4):
+    if columns < 3:
+        raise ContractError(f"{path}: the header names no feature columns")
+    split_of = {name: i for i, name in enumerate(SPLITS)}
+    which, labels, values = [], [], []
+    for n, line in enumerate(rows, start=4):
         parts = line.split(",")
+        if len(parts) != columns:
+            raise ContractError(f"{path}: line {n} is not a data row: "
+                                f"{len(parts)} columns, the header names {columns}")
+        split = split_of.get(parts[0])
+        if split is None:
+            raise ContractError(f"{path}: line {n} has unknown split {parts[0]!r}")
         try:
-            if len(parts) != columns:
-                raise ValueError(f"{len(parts)} columns, the header names {columns}")
-            xs, ys = rows[parts[0]]
-            xs.append([float(v) for v in parts[2:]])
-            ys.append(int(parts[1]))
-        except KeyError:
-            raise ContractError(f"{path}: line {n} has unknown split {parts[0]!r}") from None
+            label = int(parts[1])
+            values += map(float, parts[2:])
         except ValueError as e:
             raise ContractError(f"{path}: line {n} is not a data row: {e}") from e
-    for name, (_, labels) in rows.items():
-        if meta.get(name) != str(len(labels)):
-            raise ContractError(f"{path}: {len(labels)} {name} rows, header says {meta.get(name)}")
-    splits = {name: Dataset(np.array(xs), np.array(ys)) for name, (xs, ys) in rows.items()}
+        if label < 0:
+            raise ContractError(f"{path}: line {n} has a negative label")
+        which.append(split)
+        labels.append(label)
+    xs = np.array(values).reshape(len(labels), columns - 2)
+    ys = np.array(labels, dtype=np.int64)
+    which = np.array(which)
+    splits = {}
+    for i, name in enumerate(SPLITS):
+        in_split = which == i
+        count = int(in_split.sum())
+        if meta.get(name) != str(count):
+            raise ContractError(f"{path}: {count} {name} rows, header says {meta.get(name)}")
+        if count == 0:
+            raise ContractError(f"{path}: no {name} rows")
+        splits[name] = Dataset(xs[in_split], ys[in_split])
     return Task(id=meta["task_id"], teacher=None, **splits), meta

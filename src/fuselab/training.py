@@ -99,9 +99,9 @@ def batch_loss_and_grad(
     model anchored at ``anchor_flat``; otherwise through the network at
     ``flat`` directly.
     """
-    net, point, logits = paradigm_logits(spec, theta0, template, anchor_flat, flat, xs)
+    logits, pullback = paradigm_logits(spec, theta0, template, anchor_flat, flat, xs)
     loss = cross_entropy_loss(logits, ys)
-    return loss, net.vjp(point, ce_logit_gradient(logits, ys))
+    return loss, pullback(ce_logit_gradient(logits, ys))
 
 
 class _Batcher:
@@ -229,7 +229,7 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 def _accuracy_from_flat(spec, theta0, anchor_flat, template, flat, dataset: Dataset) -> float:
-    _, _, logits = paradigm_logits(spec, theta0, template, anchor_flat, flat, dataset.xs)
+    logits, _ = paradigm_logits(spec, theta0, template, anchor_flat, flat, dataset.xs)
     return accuracy(logits, dataset.ys)
 
 

@@ -1,5 +1,6 @@
 """CLI subcommands, file flows, digests, and end-to-end determinism."""
 
+import base64
 import hashlib
 import json
 import shutil
@@ -451,7 +452,11 @@ def fuse_one_pair(cfg, out) -> int:
     truncate,
     lambda p: p.write_text("[1, 2]"),
     lambda p: rewrite_checkpoint(p, lambda payload: payload.pop("spec")),
-], ids=["truncated", "not_an_object", "key_missing_digest_recomputed"])
+    lambda p: rewrite_checkpoint(p, lambda payload: payload["trained"].update(
+        data=base64.b64encode(np.full(len(base64.b64decode(payload["trained"]["data"])) // 8,
+                                      np.nan).tobytes()).decode())),
+], ids=["truncated", "not_an_object", "key_missing_digest_recomputed",
+        "non_finite_value_digest_recomputed"])
 def test_malformed_checkpoint_exits_one_naming_the_file(run_copy, capsys, corrupt):
     # A truncated file used to raise a raw JSONDecodeError, a non-object an
     # AttributeError and a missing key a KeyError.
@@ -469,7 +474,10 @@ def test_malformed_checkpoint_exits_one_naming_the_file(run_copy, capsys, corrup
     lambda row: row + ",0.5",
     lambda row: row.rsplit(",", 1)[0],
     lambda row: "{0},one,{2}".format(*row.split(",", 2)),
-], ids=["unknown_split", "extra_column", "missing_column", "non_numeric_label"])
+    lambda row: "{0},-1,{2}".format(*row.split(",", 2)),
+    lambda row: row.replace(",", ",x", 3).replace(",x", ",", 2),
+], ids=["unknown_split", "extra_column", "missing_column", "non_numeric_label",
+        "negative_label", "non_numeric_feature"])
 def test_malformed_task_row_exits_one_naming_the_file(run_copy, capsys, edit):
     # Rows that match a recomputed content_digest used to raise a KeyError
     # (unknown split) or a ValueError (column count, label).
@@ -503,3 +511,31 @@ def test_truncated_resolved_config_exits_one_naming_the_file(run_copy, capsys):
     assert main(["report", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(out / "resolved_config.json") in err
+
+
+# --- malformed task-id arguments: exit 1 naming the id, nothing written -------
+
+
+def file_tree(root: Path) -> dict:
+    return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*")) if f.is_file()}
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["fuse", "--algorithm", "simple_average", "--subset", "task0,task9"], "task9"),
+    (["fuse", "--algorithm", "simple_average", "--subset", "task0,task0"], "task0"),
+    (["fuse", "--algorithm", "simple_average", "--subset", "task0"], "task0"),
+    (["analyze", "disentangle", "--pair", "task0,task9"], "task9"),
+    (["analyze", "landscape", "--pair", "task0,task0"], "task0"),
+    (["analyze", "ntk", "--task", "task9"], "task9"),
+], ids=["fuse_unknown", "fuse_repeated", "fuse_single", "disentangle_unknown",
+        "landscape_repeated", "ntk_unknown"])
+def test_malformed_task_ids_exit_one_before_any_artifact(run_copy, capsys, argv, named):
+    # Unknown ids used to raise a KeyError; a repeated or single id merged or
+    # analysed a degenerate set and wrote it.
+    cfg, out = run_copy
+    before = file_tree(out)
+    capsys.readouterr()
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(named) in err
+    assert file_tree(out) == before

@@ -116,3 +116,28 @@ def test_only_autodiff_runs_its_traced_transforms():
                         isinstance(owner, ast.Attribute) and owner.attr == "autodiff"):
                     calls.append(f"{path.name}:{node.lineno}: {ast.unparse(func)}")
     assert calls == []
+
+
+FILE_READS = {"open", "read_text", "read_bytes", "load", "loadtxt", "genfromtxt", "fromfile"}
+
+
+def test_files_holds_the_only_read_of_task_and_checkpoint_files():
+    # Task files and checkpoints are read only through files.read_memoized;
+    # the other readers take the user's config file and analysis grid CSVs.
+    readers = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = parse(path.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in FILE_READS:
+                    readers.add((path.name, innermost_function(tree, node)))
+    assert readers == {("files.py", "write_atomic"), ("files.py", "read_memoized"),
+                       ("files.py", "read_json_object"), ("config.py", "load_config"),
+                       ("analysis.py", "read_grid_csv")}
+    for name, fn in (("tasks.py", "import_task"), ("checkpoints.py", "load_checkpoint")):
+        top = next(f for f in parse(name).body if isinstance(f, ast.FunctionDef) and f.name == fn)
+        called = {n.func.id for n in ast.walk(top)
+                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+        assert "read_memoized" in called, fn

@@ -115,3 +115,53 @@ def test_import_rejects_counts_that_disagree_with_the_rows(tmp_path):
     _write(path, [lines[0], header, lines[2], *rows])
     with pytest.raises(ContractError, match="test rows"):
         import_task(path)
+
+
+def _write_consistent(path, lines):
+    """Write ``lines`` with the header's content_digest and counts made to agree."""
+    rows = lines[3:]
+    counts = {name: sum(r.startswith(name + ",") for r in rows) for name in ("train", "val", "test")}
+    digest = "sha256:" + hashlib.sha256("".join(r + "\n" for r in rows).encode()).hexdigest()
+    header = []
+    for part in lines[1].split(" "):
+        key = part.partition("=")[0]
+        if key == "content_digest":
+            part = f"content_digest={digest}"
+        elif key in counts:
+            part = f"{key}={counts[key]}"
+        header.append(part)
+    _write(path, [lines[0], " ".join(header), lines[2], *rows])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: [lines[0], lines[1].replace("task_id=task0 ", ""), *lines[2:]],
+    lambda lines: [lines[0], lines[1], "split,label", *(",".join(r.split(",")[:2]) for r in lines[3:])],
+    lambda lines: [*lines[:3], *(r for r in lines[3:] if not r.startswith("val,"))],
+], ids=["no_task_id", "no_feature_columns", "empty_split"])
+def test_import_rejects_malformed_headers_naming_the_file(tmp_path, edit):
+    # A missing task_id used to raise a KeyError, a header of two columns
+    # read rows without features, and an empty split a ContractError that
+    # did not name the file.
+    path, lines = _exported_lines(tmp_path)
+    _write_consistent(path, edit(lines))
+    with pytest.raises(ContractError, match=str(path)):
+        import_task(path)
+
+
+@pytest.mark.parametrize("row", [0, 7])
+@pytest.mark.parametrize("column", [0, 3])
+def test_a_bad_feature_names_its_line(tmp_path, row, column):
+    path, lines = _exported_lines(tmp_path)
+    parts = lines[3 + row].split(",")
+    parts[2 + column] = "1.5e"
+    lines[3 + row] = ",".join(parts)
+    _write_consistent(path, lines)
+    with pytest.raises(ContractError, match=f"line {4 + row} is not a data row"):
+        import_task(path)
+
+
+def test_import_rejects_a_file_that_is_not_utf8(tmp_path):
+    path, lines = _exported_lines(tmp_path)
+    path.write_bytes(path.read_bytes().replace(b"train,", b"tr\xffin,", 1))
+    with pytest.raises(ContractError, match=str(path)):
+        import_task(path)

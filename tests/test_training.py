@@ -9,12 +9,13 @@ import pytest
 from fuselab.autodiff import Tensor
 from fuselab.checkpoints import Checkpoint, load_checkpoint, save_checkpoint
 from fuselab.errors import ContractError, TrainingDivergedError, ConfigError
-from fuselab.models import ModeTag, ModelSpec, build_model
+from fuselab.models import ModeTag, ModelSpec, Network, build_model
 from fuselab.params import ParamTree
 from fuselab.tasks import Dataset, make_task_suite
 from fuselab.training import (
     TrainConfig,
     batch_loss_and_grad,
+    ce_logit_gradient,
     cross_entropy_loss,
     evaluate,
     evaluate_checkpoint,
@@ -218,3 +219,30 @@ def test_failed_checkpoint_write_leaves_no_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(ckpt, tmp_path / "ck.json")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", list(ModeTag), ids=lambda m: m.value)
+def test_a_training_step_runs_one_forward_pass_and_keeps_the_gradient_bits(mode, monkeypatch):
+    spec = default_spec(mode)
+    theta0, init = build_model(spec, seed=4)
+    rng = np.random.default_rng(4)
+    anchor = init.flatten()
+    flat = anchor + 0.1 * rng.standard_normal(anchor.size)
+    xs, ys = rng.standard_normal((32, 16)), rng.integers(0, 3, 32)
+    point = anchor if mode.is_linearized else flat
+    net = Network(spec, theta0, xs, init)
+    if mode.is_linearized:
+        f0, jd = net.jvp(anchor, flat - anchor)
+        logits = f0 + jd
+    else:
+        logits = net.forward(flat)
+    want = net.vjp(point, ce_logit_gradient(logits, ys))
+
+    passes = []
+    activations = Network.activations
+    monkeypatch.setattr(Network, "activations",
+                        lambda self, at: passes.append(at) or activations(self, at))
+    loss, grad = batch_loss_and_grad(spec, theta0, anchor, init, flat, xs, ys)
+    assert len(passes) == 1 and passes[0] is point
+    assert loss == cross_entropy_loss(logits, ys)
+    assert grad.tobytes() == want.tobytes()

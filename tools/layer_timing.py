@@ -1,16 +1,22 @@
-"""Time the network kernel against the traced autodiff program, per paradigm.
+"""Time the network kernel against the traced autodiff program, per paradigm,
+and the artifact reads with and without the read memo.
 
 For each paradigm at batch 32 and 256 (16→32→32→3), prints the best-of-N
 microseconds per call of forward, JVP and VJP for ``models.Network`` and
 for the same network traced by ``autodiff`` (the oracle in
 ``tests/test_network.py``), and checks that both return the same bytes.
-Exits 1 if any pair differs. fuselab is imported from this checkout's src/:
+Then prints the microseconds per ``tasks.import_task`` of a default task
+file (1024 rows) and per ``checkpoints.load_checkpoint`` of a full_ft
+checkpoint (1699 values each tree): a cold parse, with the memo emptied
+before every call, and a memo hit. Exits 1 if any kernel pair differs.
+fuselab is imported from this checkout's src/:
 
     python3 tools/layer_timing.py [--repeats N] [--loops L]
 """
 
 import argparse
 import sys
+import tempfile
 import timeit
 from pathlib import Path
 
@@ -51,7 +57,40 @@ def main(argv=None) -> int:
                 differ += not same
                 print(f"{mode.value:<12}{batch:>6}  {op:<8}{kernel_us:>10.1f}{traced_us:>11.1f}"
                       f"{traced_us / kernel_us:>7.1f}x  {'equal' if same else 'DIFFERENT'}")
+    read_timing(args.repeats, args.loops)
     return 1 if differ else 0
+
+
+def read_timing(repeats: int, loops: int) -> None:
+    from fuselab import files
+    from fuselab.checkpoints import Checkpoint, load_checkpoint, save_checkpoint
+    from fuselab.models import ModeTag, ModelSpec, build_model
+    from fuselab.tasks import export_task, import_task, make_task_suite
+
+    def us_per_call(fn) -> float:
+        return 1e6 * min(timeit.repeat(fn, number=loops, repeat=repeats)) / loops
+
+    def cold(read):
+        def fn():
+            files._memo.clear()
+            read()
+        return fn
+
+    print(f"\n{'read':<16}{'cold_us':>10}{'hit_us':>10}{'ratio':>8}")
+    with tempfile.TemporaryDirectory() as tmp:
+        suite = make_task_suite(seed=0)
+        task_file = Path(tmp) / "task0.csv"
+        export_task(suite.tasks[0], task_file, suite)
+        spec = ModelSpec(16, (32, 32), 3, mode=ModeTag.FULL_FT)
+        _, init = build_model(spec, 0)
+        ckpt_file = Path(tmp) / "task0.json"
+        save_checkpoint(Checkpoint(spec, "task0", 0, init, init), ckpt_file)
+        for name, read in (("import_task", lambda: import_task(task_file)),
+                           ("load_checkpoint", lambda: load_checkpoint(ckpt_file))):
+            cold_us = us_per_call(cold(read))
+            read()
+            hit_us = us_per_call(read)
+            print(f"{name:<16}{cold_us:>10.1f}{hit_us:>10.1f}{cold_us / hit_us:>7.1f}x")
 
 
 if __name__ == "__main__":
