@@ -52,26 +52,20 @@ class Checkpoint:
 
 
 def _encode_tree(tree: ParamTree) -> dict:
-    blob = b"".join(tree[p].array.astype("<f8").tobytes() for p in tree.paths())
     return {
-        "paths": tree.paths(),
-        "shapes": [list(tree[p].shape) for p in tree.paths()],
-        "data": base64.b64encode(blob).decode("ascii"),
+        "paths": list(tree),
+        "shapes": [list(shape) for shape in tree.shapes().values()],
+        "data": base64.b64encode(tree.flatten().astype("<f8", copy=False).tobytes()).decode("ascii"),
     }
 
 
-def _decode_tree(d: dict) -> ParamTree:
-    blob = base64.b64decode(d["data"])
-    flat = np.frombuffer(blob, dtype="<f8")
-    entries = {}
-    offset = 0
-    for path, shape in zip(d["paths"], d["shapes"]):
-        size = int(np.prod(shape)) if shape else 1
-        entries[path] = flat[offset : offset + size].reshape([int(s) for s in shape])
-        offset += size
-    if offset != flat.size:
-        raise ContractError("checkpoint tree payload has trailing bytes")
-    return ParamTree(entries)
+def _decode_tree(d: dict, spec: ModelSpec) -> ParamTree:
+    """The tree in ``d``, which must hold the spec's trainable set in path order."""
+    shapes = spec.trainable_shapes()
+    paths = sorted(shapes)
+    if d["paths"] != paths or [tuple(s) for s in d["shapes"]] != [shapes[p] for p in paths]:
+        raise ContractError("tree paths and shapes are not the spec's trainable set in path order")
+    return ParamTree.from_flat(np.frombuffer(base64.b64decode(d["data"]), dtype="<f8"), shapes)
 
 
 def _payload_digest(payload: dict) -> str:
@@ -128,12 +122,13 @@ def _parse_checkpoint(path, data: bytes) -> tuple[Checkpoint, object]:
     if stored != _payload_digest(payload):
         raise ContractError(f"checkpoint {path} is corrupted (digest mismatch)")
     try:
+        spec = ModelSpec.from_dict(payload["spec"])
         ckpt = Checkpoint(
-            spec=ModelSpec.from_dict(payload["spec"]),
+            spec=spec,
             task_id=payload["task_id"],
             init_seed=int(payload["seed"]),
-            initial=_decode_tree(payload["initial"]),
-            trained=_decode_tree(payload["trained"]),
+            initial=_decode_tree(payload["initial"], spec),
+            trained=_decode_tree(payload["trained"], spec),
             metrics=dict(payload["metrics"]),
         )
     except (KeyError, TypeError, ValueError, ContractError) as e:

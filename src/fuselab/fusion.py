@@ -17,7 +17,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from .checkpoints import Checkpoint
 from .errors import ContractError
@@ -259,9 +258,11 @@ def lorahub_optimize(
             best["w"] = np.array(w, dtype=np.float64)
         return obj
 
+    from scipy.optimize import minimize  # scipy's import is slow; only lorahub needs it
+
     objective(np.zeros(n))  # pretrained baseline, part of the initial population
     w0 = np.full(n, 1.0 / n)
-    sciopt.minimize(
+    minimize(
         objective,
         w0,
         method="Nelder-Mead",
@@ -311,8 +312,7 @@ def _lorahub_objective(spec, theta0, initial: ParamTree, deltas: list[np.ndarray
 
 
 def _fewshot_loss(spec, theta0, anchor, tree, fewshot: Dataset) -> float:
-    logits = predict_logits(spec, theta0, anchor, tree, fewshot.xs)
-    return cross_entropy_loss(logits.array, fewshot.ys)
+    return cross_entropy_loss(predict_logits(spec, theta0, anchor, tree, fewshot.xs), fewshot.ys)
 
 
 def enumerate_subsets(task_ids: list[str]) -> list[tuple[str, ...]]:

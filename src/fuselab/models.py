@@ -146,34 +146,33 @@ def build_model(spec: ModelSpec, seed: int) -> tuple[ParamTree, ParamTree]:
     adapted model equal to its backbone.
     """
     rng = np.random.default_rng(int(seed))
-    backbone: dict[str, Tensor] = {}
+    backbone: dict[str, np.ndarray] = {}
     for i, (din, dout) in enumerate(spec.layer_dims()):
-        w = rng.standard_normal((dout, din)) / np.sqrt(din)
-        backbone[f"layers.{i}.weight"] = Tensor(w)
-        backbone[f"layers.{i}.bias"] = Tensor(np.zeros(dout))
+        backbone[f"layers.{i}.weight"] = rng.standard_normal((dout, din)) / np.sqrt(din)
+        backbone[f"layers.{i}.bias"] = np.zeros(dout)
     theta0 = ParamTree(backbone)
     if not spec.mode.is_peft:
         return theta0, theta0
-    adapters: dict[str, Tensor] = {}
+    adapters: dict[str, np.ndarray] = {}
     r = spec.lora_rank
     for i, (din, dout) in enumerate(spec.layer_dims()):
-        adapters[f"layers.{i}.lora_a"] = Tensor(0.02 * rng.standard_normal((r, din)))
-        adapters[f"layers.{i}.lora_b"] = Tensor(np.zeros((dout, r)))
+        adapters[f"layers.{i}.lora_a"] = 0.02 * rng.standard_normal((r, din))
+        adapters[f"layers.{i}.lora_b"] = np.zeros((dout, r))
     return theta0, ParamTree(adapters)
 
 
-def _require_trainable(spec: ModelSpec, trainable: ParamTree):
-    expected = spec.trainable_shapes()
-    if trainable.shapes() != expected:
-        raise ContractError(
-            f"trainable tree does not match the {spec.mode.value} trainable set: "
-            f"{trainable.shapes()} vs {expected}"
-        )
-
-
-def _require_backbone(spec: ModelSpec, theta0: ParamTree):
+def require_trees(spec: ModelSpec, theta0: ParamTree, *trainable: ParamTree):
+    """Raise ContractError unless ``theta0`` is the spec's backbone and each
+    ``trainable`` tree the paradigm's trainable set."""
     if theta0.shapes() != spec.backbone_shapes():
         raise ContractError("backbone tree does not match the architecture")
+    expected = spec.trainable_shapes()
+    for tree in trainable:
+        if tree.shapes() != expected:
+            raise ContractError(
+                f"trainable tree does not match the {spec.mode.value} trainable set: "
+                f"{tree.shapes()} vs {expected}"
+            )
 
 
 class Network:
@@ -206,10 +205,12 @@ class Network:
         self.peft = spec.mode.is_peft
         self.scale = spec.lora_alpha / spec.lora_rank
         first, second = ("lora_b", "lora_a") if self.peft else ("weight", "bias")
+        w0 = theta0.flatten()
+        frozen = {path: w0[start:stop].reshape(shape) for path, start, stop, shape in theta0.layout()}
         # Per layer: the flat spans of (B, A) or (W, b), and the frozen (W₀, b₀).
         self.layers = [
             (spans[f"layers.{i}.{first}"], spans[f"layers.{i}.{second}"],
-             theta0[f"layers.{i}.weight"].array, theta0[f"layers.{i}.bias"].array)
+             frozen[f"layers.{i}.weight"], frozen[f"layers.{i}.bias"])
             for i in range(len(spec.layer_dims()))
         ]
 
@@ -343,8 +344,7 @@ def tangent_features(spec: ModelSpec, theta0: ParamTree, anchor: ParamTree, dire
 
 def forward(spec: ModelSpec, theta0: ParamTree, trainable: ParamTree, x) -> Tensor:
     """Nonlinear forward pass under the spec's paradigm."""
-    _require_backbone(spec, theta0)
-    _require_trainable(spec, trainable)
+    require_trees(spec, theta0, trainable)
     x = x.array if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
     return Tensor(Network(spec, theta0, x, trainable).forward(trainable.flatten()))
 
@@ -357,9 +357,7 @@ def forward_linearized(spec: ModelSpec, theta0: ParamTree, lin: LinearizedState,
     """
     if not spec.mode.is_linearized:
         raise ContractError(f"mode {spec.mode.value} is not a linearized paradigm")
-    _require_backbone(spec, theta0)
-    _require_trainable(spec, lin.phi0)
-    lin.phi0.require_congruent(lin.phi, "linearized-state trees")
+    require_trees(spec, theta0, lin.phi0)  # LinearizedState holds phi congruent with phi0
     x = x.array if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
     logits, _ = paradigm_logits(spec, theta0, lin.phi0, lin.phi0.flatten(), lin.phi.flatten(), x)
     return Tensor(logits)
@@ -382,8 +380,7 @@ def candidate_logits(spec: ModelSpec, theta0: ParamTree, anchor: ParamTree, x):
     name, on first use, so a name must always mean the same vector. A
     non-finite ``flat`` or non-finite logits raise ``ContractError``.
     """
-    _require_backbone(spec, theta0)
-    _require_trainable(spec, anchor)
+    require_trees(spec, theta0, anchor)
     net = Network(spec, theta0, x, anchor)
     anchor_flat = anchor.flatten()
     f0, jds = None, {}

@@ -1,8 +1,9 @@
-"""Ordered path-to-tensor containers and their elementwise arithmetic."""
+"""Ordered path-to-tensor containers stored as one flat vector, and their arithmetic."""
 
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -12,112 +13,123 @@ from .errors import ContractError
 
 
 class ParamTree(Mapping[str, Tensor]):
-    """Immutable ordered mapping from parameter path to Tensor.
+    """Immutable ordered mapping from parameter path to Tensor, stored flat.
 
-    Iteration order is lexicographic by path, which fixes the flattening
-    order used for gradients, task-vector geometry, and serialization.
-    Two trees are congruent when they share the same paths with the same
-    per-path shapes; all arithmetic requires congruence.
+    One read-only float64 vector holds the paths in lexicographic order,
+    each row-major, which fixes the flattening used for gradients,
+    task-vector geometry and serialization. Trees derived from one another
+    share one ``(path, start, stop, shape)`` layout. Two trees are
+    congruent when they share the same paths with the same per-path shapes;
+    all arithmetic requires congruence. Every construction checks once that
+    all values are finite.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_flat", "_layout", "_spans")
 
     def __init__(self, entries: Mapping[str, Tensor | np.ndarray]):
-        store: dict[str, Tensor] = {}
-        for path in sorted(entries):
-            value = entries[path]
-            store[path] = value if isinstance(value, Tensor) else Tensor(value)
-        self._entries = store
+        # ascontiguousarray makes a 0-d value shape (1,), as a Tensor does
+        arrays = {path: np.ascontiguousarray(v.array if isinstance(v, Tensor) else v, dtype=np.float64)
+                  for path, v in sorted(entries.items())}
+        flat = np.concatenate([a.reshape(-1) for a in arrays.values()]) if arrays else np.zeros(0)
+        self._set(flat, *_layout_of({p: a.shape for p, a in arrays.items()}))
+
+    def _set(self, flat: np.ndarray, layout, spans) -> "ParamTree":
+        size = layout[-1][2] if layout else 0
+        if flat.shape != (size,):
+            raise ContractError(f"flat vector of length {flat.shape} does not match tree size {size}")
+        if not np.isfinite(flat).all():
+            raise ContractError("tensor values must be finite (no NaN/Inf)")
+        flat.setflags(write=False)
+        self._flat, self._layout, self._spans = flat, layout, spans
+        return self
+
+    def _like(self, flat: np.ndarray) -> "ParamTree":
+        """A tree with this tree's layout over ``flat``, a float64 vector it keeps."""
+        return ParamTree.__new__(ParamTree)._set(flat, self._layout, self._spans)
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, shapes: Mapping[str, tuple[int, ...]]) -> "ParamTree":
+        """The tree laid out as ``shapes`` over ``flat``, kept uncopied: pass a vector nothing else writes."""
+        return cls.__new__(cls)._set(flat, *_layout_of(shapes))
 
     def __getitem__(self, path: str) -> Tensor:
-        return self._entries[path]
+        start, stop, shape = self._spans[path]
+        return Tensor(self._flat[start:stop].reshape(shape))
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._entries)
+        return iter(self._spans)
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def paths(self) -> list[str]:
-        return list(self._entries)
+        return len(self._spans)
 
     def shapes(self) -> dict[str, tuple[int, ...]]:
-        return {p: t.shape for p, t in self._entries.items()}
+        return {path: shape for path, _, _, shape in self._layout}
 
     @property
     def num_values(self) -> int:
-        return sum(t.size for t in self._entries.values())
+        return self._flat.size
 
     def congruent_with(self, other: "ParamTree") -> bool:
-        return self.shapes() == other.shapes()
+        return self._layout == other._layout
 
     def require_congruent(self, other: "ParamTree", what: str = "parameter trees"):
         if not self.congruent_with(other):
-            raise ContractError(
-                f"{what} are not congruent: {self.shapes()} vs {other.shapes()}"
-            )
+            raise ContractError(f"{what} are not congruent: {self.shapes()} vs {other.shapes()}")
 
     def flatten(self) -> np.ndarray:
-        """Concatenate all tensors (lexicographic path order, row-major)."""
-        if not self._entries:
-            return np.zeros(0)
-        return np.concatenate([t.values for t in self._entries.values()])
+        """The stored read-only vector (lexicographic path order, row-major)."""
+        return self._flat
 
-    def layout(self) -> list[tuple[str, int, int, tuple[int, ...]]]:
+    def layout(self) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
         """Per-path (path, start, stop, shape) offsets into the flat vector."""
-        out = []
-        offset = 0
-        for path, t in self._entries.items():
-            out.append((path, offset, offset + t.size, t.shape))
-            offset += t.size
-        return out
+        return self._layout
 
     def with_flat(self, flat: np.ndarray) -> "ParamTree":
-        """Rebuild a congruent tree from a flat vector."""
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.num_values,):
-            raise ContractError(
-                f"flat vector of length {flat.shape} does not match tree size {self.num_values}"
-            )
-        entries = {}
-        for path, start, stop, shape in self.layout():
-            entries[path] = Tensor(flat[start:stop], shape=shape)
-        return ParamTree(entries)
+        """A congruent tree holding a copy of the flat vector ``flat``."""
+        return self._like(np.array(flat, dtype=np.float64))
 
     def add(self, other: "ParamTree") -> "ParamTree":
         self.require_congruent(other)
-        return ParamTree({p: Tensor(t.array + other[p].array) for p, t in self._entries.items()})
+        return self._like(self._flat + other._flat)
 
     def sub(self, other: "ParamTree") -> "ParamTree":
         self.require_congruent(other)
-        return ParamTree({p: Tensor(t.array - other[p].array) for p, t in self._entries.items()})
+        return self._like(self._flat - other._flat)
 
     def scale(self, factor: float) -> "ParamTree":
-        return ParamTree({p: Tensor(t.array * float(factor)) for p, t in self._entries.items()})
+        return self._like(self._flat * float(factor))
 
     def equal_bits(self, other: "ParamTree") -> bool:
         """True when both trees hold bit-identical values."""
-        if self.shapes() != other.shapes():
-            return False
-        return all(
-            np.array_equal(t.array, other[p].array) for p, t in self._entries.items()
-        )
+        return self.congruent_with(other) and np.array_equal(self._flat, other._flat)
 
     def digest(self) -> str:
         """Content digest over paths, shapes, and little-endian float64 bytes."""
         h = hashlib.sha256()
-        for path, t in self._entries.items():
+        flat = self._flat.astype("<f8", copy=False)
+        for path, start, stop, shape in self._layout:
             h.update(path.encode())
-            h.update(repr(t.shape).encode())
-            h.update(t.array.astype("<f8").tobytes())
+            h.update(repr(shape).encode())
+            h.update(flat[start:stop].tobytes())
         return "sha256:" + h.hexdigest()
 
     def __repr__(self) -> str:
-        return f"ParamTree({len(self._entries)} paths, {self.num_values} values)"
+        return f"ParamTree({len(self)} paths, {self.num_values} values)"
+
+
+def _layout_of(shapes: Mapping[str, tuple[int, ...]]):
+    """``(layout, spans)`` of ``shapes`` laid out in lexicographic path order."""
+    layout, offset = [], 0
+    for path in sorted(shapes):
+        shape = tuple(int(s) for s in shapes[path])
+        size = math.prod(shape)
+        layout.append((path, offset, offset + size, shape))
+        offset += size
+    return tuple(layout), {path: (start, stop, shape) for path, start, stop, shape in layout}
 
 
 def zeros_like(tree: ParamTree) -> ParamTree:
-    return ParamTree({p: Tensor(np.zeros(t.shape)) for p, t in tree.items()})
+    return tree._like(np.zeros(tree.num_values))
 
 
 def combine(base: np.ndarray, deltas: Sequence[np.ndarray], weights: Sequence[float]) -> np.ndarray:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
 from .checkpoints import Checkpoint
 from .errors import ContractError, UndefinedSimilarityError
 from .files import write_atomic
@@ -69,12 +68,9 @@ def linear_combine(vectors: list[TaskVector], weights: list[float]) -> TaskVecto
 
 def _paired_sums(a: ParamTree, b: ParamTree) -> tuple[float, float, float]:
     """Per-path dot and squared norms, accumulated in path order."""
-    dot = 0.0
-    na2 = 0.0
-    nb2 = 0.0
-    for path in a.paths():
-        x = a[path].values
-        y = b[path].values
+    dot = na2 = nb2 = 0.0
+    for _, start, stop, _ in a.layout():
+        x, y = a.flatten()[start:stop], b.flatten()[start:stop]
         dot += float(np.dot(x, y))
         na2 += float(np.dot(x, x))
         nb2 += float(np.dot(y, y))
@@ -88,7 +84,7 @@ def cosine_similarity(a: TaskVector, b: TaskVector) -> float:
     sets already agree (e.g. after an explicit joint-space embedding);
     mismatched native trees are rejected rather than silently padded.
     """
-    if a.delta.shapes() != b.delta.shapes():
+    if not a.delta.congruent_with(b.delta):
         raise ContractError(
             f"task vectors are not comparable: modes {a.mode.value}/{b.mode.value} "
             "with different parameter sets (embed into the joint space first)"
@@ -96,7 +92,7 @@ def cosine_similarity(a: TaskVector, b: TaskVector) -> float:
     dot, na2, nb2 = _paired_sums(a.delta, b.delta)
     if na2 == 0.0 or nb2 == 0.0:
         raise UndefinedSimilarityError("cosine similarity of a zero task vector is undefined")
-    if all(np.array_equal(a.delta[p].array, b.delta[p].array) for p in a.delta.paths()):
+    if np.array_equal(a.delta.flatten(), b.delta.flatten()):
         return 1.0
     return dot / (np.sqrt(na2) * np.sqrt(nb2))
 
@@ -128,12 +124,8 @@ def embed_in_joint_space(vector: TaskVector, spec: ModelSpec) -> TaskVector:
             raise ContractError(
                 f"vector path {path!r} with shape {shape} does not fit this architecture"
             )
-    entries = {}
-    for path, shape in joint_shapes.items():
-        if path in own:
-            entries[path] = vector.delta[path]
-        else:
-            entries[path] = Tensor(np.zeros(shape))
+    entries = {path: vector.delta[path] if path in own else np.zeros(shape)
+               for path, shape in joint_shapes.items()}
     return TaskVector(ParamTree(entries), vector.mode, vector.task_id)
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import ContractError
 from .files import read_memoized, write_atomic
 from .params import ParamTree
@@ -145,7 +144,7 @@ def make_task_suite(
                     f"task {i} split {name!r} missing a class after {BALANCE_RETRIES} retries"
                 )
             splits[name] = Dataset(xs, ys)
-        teacher = ParamTree({"teacher.w": Tensor(w), "teacher.v": Tensor(v)})
+        teacher = ParamTree({"teacher.w": w, "teacher.v": v})
         tasks.append(Task(id=f"task{i}", teacher=teacher, **splits))
     return TaskSuite(
         tasks=tuple(tasks),

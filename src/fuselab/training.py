@@ -18,7 +18,7 @@ from .autodiff import Tensor
 from .checkpoints import Checkpoint, backbone_for
 from .errors import ContractError, TrainingDivergedError
 from .files import write_atomic
-from .models import ModelSpec, paradigm_logits, predict_logits
+from .models import ModelSpec, paradigm_logits, require_trees
 from .params import ParamTree
 from .tasks import Dataset, Task
 
@@ -172,9 +172,7 @@ def finetune(
     """
     if len(task.train) == 0 or len(task.val) == 0:
         raise ContractError("task splits must be non-empty")
-    expected = spec.trainable_shapes()
-    if init_trainable.shapes() != expected:
-        raise ContractError("init_trainable does not match the mode's trainable set")
+    require_trees(spec, theta0, init_trainable)
     _check_labels(task.train.ys, spec.num_classes)
     if not theta0.equal_bits(backbone_for(spec, int(init_seed))):
         raise ContractError(
@@ -229,7 +227,8 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 def _accuracy_from_flat(spec, theta0, anchor_flat, template, flat, dataset: Dataset) -> float:
-    logits, _ = paradigm_logits(spec, theta0, template, anchor_flat, flat, dataset.xs)
+    """``finetune``'s per-step validation pass; perfbench's tracer times it by name."""
+    logits, _= paradigm_logits(spec, theta0, template, anchor_flat, flat, dataset.xs)
     return accuracy(logits, dataset.ys)
 
 
@@ -240,17 +239,21 @@ def evaluate(
     dataset: Dataset,
     anchor: ParamTree | None = None,
 ) -> float:
-    """``accuracy`` of the paradigm's logits on ``dataset``.
+    """``accuracy`` of the paradigm's logits (``paradigm_logits``) on ``dataset``.
 
     Linearized paradigms need the tangent anchor (the trainable tree the
-    model was linearized around).
+    model was linearized around). Non-finite logits raise ``ContractError``.
     """
     if len(dataset) == 0:
         raise ContractError("cannot evaluate on an empty dataset")
     if spec.mode.is_linearized and anchor is None:
         raise ContractError("linearized evaluation requires the tangent anchor")
-    logits = predict_logits(spec, theta0, anchor, trainable, dataset.xs)
-    return accuracy(logits.array, dataset.ys)
+    anchor = anchor if spec.mode.is_linearized else trainable
+    require_trees(spec, theta0, anchor, trainable)
+    logits, _ = paradigm_logits(spec, theta0, anchor, anchor.flatten(), trainable.flatten(), dataset.xs)
+    if not np.isfinite(logits).all():
+        raise ContractError("logits must be finite")
+    return accuracy(logits, dataset.ys)
 
 
 def evaluate_checkpoint(ckpt: Checkpoint, dataset: Dataset) -> float:

@@ -443,6 +443,29 @@ def truncate(path: Path) -> None:
     path.write_text(text[: len(text) // 2])
 
 
+def rewrite_trees(edit, trees=("initial", "trained")):
+    """A corruption that applies ``edit`` to the named trees of a checkpoint."""
+    def corrupt(path: Path) -> None:
+        rewrite_checkpoint(path, lambda payload: [edit(payload[tree]) for tree in trees])
+    return corrupt
+
+
+def swap_first_two_paths(tree: dict) -> None:
+    for key in ("paths", "shapes"):
+        tree[key][0], tree[key][1] = tree[key][1], tree[key][0]
+
+
+def drop_last_path(tree: dict) -> None:
+    size = int(np.prod(tree["shapes"][-1]))
+    data = base64.b64decode(tree["data"])[: -8 * size]
+    tree.update(paths=tree["paths"][:-1], shapes=tree["shapes"][:-1],
+                data=base64.b64encode(data).decode())
+
+
+def duplicate_first_path(tree: dict) -> None:
+    tree["paths"][1] = tree["paths"][0]
+
+
 def fuse_one_pair(cfg, out) -> int:
     return main(["fuse", "--config", str(cfg), "--out", str(out), "--algorithm",
                  "simple_average", "--subset", "task0,task1", "--mode", "full_ft"])
@@ -455,8 +478,13 @@ def fuse_one_pair(cfg, out) -> int:
     lambda p: rewrite_checkpoint(p, lambda payload: payload["trained"].update(
         data=base64.b64encode(np.full(len(base64.b64decode(payload["trained"]["data"])) // 8,
                                       np.nan).tobytes()).decode())),
+    rewrite_trees(swap_first_two_paths),
+    rewrite_trees(drop_last_path),
+    rewrite_trees(drop_last_path, trees=("trained",)),
+    rewrite_trees(duplicate_first_path),
 ], ids=["truncated", "not_an_object", "key_missing_digest_recomputed",
-        "non_finite_value_digest_recomputed"])
+        "non_finite_value_digest_recomputed", "paths_swapped", "last_path_dropped",
+        "last_trained_path_dropped", "path_duplicated"])
 def test_malformed_checkpoint_exits_one_naming_the_file(run_copy, capsys, corrupt):
     # A truncated file used to raise a raw JSONDecodeError, a non-object an
     # AttributeError and a missing key a KeyError.
@@ -465,6 +493,17 @@ def test_malformed_checkpoint_exits_one_naming_the_file(run_copy, capsys, corrup
     corrupt(path)
     capsys.readouterr()
     assert fuse_one_pair(cfg, out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
+def test_checkpoint_with_swapped_paths_fails_similarity_naming_the_file(run_copy, capsys):
+    # Bias values read as weights used to give a similarity CSV and exit 0.
+    cfg, out = run_copy
+    path = out / "checkpoints/full_ft/task0.json"
+    rewrite_trees(swap_first_two_paths)(path)
+    capsys.readouterr()
+    assert main(["analyze", "similarity", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
 

@@ -5,10 +5,10 @@ import math
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuselab import fusion
 from fuselab.autodiff import Tensor
 from fuselab.checkpoints import Checkpoint
 from fuselab.errors import ContractError
@@ -525,7 +525,7 @@ def test_non_finite_lorahub_candidate_scores_inf_and_is_never_selected(monkeypat
         fun(huge)
         fun(np.array([0.5, 0.25, 0.0]))
 
-    monkeypatch.setattr(fusion.sciopt, "minimize", probe)
+    monkeypatch.setattr(scipy.optimize, "minimize", probe)
     weights, model = lorahub_optimize(spec, theta0, phi0, vectors, fewshot)
     assert weights in ([0.0, 0.0, 0.0], [0.5, 0.25, 0.0])
     assert np.isfinite(model.provenance["objective"])

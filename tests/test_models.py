@@ -277,7 +277,7 @@ def test_candidate_logits_reject_a_non_finite_vector(mode, bad):
     spec = small_spec(mode)
     theta0, anchor = build_model(spec, seed=23)
     logits = candidate_logits(spec, theta0, anchor, np.ones((2, 4)))
-    flat = anchor.flatten()
+    flat = anchor.flatten().copy()  # the tree's own vector is read-only
     flat[0] = bad
     with pytest.raises(ContractError):
         logits(flat, {"d": flat - anchor.flatten()}, [1.0])

@@ -1,6 +1,9 @@
 """Source-level checks that each paradigm decision lives in one place."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fuselab
@@ -141,3 +144,24 @@ def test_files_holds_the_only_read_of_task_and_checkpoint_files():
         called = {n.func.id for n in ast.walk(top)
                   if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
         assert "read_memoized" in called, fn
+
+
+def test_no_module_imports_scipy_at_module_level():
+    # Importing scipy.optimize dominates start-up; only lorahub's search needs it.
+    offenders = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = parse(path.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(n.split(".")[0] == "scipy" for n in names) and innermost_function(tree, node) is None:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, fuselab.cli; print('scipy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(SOURCE.parent)}, capture_output=True, text=True)
+    assert loaded.stdout.strip() == "False", loaded.stderr

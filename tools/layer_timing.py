@@ -8,7 +8,10 @@ for the same network traced by ``autodiff`` (the oracle in
 Then prints the microseconds per ``tasks.import_task`` of a default task
 file (1024 rows) and per ``checkpoints.load_checkpoint`` of a full_ft
 checkpoint (1699 values each tree): a cold parse, with the memo emptied
-before every call, and a memo hit. Exits 1 if any kernel pair differs.
+before every call, and a memo hit. Last, the microseconds per
+``ParamTree.flatten``, ``with_flat`` and ``digest`` of a full_ft (1699
+values) and a lora (294 values) trainable tree, and per ``Network(...)``
+construction on a 32-row batch. Exits 1 if any kernel pair differs.
 fuselab is imported from this checkout's src/:
 
     python3 tools/layer_timing.py [--repeats N] [--loops L]
@@ -58,7 +61,12 @@ def main(argv=None) -> int:
                 print(f"{mode.value:<12}{batch:>6}  {op:<8}{kernel_us:>10.1f}{traced_us:>11.1f}"
                       f"{traced_us / kernel_us:>7.1f}x  {'equal' if same else 'DIFFERENT'}")
     read_timing(args.repeats, args.loops)
+    tree_timing(args.repeats, args.loops)
     return 1 if differ else 0
+
+
+def us_per_call(fn, repeats: int, loops: int) -> float:
+    return 1e6 * min(timeit.repeat(fn, number=loops, repeat=repeats)) / loops
 
 
 def read_timing(repeats: int, loops: int) -> None:
@@ -66,9 +74,6 @@ def read_timing(repeats: int, loops: int) -> None:
     from fuselab.checkpoints import Checkpoint, load_checkpoint, save_checkpoint
     from fuselab.models import ModeTag, ModelSpec, build_model
     from fuselab.tasks import export_task, import_task, make_task_suite
-
-    def us_per_call(fn) -> float:
-        return 1e6 * min(timeit.repeat(fn, number=loops, repeat=repeats)) / loops
 
     def cold(read):
         def fn():
@@ -87,10 +92,26 @@ def read_timing(repeats: int, loops: int) -> None:
         save_checkpoint(Checkpoint(spec, "task0", 0, init, init), ckpt_file)
         for name, read in (("import_task", lambda: import_task(task_file)),
                            ("load_checkpoint", lambda: load_checkpoint(ckpt_file))):
-            cold_us = us_per_call(cold(read))
+            cold_us = us_per_call(cold(read), repeats, loops)
             read()
-            hit_us = us_per_call(read)
+            hit_us = us_per_call(read, repeats, loops)
             print(f"{name:<16}{cold_us:>10.1f}{hit_us:>10.1f}{cold_us / hit_us:>7.1f}x")
+
+
+def tree_timing(repeats: int, loops: int) -> None:
+    import numpy as np
+    from fuselab.models import ModeTag, ModelSpec, Network, build_model
+
+    print(f"\n{'tree op':<14}{'mode':<10}{'us':>8}")
+    for mode in (ModeTag.FULL_FT, ModeTag.LORA):
+        spec = ModelSpec(16, (32, 32), 3, mode=mode)
+        theta0, init = build_model(spec, 0)
+        flat = init.flatten() + 0.5
+        x = np.zeros((32, spec.input_dim))
+        ops = {"flatten": init.flatten, "with_flat": lambda: init.with_flat(flat),
+               "digest": init.digest, "Network(...)": lambda: Network(spec, theta0, x, init)}
+        for op, fn in ops.items():
+            print(f"{op:<14}{mode.value:<10}{us_per_call(fn, repeats, loops):>8.2f}")
 
 
 if __name__ == "__main__":
