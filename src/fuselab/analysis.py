@@ -4,7 +4,9 @@ The disentanglement error of two task vectors at scaling factors
 (l1, l2) is the sum over both tasks of the empirical probability that
 the combined model's prediction differs from the single-vector model's
 prediction on that task's data. Raw values live in [0, 2]; grids store
-the halved value so heatmaps share a [0, 1] scale.
+the halved value so heatmaps share a [0, 1] scale. Every logit comes from
+``models.Scorer``: cells and landscape points through its merge route, the
+NTK check through its training route and its per-row Jacobian.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import ContractError, ResourceLimitError
 from .files import write_atomic
-from .models import LinearizedState, ModelSpec, Network, candidate_logits, paradigm_logits
+from .models import LinearizedState, ModelSpec, Scorer
 from .params import ParamTree, combine
 from .task_vectors import TaskVector
 from .tasks import Dataset
@@ -63,20 +65,27 @@ def _errors(
 ) -> list[float]:
     """Raw disentanglement error, in [0, 2], at each (lambda1, lambda2) of ``cells``.
 
-    The one route for every cell. The pair is put in canonical (task id,
-    digest) order once; that order fixes the float summation order of the
-    combined parameters, and for linearized modes of the combined logits,
-    so the error is exactly symmetric under swapping the task pair. Logits
-    come from ``candidate_logits``, built once per eval set, so linearized
-    modes take two JVPs per eval set. A cell's combined vector is built
-    once and scored on both eval sets; single-vector predictions depend on
-    one slot's factor only and are computed once per (slot, factor).
+    The one route for every cell, and the one place its inputs are checked:
+    both eval sets non-empty, both task vectors congruent with ``phi0``.
+    The pair is put in canonical (task id, digest) order once; that order
+    fixes the float summation order of the combined parameters, and for
+    linearized modes of the combined logits, so the error is exactly
+    symmetric under swapping the task pair. Logits come from a ``Scorer``
+    per eval set, so linearized modes take two JVPs per eval set. A cell's
+    combined vector is built once and scored on both eval sets;
+    single-vector predictions depend on one slot's factor only and are
+    computed once per (slot, factor).
     """
+    d1, d2 = eval_sets
+    if len(d1) == 0 or len(d2) == 0:
+        raise ContractError("disentanglement eval sets must be non-empty")
+    phi0.require_congruent(nu1.delta, "anchor tree and first task vector")
+    phi0.require_congruent(nu2.delta, "anchor tree and second task vector")
     base = phi0.flatten()
     deltas = (nu1.delta.flatten(), nu2.delta.flatten())
     swapped = (nu2.task_id, nu2.delta.digest()) < (nu1.task_id, nu1.delta.digest())
     order = (1, 0) if swapped else (0, 1)
-    logits = [candidate_logits(spec, theta0, phi0, ds.xs) for ds in eval_sets]
+    scorers = [Scorer(spec, theta0, phi0, ds.xs) for ds in eval_sets]
 
     def point(terms: tuple[int, ...], lams: tuple[float, float]):
         """(flat, directions, weights) of phi0 + Σ lams[s] * deltas[s] over s in ``terms``."""
@@ -85,7 +94,7 @@ def _errors(
         return combine(base, list(directions.values()), weights), directions, weights
 
     def predictions(slot: int, candidate) -> np.ndarray:
-        return np.argmax(logits[slot](*candidate), axis=1)
+        return np.argmax(scorers[slot].candidate(*candidate), axis=1)
 
     singles: dict[tuple[int, float], np.ndarray] = {}
     out = []
@@ -117,11 +126,6 @@ def disentanglement_error(
     the combined model phi0 + l1*nu1 + l2*nu2 on task i's data; the
     expectation is the full empirical mean over the provided split.
     """
-    d1, d2 = eval_sets
-    if len(d1) == 0 or len(d2) == 0:
-        raise ContractError("disentanglement eval sets must be non-empty")
-    phi0.require_congruent(nu1.delta, "anchor tree and first task vector")
-    phi0.require_congruent(nu2.delta, "anchor tree and second task vector")
     return _errors(spec, theta0, phi0, nu1, nu2, eval_sets, [(lambda1, lambda2)])[0]
 
 
@@ -153,11 +157,6 @@ def disentanglement_grid(
         lo, hi = float(lambda_range[0]), float(lambda_range[1])
     if not lo < hi:
         raise ContractError(f"empty lambda range [{lo}, {hi}]")
-    d1, d2 = eval_sets
-    if len(d1) == 0 or len(d2) == 0:
-        raise ContractError("disentanglement eval sets must be non-empty")
-    phi0.require_congruent(nu1.delta, "anchor tree and first task vector")
-    phi0.require_congruent(nu2.delta, "anchor tree and second task vector")
     axis1 = np.linspace(lo, hi, resolution)
     axis2 = np.linspace(lo, hi, resolution)
     cells = [(l1, l2) for l1 in axis1 for l2 in axis2]
@@ -195,14 +194,14 @@ def loss_landscape_grid(
     v1 = theta1.flatten() - base
     v2 = theta2.flatten() - base
     directions = {"theta1": v1, "theta2": v2}
-    logits = [candidate_logits(spec.with_mode("full_ft"), theta0, theta0, d.xs) for d in eval_sets]
+    scorers = [Scorer(spec.with_mode("full_ft"), theta0, theta0, d.xs) for d in eval_sets]
     loss = np.zeros((axis1.size, axis2.size))
     for i, l1 in enumerate(axis1):
         for j, l2 in enumerate(axis2):
             flat = combine(base, [v1, v2], [l1, l2])
             total = 0.0
-            for data, lg in zip((d1, d2), logits):
-                total += cross_entropy_loss(lg(flat, directions, [l1, l2]), data.ys)
+            for data, scorer in zip((d1, d2), scorers):
+                total += cross_entropy_loss(scorer.candidate(flat, directions, [l1, l2]), data.ys)
             loss[i, j] = total
     meta = dict(metadata or {})
     return LandscapeGrid(lambda1_axis=axis1, lambda2_axis=axis2, loss=loss, metadata=meta)
@@ -246,30 +245,19 @@ def ntk_one_step_check(
         raise ResourceLimitError(
             f"batch of {batch} exceeds the explicit-Jacobian cap {max_jacobian_samples}"
         )
-    anchor_flat = lin.phi0.flatten()
-    num_params = anchor_flat.size
-    num_classes = spec.num_classes
-
-    # Per-sample output Jacobians at the anchor, one VJP per class.
-    jac = np.zeros((batch, num_classes, num_params))
-    for i in range(batch):
-        net = Network(spec, theta0, xs[i : i + 1], lin.phi0)
-        acts = net.activations(anchor_flat)
-        for c in range(num_classes):
-            ct = np.zeros((1, num_classes))
-            ct[0, c] = 1.0
-            jac[i, c] = net.vjp(anchor_flat, ct, acts)
+    scorer = Scorer(spec, theta0, lin.phi0, xs)
+    jac = scorer.jacobian()
 
     flat = lin.phi.flatten()
-    outputs_before, _ = paradigm_logits(spec, theta0, lin.phi0, anchor_flat, flat, xs)
+    outputs_before, _ = scorer.at(flat)
     g = ce_logit_gradient(outputs_before, ys)
 
     kernel = np.einsum("icp,jdp->ijcd", jac, jac)
     predicted = -eta * np.einsum("ijcd,jd->ic", kernel, g)
 
-    _, grad_flat = batch_loss_and_grad(spec, theta0, anchor_flat, lin.phi0, flat, xs, ys)
+    _, grad_flat = batch_loss_and_grad(scorer, flat, ys)
     stepped = flat - eta * grad_flat
-    outputs_after, _ = paradigm_logits(spec, theta0, lin.phi0, anchor_flat, stepped, xs)
+    outputs_after, _ = scorer.at(stepped)
     observed = outputs_after - outputs_before
 
     obs_norm = float(np.linalg.norm(observed))

@@ -52,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--subset", help="comma-separated task ids to merge")
     group.add_argument("--all-subsets", action="store_true",
                        help="merge every subset of size >= 2")
-    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; merges run serially")
 
     p = sub.add_parser("analyze", help="emit geometry and dynamics CSV artifacts")
     _add_common(p)
@@ -97,7 +96,7 @@ def run(argv=None) -> int:
         if args.subset:
             subsets = [tuple(sorted(args.subset.split(",")))]
         written = pipeline.stage_fuse(resolved, args.out, args.algorithm,
-                                      modes=_modes(args), subsets=subsets, jobs=args.jobs)
+                                      modes=_modes(args), subsets=subsets)
         print(f"wrote {len(written)} fusion artifacts to {args.out}")
     elif args.command == "analyze":
         if args.kind == "similarity":

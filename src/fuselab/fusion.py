@@ -3,8 +3,8 @@
 Every algorithm builds ``initial + Σ wᵢ·dᵢ`` on the flat trainable vector,
 and ``_candidates`` is the one place that spells out each algorithm's
 directions and weights: the public merges, the sweep and the replay all
-take their parameters from it, and ``models.candidate_logits`` scores them
-in every paradigm. All order-sensitive reductions canonicalize their inputs
+take their parameters from it, and ``models.Scorer``'s merge route scores
+them in every paradigm. All order-sensitive reductions canonicalize their inputs
 by task id before summing, so permuting the caller's checkpoint or vector
 order can never change a merged result. That holds
 for lorahub too: its Nelder-Mead search draws no random numbers, and its
@@ -20,7 +20,7 @@ import numpy as np
 
 from .checkpoints import Checkpoint
 from .errors import ContractError
-from .models import ModelSpec, candidate_logits, predict_logits
+from .models import ModelSpec, Scorer, predict_logits
 from .params import ParamTree, combine
 from .task_vectors import TaskVector, compute_task_vector
 from .tasks import Dataset
@@ -290,19 +290,19 @@ def _lorahub_objective(spec, theta0, initial: ParamTree, deltas: list[np.ndarray
                        fewshot: Dataset, alpha: float):
     """``w -> few-shot cross-entropy + alpha * sum|w_i|`` at ``initial + Σ wᵢ·dᵢ``.
 
-    Logits come from ``candidate_logits`` on the few-shot inputs; a
+    Logits come from a ``Scorer`` on the few-shot inputs; a
     weighting whose merged vector, logits or objective is not finite
     scores ``inf``.
     """
     initial_flat = initial.flatten()
-    logits = candidate_logits(spec, theta0, initial, fewshot.xs)
+    scorer = Scorer(spec, theta0, initial, fewshot.xs)
 
     def objective(w) -> float:
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             _, _, flat, directions, weights = next(
                 _candidates("lorahub", initial_flat, deltas, None, [{"weights": w}]))
             try:
-                loss = cross_entropy_loss(logits(flat, directions, weights), fewshot.ys)
+                loss = cross_entropy_loss(scorer.candidate(flat, directions, weights), fewshot.ys)
             except ContractError:
                 return np.inf
             obj = loss + float(alpha) * float(np.sum(np.abs(w)))
@@ -344,7 +344,7 @@ def sweep_and_select(
     decides; exact ties go to the smaller scaling factor, then the smaller
     trim fraction. The winner keeps the per-task scores of its scoring
     pass, and only the winner becomes a ``MergedModel``. Candidates are
-    scored through ``candidate_logits``, built once per validation set, so a
+    scored through a ``Scorer`` built once per validation set, so a
     linearized mode takes one JVP per (validation set, direction); non-finite
     parameters or logits raise ``ContractError``.
     """
@@ -377,11 +377,11 @@ def sweep_and_select(
                     "objective": model.provenance["objective"]}
 
     ids = [c.task_id for c in ordered]
-    logits = {t: candidate_logits(spec, theta0, initial, validation[t].xs) for t in ids}
+    scorers = {t: Scorer(spec, theta0, initial, validation[t].xs) for t in ids}
     best = None
     candidates = _candidates(config.algorithm, initial.flatten(), deltas, trained, grid)
     for count, (key, hp, flat, directions, weights) in enumerate(candidates, start=1):
-        scores = {t: accuracy(logits[t](flat, directions, weights), validation[t].ys) for t in ids}
+        scores = {t: accuracy(scorers[t].candidate(flat, directions, weights), validation[t].ys) for t in ids}
         mean = float(np.mean(list(scores.values())))
         if best is None or mean > best[0] or (mean == best[0] and key < best[1]):
             best = (mean, key, hp, flat, scores)

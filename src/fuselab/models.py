@@ -7,6 +7,11 @@ replace the network with its first-order Taylor expansion around the
 trainable parameters' initial values (a tangent model): for the partially
 linearized adapter mode the expansion is over adapter parameters only and
 the frozen backbone stays exactly nonlinear.
+
+``Network`` is the one hand-written kernel of the network: forward, JVP and
+VJP. ``Scorer`` is the one route from parameters to a paradigm's logits and
+their gradient, and the only code that builds a ``Network`` or chooses
+between the tangent model and the network.
 """
 
 from __future__ import annotations
@@ -296,57 +301,100 @@ class Network:
         return grad + 0.0
 
 
-def paradigm_logits(spec: ModelSpec, theta0: ParamTree, template: ParamTree,
-                    anchor_flat: np.ndarray, flat: np.ndarray, x):
-    """A paradigm's logits at one flat trainable vector, for training.
+class Scorer:
+    """A paradigm's logits on fixed inputs ``x`` as a function of flat trainable vectors.
 
-    Returns ``(logits, pullback)``. Linearized paradigms evaluate the
-    tangent model ``f(anchor) + J(anchor)(flat - anchor)`` at the anchor
-    tree ``template`` (whose flat vector is ``anchor_flat``) along the one
-    direction ``flat - anchor_flat``; the others evaluate ``f(flat)``.
-    ``pullback(dloss/dlogits)`` is the gradient of any loss of the logits:
-    the VJP at the expansion point (``anchor_flat`` or ``flat``), which
-    reuses this call's forward activations.
+    The one definition of "logits for this paradigm at these parameters":
+    linearized paradigms evaluate the tangent model
+    ``f(anchor) + J(anchor)·(flat − anchor)``, the others the network
+    ``f(flat)``. It checks ``theta0`` and ``anchor`` against the spec and
+    builds the ``Network`` once, for the anchor's layout. Two routes:
+
+    - ``at(flat)``, for training and evaluation, returns
+      ``(logits, pullback)``; ``pullback(dloss/dlogits)`` is the gradient of
+      any loss of the logits: the VJP at the expansion point (the anchor or
+      ``flat``), reusing this call's forward activations. It caches nothing
+      and checks nothing for finiteness.
+    - ``candidate(flat, directions, weights)``, for merge scoring, returns
+      the logits at ``flat = anchor + Σ wᵢ·dᵢ``, ``directions`` mapping a
+      name to its vector. Nonlinear paradigms run the network at ``flat``;
+      linearized ones form ``combine(f(anchor), [J·dᵢ], [wᵢ])`` from JVPs
+      taken once per name, on first use, so a name must always mean the
+      same vector. A non-finite ``flat`` or non-finite logits raise
+      ``ContractError``.
+
+    ``jacobian()`` gives the explicit per-row output Jacobian at the anchor.
     """
-    net = Network(spec, theta0, x, template)
-    point = anchor_flat if spec.mode.is_linearized else flat
-    acts = net.activations(point)
-    if spec.mode.is_linearized:
-        f0, jds = _tangent(net, anchor_flat, [flat - anchor_flat], acts)
-        logits = combine(f0, jds, [1.0])
-    else:
+
+    def __init__(self, spec: ModelSpec, theta0: ParamTree, anchor: ParamTree, x):
+        require_trees(spec, theta0, anchor)
+        self.spec, self.theta0, self.template = spec, theta0, anchor
+        self.net = Network(spec, theta0, x, anchor)
+        self.anchor = anchor.flatten()
+        self.linearized = spec.mode.is_linearized
+        self._f0 = None
+        self._jds: dict = {}
+
+    def _jvp(self, d: np.ndarray, acts) -> np.ndarray:
+        """``J(anchor)·d``; the one place the network's JVP is taken."""
+        return self.net.jvp(self.anchor, d, acts)[1]
+
+    def at(self, flat: np.ndarray):
+        point = self.anchor if self.linearized else flat
+        acts = self.net.activations(point)
         logits = acts[0]
-    return logits, lambda ct: net.vjp(point, ct, acts)
+        if self.linearized:
+            logits = combine(logits, [self._jvp(flat - self.anchor, acts)], [1.0])
+        return logits, lambda ct: self.net.vjp(point, ct, acts)
+
+    def candidate(self, flat: np.ndarray, directions: dict, weights) -> np.ndarray:
+        if not np.isfinite(flat).all():
+            raise ContractError("candidate parameters must be finite")
+        if self.linearized:
+            missing = [name for name in directions if name not in self._jds]
+            if self._f0 is None or missing:
+                acts = self.net.activations(self.anchor)
+                self._f0 = acts[0]
+                self._jds.update((name, self._jvp(directions[name], acts)) for name in missing)
+            out = combine(self._f0, [self._jds[name] for name in directions], weights)
+        else:
+            out = self.net.forward(flat)
+        if not np.isfinite(out).all():
+            raise ContractError("candidate logits must be finite")
+        return out
+
+    def jacobian(self) -> np.ndarray:
+        """``J(anchor)`` per input row, shape ``(rows, num_classes, P)``.
+
+        Entry ``[i, c]`` is the VJP at the anchor of the one-hot cotangent
+        of class ``c``, through the network on row ``i`` alone.
+        """
+        x, classes = self.net.x, self.spec.num_classes
+        jac = np.zeros((x.shape[0], classes, self.anchor.size))
+        for i in range(x.shape[0]):
+            net = Network(self.spec, self.theta0, x[i : i + 1], self.template)
+            acts = net.activations(self.anchor)
+            for c in range(classes):
+                ct = np.zeros((1, classes))
+                ct[0, c] = 1.0
+                jac[i, c] = net.vjp(self.anchor, ct, acts)
+        return jac
 
 
-def _tangent(net: Network, anchor_flat: np.ndarray, directions, acts=None):
-    """``(f(anchor), [J(anchor)·d, ...])`` of a built ``Network``.
-
-    The one place the network's JVP is taken. The forward pass at the
-    anchor runs once for all directions (``acts``, when the caller already
-    has it).
-    """
-    acts = acts or net.activations(anchor_flat)
-    return acts[0], [net.jvp(anchor_flat, d, acts)[1] for d in directions]
-
-
-def tangent_features(spec: ModelSpec, theta0: ParamTree, anchor: ParamTree, directions, x):
-    """Anchor logits and one JVP per direction: ``(f(anchor), [J(anchor)·d, ...])`` on ``x``.
-
-    A tangent model is affine in its trainable parameters, so on fixed
-    inputs its logits at ``anchor + Σ wᵢ·dᵢ`` are
-    ``combine(f(anchor), [J·dᵢ], [wᵢ])``: a caller that reuses fixed
-    directions under many weights pays one JVP per direction and an axpy
-    per weighting. With no directions this is one plain forward pass.
-    """
-    return _tangent(Network(spec, theta0, x, anchor), anchor.flatten(), directions)
+def predict_logits(spec: ModelSpec, theta0: ParamTree, anchor: ParamTree, trainable: ParamTree, x) -> Tensor:
+    """The paradigm's logits at ``trainable`` expanded about ``anchor`` (``Scorer.at``)."""
+    require_trees(spec, theta0, trainable)
+    x = x.array if isinstance(x, Tensor) else x
+    return Tensor(Scorer(spec, theta0, anchor, x).at(trainable.flatten())[0])
 
 
 def forward(spec: ModelSpec, theta0: ParamTree, trainable: ParamTree, x) -> Tensor:
-    """Nonlinear forward pass under the spec's paradigm."""
-    require_trees(spec, theta0, trainable)
-    x = x.array if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    return Tensor(Network(spec, theta0, x, trainable).forward(trainable.flatten()))
+    """The network's logits at ``trainable`` under the spec's paradigm.
+
+    Expanded about itself, a tangent model is the network, so this is
+    ``predict_logits`` with ``trainable`` as its own anchor.
+    """
+    return predict_logits(spec, theta0, trainable, trainable, x)
 
 
 def forward_linearized(spec: ModelSpec, theta0: ParamTree, lin: LinearizedState, x) -> Tensor:
@@ -357,48 +405,4 @@ def forward_linearized(spec: ModelSpec, theta0: ParamTree, lin: LinearizedState,
     """
     if not spec.mode.is_linearized:
         raise ContractError(f"mode {spec.mode.value} is not a linearized paradigm")
-    require_trees(spec, theta0, lin.phi0)  # LinearizedState holds phi congruent with phi0
-    x = x.array if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    logits, _ = paradigm_logits(spec, theta0, lin.phi0, lin.phi0.flatten(), lin.phi.flatten(), x)
-    return Tensor(logits)
-
-
-def predict_logits(spec: ModelSpec, theta0: ParamTree, anchor: ParamTree, trainable: ParamTree, x) -> Tensor:
-    """Mode-appropriate logits: tangent model for linearized paradigms."""
-    if spec.mode.is_linearized:
-        return forward_linearized(spec, theta0, LinearizedState(anchor, trainable), x)
-    return forward(spec, theta0, trainable, x)
-
-
-def candidate_logits(spec: ModelSpec, theta0: ParamTree, anchor: ParamTree, x):
-    """The one route from a merge candidate to its logits on fixed inputs ``x``.
-
-    Returns ``logits(flat, directions, weights)``: the paradigm's logits at
-    ``flat = anchor + Σ wᵢ·dᵢ``, ``directions`` mapping a name to its vector.
-    Nonlinear paradigms run the network, built once, at ``flat``; linearized
-    ones form ``combine(f(anchor), [J·dᵢ], [wᵢ])`` from JVPs taken once per
-    name, on first use, so a name must always mean the same vector. A
-    non-finite ``flat`` or non-finite logits raise ``ContractError``.
-    """
-    require_trees(spec, theta0, anchor)
-    net = Network(spec, theta0, x, anchor)
-    anchor_flat = anchor.flatten()
-    f0, jds = None, {}
-
-    def logits(flat: np.ndarray, directions: dict, weights) -> np.ndarray:
-        nonlocal f0
-        if not np.isfinite(flat).all():
-            raise ContractError("candidate parameters must be finite")
-        if spec.mode.is_linearized:
-            missing = [name for name in directions if name not in jds]
-            if f0 is None or missing:
-                f0, new = _tangent(net, anchor_flat, [directions[n] for n in missing])
-                jds.update(zip(missing, new))
-            out = combine(f0, [jds[name] for name in directions], weights)
-        else:
-            out = net.forward(flat)
-        if not np.isfinite(out).all():
-            raise ContractError("candidate logits must be finite")
-        return out
-
-    return logits
+    return predict_logits(spec, theta0, lin.phi0, lin.phi, x)

@@ -103,6 +103,15 @@ class ParamTree(Mapping[str, Tensor]):
         """True when both trees hold bit-identical values."""
         return self.congruent_with(other) and np.array_equal(self._flat, other._flat)
 
+    def __eq__(self, other) -> bool:
+        """Equal layouts and equal values; ``Mapping``'s per-path comparison
+        would compare the fresh ``Tensor`` views by identity."""
+        if not isinstance(other, ParamTree):
+            return NotImplemented
+        return self.equal_bits(other)
+
+    __hash__ = None  # value equality without a value hash: trees are not dict keys or set members
+
     def digest(self) -> str:
         """Content digest over paths, shapes, and little-endian float64 bytes."""
         h = hashlib.sha256()

@@ -217,14 +217,11 @@ def stage_fuse(
     algorithm: str,
     modes: list[ModeTag] | None = None,
     subsets: list[tuple[str, ...]] | None = None,
-    jobs: int = 1,
 ) -> list[Path]:
     """Merge checkpoint subsets and write merged models plus provenance.
 
     Subsets merge one after another in enumeration order, and a mode's
-    files are written only after all of its merges succeed. ``jobs`` is
-    accepted for compatibility and ignored: at these sizes a thread pool
-    ran slower than the serial loop.
+    files are written only after all of its merges succeed.
     """
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown fusion algorithm {algorithm!r}")
@@ -436,12 +433,12 @@ def stage_report(resolved: dict, out: str | Path) -> tuple:
     return report, [csv_path, txt_path]
 
 
-def run_full_pipeline(resolved: dict, out: str | Path, algorithms=None, jobs: int = 1):
+def run_full_pipeline(resolved: dict, out: str | Path, algorithms=None):
     """gen-tasks, finetune all modes, fuse all subsets, analyze, report."""
     stage_gen_tasks(resolved, out)
     stage_finetune(resolved, out)
     for algorithm in algorithms or ALGORITHMS:
-        stage_fuse(resolved, out, algorithm, jobs=jobs)
+        stage_fuse(resolved, out, algorithm)
     stage_analyze_similarity(resolved, out)
     stage_analyze_disentangle(resolved, out)
     stage_analyze_landscape(resolved, out)

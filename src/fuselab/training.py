@@ -1,11 +1,11 @@
 """Task-specific fine-tuning under any of the four paradigms.
 
-Linearized paradigms train the tangent model: logits come from one JVP of
-the network anchored at the initial trainable parameters, and the
-parameter gradient is the anchored network's VJP with the cross-entropy
-logit gradient. Nonlinear paradigms run the same VJP at the
-current parameters. Either way one optimizer step costs a forward and a
-backward pass.
+Logits and gradients come from ``models.Scorer`` anchored at the initial
+trainable parameters. Linearized paradigms train the tangent model: logits
+come from one JVP at the anchor, and the parameter gradient is the VJP at
+the anchor with the cross-entropy logit gradient. Nonlinear paradigms run
+the same VJP at the current parameters. Either way one optimizer step costs
+a forward and a backward pass.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .autodiff import Tensor
 from .checkpoints import Checkpoint, backbone_for
 from .errors import ContractError, TrainingDivergedError
 from .files import write_atomic
-from .models import ModelSpec, paradigm_logits, require_trees
+from .models import ModelSpec, Scorer, require_trees
 from .params import ParamTree
 from .tasks import Dataset, Task
 
@@ -84,22 +84,14 @@ def ce_logit_gradient(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return g / labels.shape[0]
 
 
-def batch_loss_and_grad(
-    spec: ModelSpec,
-    theta0: ParamTree,
-    anchor_flat: np.ndarray,
-    template: ParamTree,
-    flat: np.ndarray,
-    xs: np.ndarray,
-    ys: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Cross-entropy and its gradient w.r.t. the flat trainable vector.
+def batch_loss_and_grad(scorer: Scorer, flat: np.ndarray, ys: np.ndarray) -> tuple[float, np.ndarray]:
+    """Cross-entropy on the scorer's inputs and its gradient w.r.t. the flat trainable vector.
 
     For linearized paradigms the gradient is taken through the tangent
-    model anchored at ``anchor_flat``; otherwise through the network at
+    model at the scorer's anchor; otherwise through the network at
     ``flat`` directly.
     """
-    logits, pullback = paradigm_logits(spec, theta0, template, anchor_flat, flat, xs)
+    logits, pullback = scorer.at(flat)
     loss = cross_entropy_loss(logits, ys)
     return loss, pullback(ce_logit_gradient(logits, ys))
 
@@ -179,28 +171,25 @@ def finetune(
             "theta0 does not match init_seed; the checkpoint would not round-trip"
         )
 
-    anchor_flat = init_trainable.flatten()
-    flat = anchor_flat.copy()
+    flat = init_trainable.flatten().copy()
     batcher = _Batcher(len(task.train), config.batch_size, config.shuffle_seed)
     opt = _make_optimizer(config)
     history: list[tuple[int, float, float]] = []
+    val = Scorer(spec, theta0, init_trainable, task.val.xs)
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for step in range(config.steps):
             idx = batcher.next()
-            xb, yb = task.train.xs[idx], task.train.ys[idx]
-            loss, g = batch_loss_and_grad(
-                spec, theta0, anchor_flat, init_trainable, flat, xb, yb
-            )
+            batch = Scorer(spec, theta0, init_trainable, task.train.xs[idx])
+            loss, g = batch_loss_and_grad(batch, flat, task.train.ys[idx])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(step)
             flat = opt.step(flat, g)
             if not np.isfinite(flat).all():
                 raise TrainingDivergedError(step, f"parameters became non-finite at step {step}")
-            val_acc = _accuracy_from_flat(spec, theta0, anchor_flat, init_trainable, flat, task.val)
-            history.append((step, loss, val_acc))
+            history.append((step, loss, _accuracy_from_flat(val, flat, task.val.ys)))
         final_train_loss, _ = batch_loss_and_grad(
-            spec, theta0, anchor_flat, init_trainable, flat, task.train.xs, task.train.ys
+            Scorer(spec, theta0, init_trainable, task.train.xs), flat, task.train.ys
         )
         if not np.isfinite(final_train_loss):
             raise TrainingDivergedError(config.steps)
@@ -226,10 +215,9 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
-def _accuracy_from_flat(spec, theta0, anchor_flat, template, flat, dataset: Dataset) -> float:
+def _accuracy_from_flat(scorer: Scorer, flat: np.ndarray, labels: np.ndarray) -> float:
     """``finetune``'s per-step validation pass; perfbench's tracer times it by name."""
-    logits, _= paradigm_logits(spec, theta0, template, anchor_flat, flat, dataset.xs)
-    return accuracy(logits, dataset.ys)
+    return accuracy(scorer.at(flat)[0], labels)
 
 
 def evaluate(
@@ -239,18 +227,19 @@ def evaluate(
     dataset: Dataset,
     anchor: ParamTree | None = None,
 ) -> float:
-    """``accuracy`` of the paradigm's logits (``paradigm_logits``) on ``dataset``.
+    """``accuracy`` of the paradigm's logits (``Scorer.at``) on ``dataset``.
 
     Linearized paradigms need the tangent anchor (the trainable tree the
-    model was linearized around). Non-finite logits raise ``ContractError``.
+    model was linearized around); the others use it only for its layout.
+    Non-finite logits raise ``ContractError``.
     """
     if len(dataset) == 0:
         raise ContractError("cannot evaluate on an empty dataset")
     if spec.mode.is_linearized and anchor is None:
         raise ContractError("linearized evaluation requires the tangent anchor")
-    anchor = anchor if spec.mode.is_linearized else trainable
-    require_trees(spec, theta0, anchor, trainable)
-    logits, _ = paradigm_logits(spec, theta0, anchor, anchor.flatten(), trainable.flatten(), dataset.xs)
+    require_trees(spec, theta0, trainable)
+    scorer = Scorer(spec, theta0, trainable if anchor is None else anchor, dataset.xs)
+    logits, _ = scorer.at(trainable.flatten())
     if not np.isfinite(logits).all():
         raise ContractError("logits must be finite")
     return accuracy(logits, dataset.ys)

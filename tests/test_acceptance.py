@@ -385,7 +385,7 @@ def test_11_end_to_end_determinism(tmp_path):
     trees = []
     for name in ("one", "two"):
         out = tmp_path / name
-        run_full_pipeline(resolved, out, jobs=1)
+        run_full_pipeline(resolved, out)
         tree = {}
         for f in sorted(out.rglob("*")):
             if f.is_file():

@@ -13,12 +13,12 @@ from fuselab.models import (
     LinearizedState,
     ModeTag,
     ModelSpec,
+    Network,
+    Scorer,
     build_model,
-    candidate_logits,
     forward,
     forward_linearized,
     predict_logits,
-    tangent_features,
 )
 from fuselab.params import ParamTree, combine
 
@@ -206,10 +206,10 @@ def test_tangent_logits_are_affine_in_the_parameters(case, a, b):
 @pytest.mark.parametrize("mode", [ModeTag.FULL_LINEAR, ModeTag.LLORA])
 @pytest.mark.parametrize("case", ["random", "ties_trim", "lorahub"])
 def test_tangent_features_match_forward_linearized(mode, case):
-    # combine(f(anchor), [J·dᵢ], [wᵢ]) against the tangent model evaluated
-    # at the merged tree anchor + Σ wᵢ·dᵢ. Equal in real arithmetic; the
-    # float64 difference comes only from the order of rounding, so the
-    # tolerance is 1e-12 of the largest term.
+    # The scorer's merge route, combine(f(anchor), [J·dᵢ], [wᵢ]), against
+    # the tangent model evaluated at the merged tree anchor + Σ wᵢ·dᵢ. Equal
+    # in real arithmetic; the float64 difference comes only from the order
+    # of rounding, so the tolerance is 1e-12 of the largest term.
     spec = ModelSpec(input_dim=16, hidden_dims=(32, 32), num_classes=3, lora_rank=2, mode=mode)
     theta0, anchor = build_model(spec, seed=11)
     rng = np.random.default_rng(12)
@@ -223,22 +223,27 @@ def test_tangent_features_match_forward_linearized(mode, case):
     else:
         directions, weights = deltas, list(rng.uniform(-1.5, 1.5, size=4))
 
-    f0, jds = tangent_features(spec, theta0, anchor, directions, x)
-    fast = combine(f0, jds, weights)
-    merged = anchor.with_flat(combine(base, directions, weights))
-    oracle = forward_linearized(spec, theta0, LinearizedState(anchor, merged), x).array
+    scorer = Scorer(spec, theta0, anchor, x)
+    flat = combine(base, directions, weights)
+    fast = scorer.candidate(flat, dict(enumerate(directions)), weights)
+    oracle = forward_linearized(spec, theta0, LinearizedState(anchor, anchor.with_flat(flat)), x).array
+    f0 = scorer.candidate(base, {}, [])
+    jds = [Network(spec, theta0, x, anchor).jvp(base, d)[1] for d in directions]
     scale = max([np.abs(f0).max(), 1.0] + [abs(w) * np.abs(j).max() for w, j in zip(weights, jds)])
     assert np.max(np.abs(fast - oracle)) <= 1e-12 * scale
     assert np.abs(fast - f0).max() > 1e-6  # the directions move the logits
 
 
-def test_tangent_features_without_directions_is_the_anchor_forward():
+def test_tangent_features_without_directions_is_the_anchor_forward(monkeypatch):
     spec = small_spec(ModeTag.LLORA)
     theta0, anchor = build_model(spec, seed=3)
     x = np.random.default_rng(4).standard_normal((5, 4))
-    f0, jds = tangent_features(spec, theta0, anchor, [], x)
-    assert jds == []
-    assert np.array_equal(f0, forward_linearized(spec, theta0, LinearizedState(anchor, anchor), x).array)
+    want = forward_linearized(spec, theta0, LinearizedState(anchor, anchor), x).array
+    jvps = []
+    monkeypatch.setattr(Network, "jvp", lambda *args: jvps.append(args))
+    f0 = Scorer(spec, theta0, anchor, x).candidate(anchor.flatten(), {}, [])
+    assert jvps == []
+    assert np.array_equal(f0, want)
 
 
 # --- one route from a merge candidate to its logits ---------------------------
@@ -257,10 +262,10 @@ def test_candidate_logits_match_predict_logits(mode):
     x = rng.standard_normal((64, 16))
     base = anchor.flatten()
     directions = dict(zip("ab", 0.1 * rng.standard_normal((2, base.size))))
-    logits = candidate_logits(spec, theta0, anchor, x)
+    scorer = Scorer(spec, theta0, anchor, x)
     for weights in ([0.7, -1.3], [1.5, 0.25]):
         flat = combine(base, list(directions.values()), weights)
-        got = logits(flat, directions, weights)
+        got = scorer.candidate(flat, directions, weights)
         want = predict_logits(spec, theta0, anchor, anchor.with_flat(flat), x).array
         if mode.is_linearized:
             f0 = predict_logits(spec, theta0, anchor, anchor, x).array
@@ -276,11 +281,11 @@ def test_candidate_logits_match_predict_logits(mode):
 def test_candidate_logits_reject_a_non_finite_vector(mode, bad):
     spec = small_spec(mode)
     theta0, anchor = build_model(spec, seed=23)
-    logits = candidate_logits(spec, theta0, anchor, np.ones((2, 4)))
+    scorer = Scorer(spec, theta0, anchor, np.ones((2, 4)))
     flat = anchor.flatten().copy()  # the tree's own vector is read-only
     flat[0] = bad
     with pytest.raises(ContractError):
-        logits(flat, {"d": flat - anchor.flatten()}, [1.0])
+        scorer.candidate(flat, {"d": flat - anchor.flatten()}, [1.0])
 
 
 @pytest.mark.parametrize("mode", list(ModeTag))
@@ -291,6 +296,6 @@ def test_candidate_logits_reject_overflowed_logits(mode):
     spec = small_spec(mode)
     theta0, built = build_model(spec, seed=24)
     anchor = built.with_flat(np.full(built.num_values, 1e308))
-    logits = candidate_logits(spec, theta0, anchor, np.ones((2, 4)))
+    scorer = Scorer(spec, theta0, anchor, np.ones((2, 4)))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ContractError):
-        logits(anchor.flatten(), {}, [])
+        scorer.candidate(anchor.flatten(), {}, [])

@@ -13,6 +13,7 @@ from fuselab.checkpoints import backbone_for
 from fuselab.errors import ContractError
 from fuselab.fusion import ALGORITHMS, FusionConfig, sweep_and_select
 from fuselab.models import ModeTag, ModelSpec, build_model
+from fuselab.params import ParamTree
 from fuselab.task_vectors import compute_task_vector, similarity_matrix
 from fuselab.tasks import make_task_suite
 from fuselab.training import TrainConfig, finetune
@@ -75,6 +76,20 @@ def test_with_flat_copies_its_input_and_checks_it():
     v[3] = np.nan
     with pytest.raises(ContractError):
         tree.with_flat(v)
+
+
+def test_equality_compares_layout_and_values():
+    theta0, tree = build_model(ModelSpec(4, (6,), 3, mode=ModeTag.FULL_FT), seed=1)
+    _, adapters = build_model(ModelSpec(4, (6,), 3, mode=ModeTag.LORA), seed=1)
+    assert tree == tree
+    assert tree == tree.with_flat(tree.flatten())
+    assert tree == theta0  # full fine-tuning trains the backbone tree itself
+    assert tree != tree.scale(2.0)
+    assert tree != adapters
+    assert tree != ParamTree({"w": tree.flatten()})  # same values, other layout
+    assert tree != dict(tree.items())
+    with pytest.raises(TypeError):
+        hash(tree)
 
 
 @pytest.mark.parametrize("mode", list(ModeTag))

@@ -29,6 +29,15 @@ def innermost_function(tree: ast.Module, node: ast.AST) -> str | None:
     return max(enclosing, key=lambda f: f.lineno).name if enclosing else None
 
 
+def enclosing_classes(tree: ast.Module, node: ast.AST) -> set[str]:
+    return {c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+            and c.lineno <= node.lineno <= c.end_lineno}
+
+
+def parents(tree: ast.AST) -> dict:
+    return {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+
 def test_the_network_jvp_is_taken_in_one_helper():
     callers = set()
     for path in sorted(SOURCE.glob("*.py")):
@@ -41,7 +50,39 @@ def test_the_network_jvp_is_taken_in_one_helper():
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 if name == "jvp":
                     callers.add((path.name, innermost_function(tree, node)))
-    assert callers == {("models.py", "_tangent")}
+    assert callers == {("models.py", "_jvp")}
+
+
+def test_only_the_scorer_builds_a_network():
+    builders = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = parse(path.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Network":
+                builders.add((path.name, *sorted(enclosing_classes(tree, node))))
+    assert builders == {("models.py", "Scorer")}
+
+
+def test_only_the_scorer_chooses_a_logits_formula_by_paradigm():
+    # Elsewhere is_linearized may only guard a contract check: an `if` whose
+    # body raises and that has no else branch.
+    offenders = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = parse(path.name)
+        up = parents(tree)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and node.attr == "is_linearized"):
+                continue
+            if "Scorer" in enclosing_classes(tree, node):
+                continue
+            guard = up[node]
+            while not isinstance(guard, ast.stmt):
+                guard = up[guard]
+            rejects = (isinstance(guard, ast.If) and not guard.orelse
+                       and all(isinstance(s, ast.Raise) for s in guard.body))
+            if not rejects:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_fusion_never_branches_on_the_paradigm():
@@ -50,7 +91,7 @@ def test_fusion_never_branches_on_the_paradigm():
 
 def test_scoring_loops_build_no_parameter_trees():
     # A loop body, or a closure such a loop calls, that rebuilds a ParamTree
-    # per candidate instead of handing a flat vector to candidate_logits.
+    # per candidate instead of handing a flat vector to Scorer.candidate.
     offenders = []
     for name, wanted in SCORING_FUNCTIONS.items():
         tops = {f.name: f for f in parse(name).body if isinstance(f, ast.FunctionDef)}

@@ -9,7 +9,7 @@ import pytest
 from fuselab.autodiff import Tensor
 from fuselab.checkpoints import Checkpoint, load_checkpoint, save_checkpoint
 from fuselab.errors import ContractError, TrainingDivergedError, ConfigError
-from fuselab.models import ModeTag, ModelSpec, Network, build_model
+from fuselab.models import ModeTag, ModelSpec, Network, Scorer, build_model
 from fuselab.params import ParamTree
 from fuselab.tasks import Dataset, make_task_suite
 from fuselab.training import (
@@ -113,9 +113,10 @@ class TestFinetune:
         task = suite.tasks[0]
         xb, yb = task.train.xs[:32], task.train.ys[:32]
         flat = phi0.flatten()
-        loss0, g = batch_loss_and_grad(spec, theta0, flat, phi0, flat, xb, yb)
+        scorer = Scorer(spec, theta0, phi0, xb)
+        loss0, g = batch_loss_and_grad(scorer, flat, yb)
         stepped = flat - 1e-4 * g
-        loss1, _ = batch_loss_and_grad(spec, theta0, flat, phi0, stepped, xb, yb)
+        loss1, _ = batch_loss_and_grad(scorer, stepped, yb)
         assert loss1 < loss0
 
     def test_linear_model_full_vs_linearized_trajectories(self, suite):
@@ -242,7 +243,24 @@ def test_a_training_step_runs_one_forward_pass_and_keeps_the_gradient_bits(mode,
     activations = Network.activations
     monkeypatch.setattr(Network, "activations",
                         lambda self, at: passes.append(at) or activations(self, at))
-    loss, grad = batch_loss_and_grad(spec, theta0, anchor, init, flat, xs, ys)
+    loss, grad = batch_loss_and_grad(Scorer(spec, theta0, init, xs), flat, ys)
     assert len(passes) == 1 and passes[0] is point
     assert loss == cross_entropy_loss(logits, ys)
     assert grad.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode", list(ModeTag), ids=lambda m: m.value)
+def test_finetune_builds_the_validation_scorer_once(suite, mode, monkeypatch):
+    # One Network per training batch, one for the validation set (used by
+    # every step) and one for the final train loss.
+    built = []
+    init = Network.__init__
+    monkeypatch.setattr(Network, "__init__",
+                        lambda self, spec, theta0, x, template: built.append(len(x))
+                        or init(self, spec, theta0, x, template))
+    spec = default_spec(mode)
+    theta0, phi0 = build_model(spec, seed=9)
+    task = suite.tasks[0]
+    cfg = TrainConfig(steps=7, shuffle_seed=2)
+    finetune(spec, theta0, phi0, task, cfg, init_seed=9)
+    assert built == [len(task.val)] + [cfg.batch_size] * cfg.steps + [len(task.train)]
