@@ -22,7 +22,13 @@ from .models import LinearizedState, ModelSpec, Scorer
 from .params import ParamTree, combine
 from .task_vectors import TaskVector
 from .tasks import Dataset
-from .training import batch_loss_and_grad, ce_logit_gradient, cross_entropy_loss
+from .training import batch_loss_and_grad, ce_logit_gradient, check_labels, cross_entropy_loss
+
+
+# Grid cells scored per ``Scorer.candidates`` call. A block's parameter and
+# logit stacks stay under a megabyte on 256-row sets (P = 1699), so a grid
+# adds little to a run's peak memory.
+GRID_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -70,11 +76,11 @@ def _errors(
     The pair is put in canonical (task id, digest) order once; that order
     fixes the float summation order of the combined parameters, and for
     linearized modes of the combined logits, so the error is exactly
-    symmetric under swapping the task pair. Logits come from a ``Scorer``
-    per eval set, so linearized modes take two JVPs per eval set. A cell's
-    combined vector is built once and scored on both eval sets;
-    single-vector predictions depend on one slot's factor only and are
-    computed once per (slot, factor).
+    symmetric under swapping the task pair. One ``Scorer`` per eval set
+    scores its slot's distinct single-vector models in one
+    ``Scorer.candidates`` call and the cells' combined models in blocks of
+    ``GRID_BLOCK``, so linearized modes take two JVPs per eval set. A
+    block's combined vectors are built once and scored on both eval sets.
     """
     d1, d2 = eval_sets
     if len(d1) == 0 or len(d2) == 0:
@@ -85,29 +91,32 @@ def _errors(
     deltas = (nu1.delta.flatten(), nu2.delta.flatten())
     swapped = (nu2.task_id, nu2.delta.digest()) < (nu1.task_id, nu1.delta.digest())
     order = (1, 0) if swapped else (0, 1)
-    scorers = [Scorer(spec, theta0, phi0, ds.xs) for ds in eval_sets]
+    lams = [(float(cell[0]), float(cell[1])) for cell in cells]
 
-    def point(terms: tuple[int, ...], lams: tuple[float, float]):
-        """(flat, directions, weights) of phi0 + Σ lams[s] * deltas[s] over s in ``terms``."""
+    def stack(terms: tuple[int, ...], weights: list[list[float]]):
+        """(flats, directions, weights) of phi0 + Σ wₛ * deltas[s] over s in ``terms``, per weighting."""
         directions = {s: deltas[s] for s in terms}
-        weights = [lams[s] for s in terms]
-        return combine(base, list(directions.values()), weights), directions, weights
+        flats = np.stack([combine(base, list(directions.values()), w) for w in weights])
+        return flats, [directions] * len(weights), weights
 
-    def predictions(slot: int, candidate) -> np.ndarray:
-        return np.argmax(scorers[slot].candidate(*candidate), axis=1)
-
-    singles: dict[tuple[int, float], np.ndarray] = {}
-    out = []
-    for cell in cells:
-        lams = (float(cell[0]), float(cell[1]))
-        combined = point(order, lams)
-        total = 0.0
+    scorers, singles, which = {}, {}, {}
+    for s in order:
+        scorers[s] = Scorer(spec, theta0, phi0, eval_sets[s].xs)
+        factors: dict[float, int] = {}  # each distinct factor of slot s, in first-seen order
+        which[s] = np.array([factors.setdefault(lam[s], len(factors)) for lam in lams])
+        singles[s] = np.argmax(scorers[s].candidates(*stack((s,), [[f] for f in factors])), axis=2)
+    total = np.zeros(len(lams))
+    for block in _blocks(len(lams)):
+        combined = stack(order, [[lam[s] for s in order] for lam in lams[block]])
         for s in order:
-            if (s, lams[s]) not in singles:
-                singles[s, lams[s]] = predictions(s, point((s,), lams))
-            total += float(np.mean(singles[s, lams[s]] != predictions(s, combined)))
-        out.append(total)
-    return out
+            together = np.argmax(scorers[s].candidates(*combined), axis=2)
+            total[block] = total[block] + np.mean(singles[s][which[s][block]] != together, axis=1)
+    return total.tolist()
+
+
+def _blocks(n: int):
+    """Slices of ``range(n)`` of at most ``GRID_BLOCK`` cells."""
+    return [slice(start, start + GRID_BLOCK) for start in range(0, n, GRID_BLOCK)]
 
 
 def disentanglement_error(
@@ -180,7 +189,11 @@ def loss_landscape_grid(
     eval_sets: tuple[Dataset, Dataset],
     metadata: dict | None = None,
 ) -> LandscapeGrid:
-    """Joint cross-entropy over the plane theta0 + l1*(theta1-theta0) + l2*(theta2-theta0)."""
+    """Joint cross-entropy over the plane theta0 + l1*(theta1-theta0) + l2*(theta2-theta0).
+
+    Each eval set scores the grid's points in blocks of ``GRID_BLOCK``
+    through ``Scorer.candidates``, with one cross-entropy per point.
+    """
     if spec.mode.is_peft:
         raise ContractError("loss landscape interpolation needs full-paradigm trees")
     theta0.require_congruent(theta1, "backbone trees")
@@ -193,18 +206,20 @@ def loss_landscape_grid(
     base = theta0.flatten()
     v1 = theta1.flatten() - base
     v2 = theta2.flatten() - base
-    directions = {"theta1": v1, "theta2": v2}
-    scorers = [Scorer(spec.with_mode("full_ft"), theta0, theta0, d.xs) for d in eval_sets]
-    loss = np.zeros((axis1.size, axis2.size))
-    for i, l1 in enumerate(axis1):
-        for j, l2 in enumerate(axis2):
-            flat = combine(base, [v1, v2], [l1, l2])
-            total = 0.0
-            for data, scorer in zip((d1, d2), scorers):
-                total += cross_entropy_loss(scorer.candidate(flat, directions, [l1, l2]), data.ys)
-            loss[i, j] = total
+    weights = [[l1, l2] for l1 in axis1 for l2 in axis2]
+    directions = [{"theta1": v1, "theta2": v2}] * len(weights)
+    scorers = [Scorer(spec.with_mode("full_ft"), theta0, theta0, data.xs) for data in eval_sets]
+    for data in eval_sets:
+        check_labels(data.ys, spec.num_classes)
+    loss = np.zeros(len(weights))
+    for block in _blocks(len(weights)):
+        flats = np.stack([combine(base, [v1, v2], w) for w in weights[block]])
+        for data, scorer in zip(eval_sets, scorers):
+            logits = scorer.candidates(flats, directions[block], weights[block])
+            loss[block] = loss[block] + [cross_entropy_loss(cell, data.ys, check=False) for cell in logits]
     meta = dict(metadata or {})
-    return LandscapeGrid(lambda1_axis=axis1, lambda2_axis=axis2, loss=loss, metadata=meta)
+    return LandscapeGrid(lambda1_axis=axis1, lambda2_axis=axis2,
+                         loss=loss.reshape(axis1.size, axis2.size), metadata=meta)
 
 
 def normalized_score(absolute: float, single_task: float) -> float:

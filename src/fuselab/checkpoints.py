@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .files import json_object, read_memoized, write_atomic
+from .files import indented_json, json_object, read_memoized, write_atomic
 from .models import ModelSpec, build_model
 from .params import ParamTree
 
@@ -93,7 +93,7 @@ def checkpoint_payload(ckpt: Checkpoint, config_digest: str = "") -> dict:
 
 def save_checkpoint(ckpt: Checkpoint, path, config_digest: str = "") -> None:
     payload = checkpoint_payload(ckpt, config_digest)
-    write_atomic(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    write_atomic(path, indented_json(payload) + "\n")
 
 
 def load_checkpoint(path, expected_config_digest: str | None = None) -> Checkpoint:

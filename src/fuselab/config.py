@@ -21,7 +21,7 @@ from pathlib import Path
 from .errors import ConfigError, ContractError
 from .fusion import DEFAULT_LAMBDA_GRID, DEFAULT_TIES_GRID, FusionConfig
 from .models import ModeTag, ModelSpec
-from .training import TrainConfig
+from .training import OPTIMIZERS, TrainConfig
 
 SEED_SCHEME = "sha256(master|label...)[:8] little-endian"
 
@@ -128,8 +128,23 @@ def _check_ranges(resolved: dict) -> None:
     for section, train in trains.items():
         if train["learning_rate"] < 0:
             raise ConfigError(f"{section}.learning_rate = {train['learning_rate']} is negative")
+        for key in ("steps", "batch_size"):
+            if train[key] < 1:
+                raise ConfigError(f"{section}.{key} = {train[key]} must be at least 1")
+        if train["optimizer"] not in OPTIMIZERS:
+            raise ConfigError(f"{section}.optimizer = {train['optimizer']!r} is not one of {OPTIMIZERS}")
+        for key in ("beta1", "beta2"):
+            if not 0.0 <= train[key] < 1.0:
+                raise ConfigError(f"{section}.{key} = {train[key]} must lie in [0, 1)")
+        if train["eps"] <= 0:
+            raise ConfigError(f"{section}.eps = {train['eps']} must be positive")
     if fusion["lorahub_alpha"] < 0:
         raise ConfigError(f"fusion.lorahub_alpha = {fusion['lorahub_alpha']} is negative")
+    if fusion["lorahub_max_steps"] < 0:
+        raise ConfigError(f"fusion.lorahub_max_steps = {fusion['lorahub_max_steps']} is negative")
+    for section, key in (("fusion", "fewshot_per_task"), ("analysis", "ntk_max_samples")):
+        if resolved[section][key] < 1:
+            raise ConfigError(f"{section}.{key} = {resolved[section][key]} must be at least 1")
     try:  # the adapter paradigms check lora_rank against every layer
         model_spec(resolved, ModeTag.LORA)
     except ContractError as e:
@@ -144,8 +159,11 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> dict:
     ones before it had run, for range: non-empty fusion grids, trim
     fractions in (0, 1], a grid resolution of at least 2,
     ``lambda_min < lambda_max``, at least two tasks, non-negative learning
-    rates and ``lorahub_alpha``, and layer sizes and a ``lora_rank`` that
-    build the adapter network.
+    rates, ``lorahub_alpha`` and ``lorahub_max_steps``, at least one step,
+    batch row, few-shot row per task and NTK sample, a known optimizer,
+    Adam betas in [0, 1) and a positive ``eps``, and layer sizes and a
+    ``lora_rank`` that build the adapter network. ``train_overrides``
+    sections are checked like ``train``.
     """
     if not isinstance(raw, dict):
         raise ConfigError("run configuration must be a JSON object")

@@ -3,8 +3,12 @@
 Every algorithm builds ``initial + Σ wᵢ·dᵢ`` on the flat trainable vector,
 and ``_candidates`` is the one place that spells out each algorithm's
 directions and weights: the public merges, the sweep and the replay all
-take their parameters from it, and ``models.Scorer``'s merge route scores
-them in every paradigm. All order-sensitive reductions canonicalize their inputs
+take their parameters from it. ``models.Scorer`` scores them in every
+paradigm: a sweep scores its whole grid on each validation set in one
+``Scorer.candidates`` call, and lorahub's search scores one weighting at a
+time with ``Scorer.candidate``. Direction names are stable for one set of
+checkpoints, so the scorers of ``scorers_for`` can serve every subset of a
+fuse stage. All order-sensitive reductions canonicalize their inputs
 by task id before summing, so permuting the caller's checkpoint or vector
 order can never change a merged result. That holds
 for lorahub too: its Nelder-Mead search draws no random numbers, and its
@@ -24,7 +28,7 @@ from .models import ModelSpec, Scorer, predict_logits
 from .params import ParamTree, combine
 from .task_vectors import TaskVector, compute_task_vector
 from .tasks import Dataset
-from .training import accuracy, cross_entropy_loss, evaluate
+from .training import check_labels, cross_entropy_loss, evaluate
 
 ALGORITHMS = ("simple_average", "task_arithmetic", "ties_merging", "lorahub")
 DEFAULT_LAMBDA_GRID = tuple(round(0.05 * i, 2) for i in range(21))
@@ -116,21 +120,23 @@ def _task_sum(deltas: list[np.ndarray]) -> np.ndarray:
 
 
 def _candidates(algorithm: str, initial_flat: np.ndarray, deltas: list[np.ndarray],
-                trained: list[np.ndarray] | None, grid: list[dict]):
+                trained: list[np.ndarray] | None, grid: list[dict], ids: tuple):
     """Yield ``(tie-break key, hyperparameters, merged flat, directions, weights)`` per point of ``grid``.
 
     The one place each algorithm's formula is spelled out. ``deltas`` and
-    ``trained`` are flat vectors in task-id order; ``grid`` holds the
-    hyperparameter dicts to build, in order (lorahub's ``weights`` listed
-    in task-id order). ``directions`` maps a name to a fixed vector and
-    ``weights`` holds their coefficients, so the merged flat is
-    ``initial + Σ wᵢ·dᵢ`` over them; a name means the same vector for the
-    whole sweep, which lets a linearized scorer take one JVP per name.
-    Fixed directions are built once: the task-vector sum once, the TIES
-    merge vector once per k. simple_average's merged flat is the mean of
-    the trained vectors and its one direction that mean minus the initial
-    vector. Ties in score go to the smaller key: scaling factor, then trim
-    fraction.
+    ``trained`` are flat vectors in task-id order and ``ids`` the task ids
+    they belong to; ``grid`` holds the hyperparameter dicts to build, in
+    order (lorahub's ``weights`` listed in task-id order). ``directions``
+    maps a name to a fixed vector and ``weights`` holds their
+    coefficients, so the merged flat is ``initial + Σ wᵢ·dᵢ`` over them.
+    Names are stable for one set of checkpoints: a direction built from a
+    subset carries the subset's ids, and lorahub's per-task directions are
+    named by task id alone, so a linearized scorer shared by every subset
+    of a stage takes one JVP per name. Fixed directions are built once: the
+    task-vector sum once, the TIES merge vector once per k. simple_average's
+    merged flat is the mean of the trained vectors and its one direction
+    that mean minus the initial vector. Ties in score go to the smaller
+    key: scaling factor, then trim fraction.
     """
     if algorithm not in ALGORITHMS:
         raise ContractError(f"unknown fusion algorithm {algorithm!r}")
@@ -140,15 +146,15 @@ def _candidates(algorithm: str, initial_flat: np.ndarray, deltas: list[np.ndarra
             if len(trained) < 2:
                 raise ContractError("simple average needs at least two checkpoints")
             merged = np.mean(trained, axis=0)
-            yield (0.0, 0.0), hp, merged, {"average": merged - initial_flat}, [1.0]
+            yield (0.0, 0.0), hp, merged, {("average", ids): merged - initial_flat}, [1.0]
             continue
         if algorithm == "task_arithmetic":
-            key, name, weights = (hp["lambda"], 0.0), "sum", [hp["lambda"]]
+            key, name, weights = (hp["lambda"], 0.0), ("sum", ids), [hp["lambda"]]
             if name not in fixed:
                 fixed[name] = _task_sum(deltas)
             directions = {name: fixed[name]}
         elif algorithm == "ties_merging":
-            key, name, weights = (hp["lambda"], hp["k"]), ("ties", hp["k"]), [hp["lambda"]]
+            key, name, weights = (hp["lambda"], hp["k"]), ("ties", hp["k"], ids), [hp["lambda"]]
             if name not in fixed:
                 trimmed = np.stack([ties_trim(d, hp["k"]) for d in deltas])
                 elected = np.sign(trimmed.sum(axis=0))
@@ -159,14 +165,15 @@ def _candidates(algorithm: str, initial_flat: np.ndarray, deltas: list[np.ndarra
             directions = {name: fixed[name]}
         else:
             key, weights = (0.0, 0.0), hp["weights"]
-            directions = {("task", i): d for i, d in enumerate(deltas)}
+            directions = {("task", t): d for t, d in zip(ids, deltas)}
         yield key, hp, combine(initial_flat, list(directions.values()), weights), directions, weights
 
 
 def _merge(algorithm: str, initial: ParamTree, ordered: list, deltas, trained, hp: dict,
            context: tuple[ModelSpec, int, ParamTree] | None) -> MergedModel:
     """The model ``algorithm`` builds at ``hp``: a one-point grid."""
-    flat = next(_candidates(algorithm, initial.flatten(), deltas, trained, [hp]))[2]
+    ids = tuple(x.task_id for x in ordered)
+    flat = next(_candidates(algorithm, initial.flatten(), deltas, trained, [hp], ids))[2]
     spec, seed, theta0 = context if context is not None else (None, None, None)
     return MergedModel(spec, theta0, initial, initial.with_flat(flat),
                        _provenance(algorithm, ordered, hp, init_seed=seed))
@@ -282,7 +289,8 @@ def lorahub_optimize(
         "weights": {v.task_id: w for v, w in zip(ordered, weights)},
     }
     provenance = _provenance("lorahub", ordered, hyperparameters, objective=float(best["obj"]))
-    flat = next(_candidates("lorahub", initial.flatten(), deltas, None, [{"weights": weights}]))[2]
+    ids = tuple(v.task_id for v in ordered)
+    flat = next(_candidates("lorahub", initial.flatten(), deltas, None, [{"weights": weights}], ids))[2]
     return weights, MergedModel(spec, theta0, initial, initial.with_flat(flat), provenance)
 
 
@@ -290,22 +298,26 @@ def _lorahub_objective(spec, theta0, initial: ParamTree, deltas: list[np.ndarray
                        fewshot: Dataset, alpha: float):
     """``w -> few-shot cross-entropy + alpha * sum|w_i|`` at ``initial + Σ wᵢ·dᵢ``.
 
-    Logits come from a ``Scorer`` on the few-shot inputs; a
-    weighting whose merged vector, logits or objective is not finite
-    scores ``inf``.
+    Logits come from ``Scorer.candidate`` on the few-shot inputs. The
+    few-shot labels are checked once, here (``ContractError`` when one lies
+    outside the spec's classes), so an evaluation runs the unchecked
+    cross-entropy; a weighting whose merged vector, logits or objective is
+    not finite scores ``inf``.
     """
+    check_labels(fewshot.ys, spec.num_classes)
     initial_flat = initial.flatten()
+    ids = tuple(range(len(deltas)))
     scorer = Scorer(spec, theta0, initial, fewshot.xs)
 
     def objective(w) -> float:
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             _, _, flat, directions, weights = next(
-                _candidates("lorahub", initial_flat, deltas, None, [{"weights": w}]))
+                _candidates("lorahub", initial_flat, deltas, None, [{"weights": w}], ids))
             try:
-                loss = cross_entropy_loss(scorer.candidate(flat, directions, weights), fewshot.ys)
+                logits = scorer.candidate(flat, directions, weights)
             except ContractError:
                 return np.inf
-            obj = loss + float(alpha) * float(np.sum(np.abs(w)))
+            obj = cross_entropy_loss(logits, fewshot.ys, check=False) + float(alpha) * float(np.sum(np.abs(w)))
         return obj if np.isfinite(obj) else np.inf
 
     return objective
@@ -328,12 +340,23 @@ def enumerate_subsets(task_ids: list[str]) -> list[tuple[str, ...]]:
     return out
 
 
+def scorers_for(checkpoints: list[Checkpoint], datasets: dict[str, Dataset]) -> dict[str, Scorer]:
+    """One ``Scorer`` per checkpoint's task id on that task's inputs in ``datasets``.
+
+    Every scorer is anchored at the checkpoints' shared initial tree, so
+    one dict serves every subset of them, in sweeps and test scoring alike.
+    """
+    spec, _, theta0, initial = _common_context(checkpoints)
+    return {c.task_id: Scorer(spec, theta0, initial, datasets[c.task_id].xs) for c in checkpoints}
+
+
 def sweep_and_select(
     config: FusionConfig,
     checkpoints: list[Checkpoint],
     validation: dict[str, Dataset],
     fewshot: Dataset | None = None,
     seed: int = 0,
+    scorers: dict[str, Scorer] | None = None,
 ) -> MergedModel:
     """Score every candidate on the config's grids and keep the validation argmax.
 
@@ -343,10 +366,16 @@ def sweep_and_select(
     hyperparameters. Mean validation accuracy over the subset's tasks
     decides; exact ties go to the smaller scaling factor, then the smaller
     trim fraction. The winner keeps the per-task scores of its scoring
-    pass, and only the winner becomes a ``MergedModel``. Candidates are
-    scored through a ``Scorer`` built once per validation set, so a
-    linearized mode takes one JVP per (validation set, direction); non-finite
-    parameters or logits raise ``ContractError``.
+    pass, and only the winner becomes a ``MergedModel``. Each validation
+    set scores the whole grid in one ``Scorer.candidates`` call; non-finite
+    parameters or logits raise ``ContractError``. ``scorers`` maps each task
+    id to a scorer on its validation inputs (``scorers_for``); a caller that
+    sweeps several subsets of one set of checkpoints passes the same dict
+    to each, so a linearized mode takes each named direction's JVP once.
+    Direction names identify vectors only within one set of checkpoints,
+    so the dict must not serve sweeps of another. Scorers built on another
+    paradigm or initial tree raise ``ContractError``. By default the sweep
+    builds its own.
     """
     spec, init_seed, theta0, initial = _common_context(checkpoints)
     ordered = sorted(checkpoints, key=lambda c: c.task_id)
@@ -376,21 +405,29 @@ def sweep_and_select(
         recorded = {"hyperparameters": model.provenance["hyperparameters"],
                     "objective": model.provenance["objective"]}
 
-    ids = [c.task_id for c in ordered]
-    scorers = {t: Scorer(spec, theta0, initial, validation[t].xs) for t in ids}
-    best = None
-    candidates = _candidates(config.algorithm, initial.flatten(), deltas, trained, grid)
-    for count, (key, hp, flat, directions, weights) in enumerate(candidates, start=1):
-        scores = {t: accuracy(scorers[t].candidate(flat, directions, weights), validation[t].ys) for t in ids}
-        mean = float(np.mean(list(scores.values())))
-        if best is None or mean > best[0] or (mean == best[0] and key < best[1]):
-            best = (mean, key, hp, flat, scores)
-    mean, _, hp, flat, scores = best
-    provenance = _provenance(config.algorithm, vectors, hp, init_seed=init_seed,
-                             validation_scores=scores, mean_validation_score=mean,
-                             candidates_evaluated=count)
+    ids = tuple(c.task_id for c in ordered)
+    if scorers is None:
+        scorers = scorers_for(ordered, validation)
+    elif any(scorers[t].spec != spec or not scorers[t].template.equal_bits(initial) for t in ids):
+        raise ContractError("sweep scorers were not built on these checkpoints' paradigm and initial tree")
+    keys, hps, flats, directions, weights = zip(
+        *_candidates(config.algorithm, initial.flatten(), deltas, trained, grid, ids))
+    flats = np.stack(flats)
+    accuracies = np.empty((len(keys), len(ids)))  # candidate × task
+    for j, t in enumerate(ids):
+        predictions = np.argmax(scorers[t].candidates(flats, directions, weights), axis=2)
+        accuracies[:, j] = np.mean(predictions == validation[t].ys, axis=1)
+    means = accuracies.mean(axis=1)
+    best = 0
+    for c in range(1, len(keys)):
+        if means[c] > means[best] or (means[c] == means[best] and keys[c] < keys[best]):
+            best = c
+    scores = {t: float(a) for t, a in zip(ids, accuracies[best])}
+    provenance = _provenance(config.algorithm, vectors, hps[best], init_seed=init_seed,
+                             validation_scores=scores, mean_validation_score=float(means[best]),
+                             candidates_evaluated=len(keys))
     provenance.update(recorded)
-    return MergedModel(spec, theta0, initial, initial.with_flat(flat), provenance)
+    return MergedModel(spec, theta0, initial, initial.with_flat(flats[best]), provenance)
 
 
 def replay_merge(provenance: dict, checkpoints: list[Checkpoint]) -> ParamTree:
@@ -411,5 +448,6 @@ def replay_merge(provenance: dict, checkpoints: list[Checkpoint]) -> ParamTree:
     hp = dict(provenance.get("hyperparameters", {}))
     if provenance["algorithm"] == "lorahub":
         hp["weights"] = [hp["weights"][v.task_id] for v in ordered]
-    flat = next(_candidates(provenance["algorithm"], initial.flatten(), deltas, trained, [hp]))[2]
+    ids = tuple(v.task_id for v in ordered)
+    flat = next(_candidates(provenance["algorithm"], initial.flatten(), deltas, trained, [hp], ids))[2]
     return initial.with_flat(flat)

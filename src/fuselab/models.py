@@ -308,20 +308,28 @@ class Scorer:
     linearized paradigms evaluate the tangent model
     ``f(anchor) + J(anchor)·(flat − anchor)``, the others the network
     ``f(flat)``. It checks ``theta0`` and ``anchor`` against the spec and
-    builds the ``Network`` once, for the anchor's layout. Two routes:
+    builds the ``Network`` once, for the anchor's layout. A linearized
+    scorer runs the network at the anchor once in its lifetime and keeps
+    those activations for every route. Three routes:
 
     - ``at(flat)``, for training and evaluation, returns
       ``(logits, pullback)``; ``pullback(dloss/dlogits)`` is the gradient of
       any loss of the logits: the VJP at the expansion point (the anchor or
-      ``flat``), reusing this call's forward activations. It caches nothing
-      and checks nothing for finiteness.
-    - ``candidate(flat, directions, weights)``, for merge scoring, returns
-      the logits at ``flat = anchor + Σ wᵢ·dᵢ``, ``directions`` mapping a
-      name to its vector. Nonlinear paradigms run the network at ``flat``;
-      linearized ones form ``combine(f(anchor), [J·dᵢ], [wᵢ])`` from JVPs
-      taken once per name, on first use, so a name must always mean the
-      same vector. A non-finite ``flat`` or non-finite logits raise
-      ``ContractError``.
+      ``flat``), reusing the forward activations. It checks nothing for
+      finiteness.
+    - ``candidates(flats, directions, weights)``, for merge scoring, returns
+      the logits of a stack of C candidates, shape ``(C, rows, classes)``.
+      Candidate ``c`` is ``flats[c] = anchor + Σ wᵢ·dᵢ`` over
+      ``weights[c]`` and ``directions[c]``, a dict mapping a name to its
+      vector. Nonlinear paradigms run the network at each flat; linearized
+      ones form each group of candidates that share direction names as one
+      broadcast ``f(anchor) + Σⱼ W[:, j]·J·dⱼ``, accumulated left to right
+      like ``combine``, from JVPs taken once per name in the scorer's
+      lifetime, so a name must always mean the same vector. A non-finite
+      flat or non-finite logits raise ``ContractError``: the error the first
+      failing candidate would raise on its own.
+    - ``candidate(flat, directions, weights)`` is the same for one
+      candidate, with the same bits, for sequential searches.
 
     ``jacobian()`` gives the explicit per-row output Jacobian at the anchor.
     """
@@ -332,35 +340,71 @@ class Scorer:
         self.net = Network(spec, theta0, x, anchor)
         self.anchor = anchor.flatten()
         self.linearized = spec.mode.is_linearized
-        self._f0 = None
+        self._acts = None
         self._jds: dict = {}
+
+    def _anchor_acts(self):
+        if self._acts is None:
+            self._acts = self.net.activations(self.anchor)
+        return self._acts
 
     def _jvp(self, d: np.ndarray, acts) -> np.ndarray:
         """``J(anchor)·d``; the one place the network's JVP is taken."""
         return self.net.jvp(self.anchor, d, acts)[1]
 
+    def _named_jvps(self, directions: dict) -> list[np.ndarray]:
+        """``J(anchor)·d`` for each named direction, each name's taken once."""
+        missing = [name for name in directions if name not in self._jds]
+        if missing:
+            acts = self._anchor_acts()
+            self._jds.update((name, self._jvp(directions[name], acts)) for name in missing)
+        return [self._jds[name] for name in directions]
+
     def at(self, flat: np.ndarray):
-        point = self.anchor if self.linearized else flat
-        acts = self.net.activations(point)
-        logits = acts[0]
         if self.linearized:
-            logits = combine(logits, [self._jvp(flat - self.anchor, acts)], [1.0])
-        return logits, lambda ct: self.net.vjp(point, ct, acts)
+            acts = self._anchor_acts()
+            logits = combine(acts[0], [self._jvp(flat - self.anchor, acts)], [1.0])
+            return logits, lambda ct: self.net.vjp(self.anchor, ct, acts)
+        acts = self.net.activations(flat)
+        return acts[0], lambda ct: self.net.vjp(flat, ct, acts)
 
     def candidate(self, flat: np.ndarray, directions: dict, weights) -> np.ndarray:
         if not np.isfinite(flat).all():
             raise ContractError("candidate parameters must be finite")
         if self.linearized:
-            missing = [name for name in directions if name not in self._jds]
-            if self._f0 is None or missing:
-                acts = self.net.activations(self.anchor)
-                self._f0 = acts[0]
-                self._jds.update((name, self._jvp(directions[name], acts)) for name in missing)
-            out = combine(self._f0, [self._jds[name] for name in directions], weights)
+            out = combine(self._anchor_acts()[0], self._named_jvps(directions), weights)
         else:
             out = self.net.forward(flat)
         if not np.isfinite(out).all():
             raise ContractError("candidate logits must be finite")
+        return out
+
+    def candidates(self, flats, directions, weights) -> np.ndarray:
+        flats = np.asarray(flats, dtype=np.float64)
+        scored = len(flats)
+        if not np.isfinite(flats).all():  # score up to the first non-finite flat
+            scored = int(np.argmin(np.isfinite(flats).all(axis=1)))
+        out = np.empty((scored, self.net.x.shape[0], self.spec.num_classes))
+        if self.linearized:
+            groups: dict = {}
+            for c in range(scored):
+                groups.setdefault(tuple(directions[c]), []).append(c)
+            f0 = self._anchor_acts()[0]
+            for names, members in groups.items():
+                w = np.array([weights[c] for c in members], dtype=np.float64).reshape(len(members), len(names))
+                acc = out if len(groups) == 1 else np.empty((len(members), *f0.shape))
+                acc[...] = f0
+                for j, jd in enumerate(self._named_jvps(directions[members[0]])):
+                    acc += w[:, j, None, None] * jd
+                if acc is not out:
+                    out[members] = acc
+        else:
+            for c in range(scored):
+                out[c] = self.net.forward(flats[c])
+        if not np.isfinite(out).all():
+            raise ContractError("candidate logits must be finite")
+        if scored < len(flats):
+            raise ContractError("candidate parameters must be finite")
         return out
 
     def jacobian(self) -> np.ndarray:

@@ -9,7 +9,6 @@ byte-identical output trees.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -27,12 +26,12 @@ from .analysis import (
 from .checkpoints import Checkpoint, load_checkpoint, save_checkpoint
 from .config import config_digest, derive_seed, fusion_config, model_spec, train_config
 from .errors import ConfigError, ContractError
-from .files import read_json_object, write_atomic
-from .fusion import ALGORITHMS, enumerate_subsets, sweep_and_select
+from .files import indented_json, read_json_object, write_atomic
+from .fusion import ALGORITHMS, enumerate_subsets, scorers_for, sweep_and_select
 from .models import LinearizedState, ModeTag, build_model
 from .task_vectors import compute_task_vector, similarity_matrix, write_similarity_csv
 from .tasks import Dataset, Task, export_task, import_task, make_task_suite
-from .training import evaluate_checkpoint, finetune, write_metrics_csv
+from .training import finetune, scored_accuracy, write_metrics_csv
 
 ALL_MODES = [m for m in ModeTag]
 
@@ -93,7 +92,7 @@ def ensure_run_dir(resolved: dict, out: str | Path) -> tuple[RunPaths, str]:
                 f"{paths.root} was produced under a different configuration"
             )
     else:
-        write_atomic(paths.resolved_config, json.dumps(resolved, sort_keys=True, indent=1) + "\n")
+        write_atomic(paths.resolved_config, indented_json(resolved) + "\n")
     return paths, digest
 
 
@@ -221,7 +220,10 @@ def stage_fuse(
     """Merge checkpoint subsets and write merged models plus provenance.
 
     Subsets merge one after another in enumeration order, and a mode's
-    files are written only after all of its merges succeed.
+    files are written only after all of its merges succeed. Per mode, one
+    ``Scorer`` per task on its validation split and one on its test split
+    serve every subset's sweep, the merged models' test scores and the
+    single-task references; they live for this call only.
     """
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown fusion algorithm {algorithm!r}")
@@ -235,7 +237,12 @@ def stage_fuse(
     for mode in modes or ALL_MODES:
         cks = load_mode_checkpoints(resolved, out, mode)
         by_id = {c.task_id: c for c in cks}
-        single_test = {c.task_id: evaluate_checkpoint(c, test[c.task_id]) for c in cks}
+        val_scorers, test_scorers = scorers_for(cks, validation), scorers_for(cks, test)
+
+        def test_score(task_id: str, flat) -> float:
+            return scored_accuracy(test_scorers[task_id], flat, test[task_id].ys)
+
+        single_test = {c.task_id: test_score(c.task_id, c.trained.flatten()) for c in cks}
         chosen = subsets if subsets is not None else enumerate_subsets(sorted(by_id))
         fcfg = fusion_config(resolved, algorithm)
         paths.fusion_dir(algorithm, mode).mkdir(parents=True, exist_ok=True)
@@ -248,8 +255,9 @@ def stage_fuse(
             merged = sweep_and_select(
                 fcfg, sub_cks, validation, fewshot=fewshot,
                 seed=derive_seed(resolved["master_seed"], "lorahub", *subset),
+                scorers=val_scorers,
             )
-            test_scores = {t: merged.evaluate_on(test[t]) for t in subset}
+            test_scores = {t: test_score(t, merged.trainable.flatten()) for t in subset}
             normalized = {
                 t: normalized_score(test_scores[t], single_test[t]) for t in subset
             }
@@ -281,7 +289,7 @@ def stage_fuse(
             mf = paths.merged_file(algorithm, mode, subset)
             save_checkpoint(merged_ckpt, mf, config_digest=digest)
             pf = paths.provenance_file(algorithm, mode, subset)
-            write_atomic(pf, json.dumps(provenance, sort_keys=True, indent=1) + "\n")
+            write_atomic(pf, indented_json(provenance) + "\n")
             written.extend([mf, pf])
     return written
 

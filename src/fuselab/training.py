@@ -23,6 +23,9 @@ from .params import ParamTree
 from .tasks import Dataset, Task
 
 
+OPTIMIZERS = ("sgd", "adam")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     steps: int = 300
@@ -39,13 +42,14 @@ class TrainConfig:
             raise ContractError("steps must be at least 1")
         if self.learning_rate < 0:
             raise ContractError("learning_rate must be non-negative")
-        if self.optimizer not in ("sgd", "adam"):
+        if self.optimizer not in OPTIMIZERS:
             raise ContractError(f"unknown optimizer {self.optimizer!r}")
         if self.batch_size < 1:
             raise ContractError("batch_size must be positive")
 
 
-def _check_labels(labels: np.ndarray, num_classes: int):
+def check_labels(labels: np.ndarray, num_classes: int):
+    """Raise ``ContractError`` unless ``labels`` is non-empty and within ``[0, num_classes)``."""
     if labels.size == 0:
         raise ContractError("empty batch")
     if labels.min() < 0 or labels.max() >= num_classes:
@@ -54,18 +58,20 @@ def _check_labels(labels: np.ndarray, num_classes: int):
         )
 
 
-def cross_entropy_loss(logits, labels) -> float:
+def cross_entropy_loss(logits, labels, check: bool = True) -> float:
     """Mean negative log-softmax probability of the true class.
 
     The numpy ops of ``autodiff``'s log_softmax → pick_rows → ×(−1) →
     mean_all, in that order, so the loss keeps the bits it had when it was
-    computed with them.
+    computed with them. ``check=False`` skips the shape and label checks,
+    for a caller that has run ``check_labels`` once on labels it reuses.
     """
     arr = logits.array if isinstance(logits, Tensor) else np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[0] != labels.shape[0]:
-        raise ContractError(f"logits {arr.shape} do not match {labels.shape[0]} labels")
-    _check_labels(labels, arr.shape[1])
+    if check:
+        if arr.ndim != 2 or arr.shape[0] != labels.shape[0]:
+            raise ContractError(f"logits {arr.shape} do not match {labels.shape[0]} labels")
+        check_labels(labels, arr.shape[1])
     shifted = arr - arr.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return float((log_probs[np.arange(labels.shape[0]), labels] * -1.0).mean())
@@ -165,7 +171,7 @@ def finetune(
     if len(task.train) == 0 or len(task.val) == 0:
         raise ContractError("task splits must be non-empty")
     require_trees(spec, theta0, init_trainable)
-    _check_labels(task.train.ys, spec.num_classes)
+    check_labels(task.train.ys, spec.num_classes)
     if not theta0.equal_bits(backbone_for(spec, int(init_seed))):
         raise ContractError(
             "theta0 does not match init_seed; the checkpoint would not round-trip"
@@ -239,10 +245,19 @@ def evaluate(
         raise ContractError("linearized evaluation requires the tangent anchor")
     require_trees(spec, theta0, trainable)
     scorer = Scorer(spec, theta0, trainable if anchor is None else anchor, dataset.xs)
-    logits, _ = scorer.at(trainable.flatten())
+    return scored_accuracy(scorer, trainable.flatten(), dataset.ys)
+
+
+def scored_accuracy(scorer: Scorer, flat: np.ndarray, labels: np.ndarray) -> float:
+    """``accuracy`` of ``scorer.at(flat)``'s logits; non-finite logits raise ``ContractError``.
+
+    ``evaluate``'s core, for a caller that scores many vectors on one
+    scorer's inputs.
+    """
+    logits, _ = scorer.at(flat)
     if not np.isfinite(logits).all():
         raise ContractError("logits must be finite")
-    return accuracy(logits, dataset.ys)
+    return accuracy(logits, labels)
 
 
 def evaluate_checkpoint(ckpt: Checkpoint, dataset: Dataset) -> float:

@@ -392,6 +392,48 @@ def test_boundary_leaves_resolve():
     assert resolved["fusion"]["ties_k_grid"] == [1.0]
 
 
+@pytest.mark.parametrize("raw", [
+    {"fusion": {"fewshot_per_task": -1}},
+    {"fusion": {"fewshot_per_task": 0}},
+    {"fusion": {"lorahub_max_steps": -50}},
+    {"train": {"steps": 0}},
+    {"train": {"batch_size": 0}},
+    {"train": {"optimizer": "sgdx"}},
+    {"train": {"beta1": 1.0}},
+    {"train": {"beta2": 1.5}},
+    {"train": {"beta1": -0.1}},
+    {"train_overrides": {"lora": {"steps": 0}}},
+    {"train_overrides": {"full_linear": {"optimizer": "rmsprop"}}},
+    {"train_overrides": {"l_lora": {"beta2": 1.0}}},
+    {"analysis": {"ntk_max_samples": 0}},
+    {"train": {"eps": -1.0}},
+    {"train_overrides": {"lora": {"eps": 0.0}}},
+], ids=["fewshot_per_task_negative", "fewshot_per_task_zero", "lorahub_max_steps_negative",
+        "steps_zero", "batch_size_zero", "optimizer_unknown", "beta1_one", "beta2_above_one",
+        "beta1_negative", "override_steps_zero", "override_optimizer_unknown",
+        "override_beta2_one", "ntk_max_samples_zero", "eps_negative", "override_eps_zero"])
+def test_count_and_choice_leaves_out_of_range_exit_one_before_any_stage(tmp_path, raw):
+    # Each of these used to resolve cleanly, then fail in finetune, fuse or
+    # analyze after the stages before had run, or run without an error: no
+    # lorahub search at all for a negative lorahub_max_steps, and Adam
+    # steps up the gradient for a negative eps.
+    with pytest.raises(ConfigError):
+        resolve_config(raw)
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["gen-tasks", "--config", str(p), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_smallest_counts_and_betas_resolve():
+    resolved = resolve_config({"train": {"steps": 1, "batch_size": 1, "optimizer": "sgd",
+                                         "beta1": 0.0, "beta2": 0.0},
+                               "fusion": {"fewshot_per_task": 1, "lorahub_max_steps": 0},
+                               "analysis": {"ntk_max_samples": 1}})
+    assert resolved["fusion"]["lorahub_max_steps"] == 0
+
+
 # --- malformed run artifacts: exit 1 with an error naming the file ------------
 
 

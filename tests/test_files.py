@@ -165,3 +165,37 @@ def test_two_runs_in_one_process_are_byte_identical_and_the_second_parses_nothin
                       for f in sorted(out.rglob("*")) if f.is_file()})
     assert trees[0] == trees[1]
     assert parses == [{"task": 4, "checkpoint": 16}, {"task": 0, "checkpoint": 0}]
+
+
+# --- the indented JSON writer -----------------------------------------------------
+
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=True)
+               | st.sampled_from([-0.0, float("inf"), float("-inf"), 1e-300, 5e-324])
+               | st.text(max_size=80) | st.text(alphabet="ab+/=\\\"\x7f\x01é", min_size=60, max_size=120))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+@example({"data": "QUJD" * 40, "empty": {}, "none": [], "nested": [[], {}, [[]]]})
+@example({"ünï": [" ", "\x00", -0.0, float("nan")]})
+@example({1: "int key", 2.5: [True, None]})
+def test_indented_json_is_json_dumps_byte_for_byte(value):
+    assert files.indented_json(value) == json.dumps(value, sort_keys=True, indent=1)
+
+
+def test_a_saved_checkpoint_keeps_the_json_dumps_bytes(tmp_path):
+    spec = ModelSpec(input_dim=4, hidden_dims=(6,), num_classes=3, mode=ModeTag.FULL_FT)
+    _, init = build_model(spec, 3)
+    path = tmp_path / "c.json"
+    save_checkpoint(Checkpoint(spec, "task0", 3, init, init, {"acc": 0.5}), path)
+    payload = json.loads(path.read_text())
+    assert path.read_text() == json.dumps(payload, sort_keys=True, indent=1) + "\n"

@@ -27,6 +27,7 @@ from fuselab.fusion import (
     ties_merge,
     ties_trim,
 )
+from fuselab.fusion import scorers_for
 from fuselab.models import ModeTag, ModelSpec, build_model
 from fuselab.params import ParamTree, combine
 from fuselab.task_vectors import TaskVector, compute_task_vector
@@ -530,3 +531,49 @@ def test_non_finite_lorahub_candidate_scores_inf_and_is_never_selected(monkeypat
     assert weights in ([0.0, 0.0, 0.0], [0.5, 0.25, 0.0])
     assert np.isfinite(model.provenance["objective"])
     assert np.all(np.isfinite(model.trainable.flatten()))
+
+
+@pytest.mark.parametrize("label", [3, 7])
+@pytest.mark.parametrize("mode", [ModeTag.LORA, ModeTag.LLORA])
+def test_lorahub_rejects_a_few_shot_label_outside_the_classes(mode, label):
+    # A bad label used to be caught as a non-finite candidate: every weighting
+    # scored inf, the search returned zero weights and provenance recorded an
+    # infinite objective.
+    spec, theta0, phi0, vectors, fewshot = linear_lorahub_case(mode)
+    ys = fewshot.ys.copy()
+    ys[5] = label
+    with pytest.raises(ContractError, match="label out of range"):
+        lorahub_optimize(spec, theta0, phi0, vectors, Dataset(fewshot.xs, ys), max_steps=4)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("mode", [ModeTag.LORA, ModeTag.FULL_LINEAR, ModeTag.LLORA])
+def test_sweeps_sharing_scorers_across_subsets_match_their_own_scorers(algorithm, mode):
+    # One scorer per task serves every subset, as in a fuse stage; the
+    # provenance and merged bits equal those of sweeps that build their own.
+    spec, theta0, phi0, cks = make_checkpoints(n=3, seed=9, mode=mode)
+    rng = np.random.default_rng(10)
+    validation = {c.task_id: Dataset(rng.standard_normal((40, 4)), rng.integers(0, 3, size=40))
+                  for c in cks}
+    fewshot = Dataset(rng.standard_normal((12, 4)), rng.integers(0, 3, size=12))
+    config = FusionConfig(algorithm=algorithm, lambda_grid=(0.0, 0.3, 0.6, 0.9),
+                          lorahub_max_steps=6)
+    shared = scorers_for(cks, validation)
+    by_id = {c.task_id: c for c in cks}
+    for subset in enumerate_subsets(sorted(by_id)):
+        sub = [by_id[t] for t in subset]
+        own = sweep_and_select(config, sub, validation, fewshot=fewshot)
+        reused = sweep_and_select(config, sub, validation, fewshot=fewshot, scorers=shared)
+        assert reused.provenance == own.provenance
+        assert reused.trainable.equal_bits(own.trainable)
+
+
+def test_sweep_rejects_scorers_built_on_another_anchor():
+    _, _, _, cks = make_checkpoints(n=2, seed=9, mode=ModeTag.LLORA)
+    _, _, _, others = make_checkpoints(n=2, seed=19, mode=ModeTag.LLORA)
+    rng = np.random.default_rng(11)
+    validation = {c.task_id: Dataset(rng.standard_normal((20, 4)), rng.integers(0, 3, size=20))
+                  for c in cks}
+    config = FusionConfig(algorithm="task_arithmetic")
+    with pytest.raises(ContractError, match="initial tree"):
+        sweep_and_select(config, cks, validation, scorers=scorers_for(others, validation))

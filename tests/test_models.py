@@ -299,3 +299,82 @@ def test_candidate_logits_reject_overflowed_logits(mode):
     scorer = Scorer(spec, theta0, anchor, np.ones((2, 4)))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ContractError):
         scorer.candidate(anchor.flatten(), {}, [])
+
+
+# --- the batched merge route against the one-candidate route -------------------
+
+
+def mixed_batch(mode, rows=64):
+    """A scorer's setting and a batch mixing direction groups like a TIES sweep:
+    candidates with one name, with two names in either order, and with none,
+    interleaved."""
+    spec = ModelSpec(input_dim=16, hidden_dims=(32, 32), num_classes=3, lora_rank=2, mode=mode)
+    theta0, anchor = build_model(spec, seed=31)
+    rng = np.random.default_rng(32)
+    x = rng.standard_normal((rows, 16))
+    base = anchor.flatten()
+    named = dict(zip("abc", 0.1 * rng.standard_normal((3, base.size))))
+    plan = [("a",), ("b", "c"), (), ("a",), ("c", "b"), ("b", "c"), ("a",), ()]
+    directions = [{name: named[name] for name in names} for names in plan]
+    weights = [list(rng.uniform(-1.5, 1.5, size=len(names))) for names in plan]
+    flats = np.stack([combine(base, list(d.values()), w) for d, w in zip(directions, weights)])
+    return spec, theta0, anchor, x, flats, directions, weights
+
+
+@pytest.mark.parametrize("mode", list(ModeTag))
+def test_batched_candidates_equal_the_one_candidate_route_bit_for_bit(mode):
+    spec, theta0, anchor, x, flats, directions, weights = mixed_batch(mode)
+    batched = Scorer(spec, theta0, anchor, x).candidates(flats, directions, weights)
+    single = Scorer(spec, theta0, anchor, x)
+    want = np.stack([single.candidate(f, d, w) for f, d, w in zip(flats, directions, weights)])
+    assert batched.shape == (len(flats), 64, 3)
+    assert batched.tobytes() == want.tobytes()
+    assert len({row.tobytes() for row in batched}) == len(flats) - 1  # only the two () rows agree
+
+
+@pytest.mark.parametrize("mode", list(ModeTag))
+def test_batched_candidates_raise_the_one_candidate_errors(mode):
+    spec = small_spec(mode)
+    theta0, anchor = build_model(spec, seed=23)
+    x = np.ones((2, 4))
+    base = anchor.flatten()
+    bad = base.copy()
+    bad[0] = np.nan
+    flats = np.stack([base, bad, base])
+    directions = [{}, {"d": bad - base}, {}]
+    weights = [[], [1.0], []]
+    with pytest.raises(ContractError, match="candidate parameters must be finite"):
+        Scorer(spec, theta0, anchor, x).candidate(bad, directions[1], weights[1])
+    with pytest.raises(ContractError, match="candidate parameters must be finite"):
+        Scorer(spec, theta0, anchor, x).candidates(flats, directions, weights)
+
+    huge = anchor.with_flat(np.full(anchor.num_values, 1e308))
+    scorer = Scorer(spec, theta0, huge, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ContractError, match="candidate logits must be finite"):
+            scorer.candidate(huge.flatten(), {}, [])
+        with pytest.raises(ContractError, match="candidate logits must be finite"):
+            scorer.candidates(np.stack([huge.flatten()] * 2), [{}, {}], [[], []])
+
+
+@pytest.mark.parametrize("mode", [ModeTag.FULL_LINEAR, ModeTag.LLORA])
+def test_a_linearized_scorer_runs_the_anchor_and_each_named_jvp_once(mode, monkeypatch):
+    spec, theta0, anchor, x, flats, directions, weights = mixed_batch(mode)
+    calls = {"activations": 0, "jvp": 0}
+    for name in calls:
+        original = getattr(Network, name)
+
+        def counted(self, *args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Network, name, counted)
+    scorer = Scorer(spec, theta0, anchor, x)
+    scorer.candidates(flats, directions, weights)
+    scorer.candidates(flats[::-1], directions[::-1], weights[::-1])
+    for f, d, w in zip(flats, directions, weights):
+        scorer.candidate(f, d, w)
+    assert calls == {"activations": 1, "jvp": 3}  # the anchor once; names a, b, c once each
+    for f in flats:  # the training route reuses the anchor and takes one JVP per call
+        scorer.at(f)
+    assert calls == {"activations": 1, "jvp": 3 + len(flats)}

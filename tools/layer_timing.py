@@ -11,7 +11,11 @@ checkpoint (1699 values each tree): a cold parse, with the memo emptied
 before every call, and a memo hit. Last, the microseconds per
 ``ParamTree.flatten``, ``with_flat`` and ``digest`` of a full_ft (1699
 values) and a lora (294 values) trainable tree, and per ``Network(...)``
-construction on a 32-row batch. Exits 1 if any kernel pair differs.
+construction on a 32-row batch. Then the microseconds per fusion candidate
+of a 21-point task-arithmetic grid on 256 rows, per paradigm, scored one
+candidate at a time (``Scorer.candidate``) and as one batch
+(``Scorer.candidates``), on a scorer that already holds the grid's one
+JVP. Exits 1 if any kernel pair or any pair of candidate logits differs.
 fuselab is imported from this checkout's src/:
 
     python3 tools/layer_timing.py [--repeats N] [--loops L]
@@ -62,6 +66,7 @@ def main(argv=None) -> int:
                       f"{traced_us / kernel_us:>7.1f}x  {'equal' if same else 'DIFFERENT'}")
     read_timing(args.repeats, args.loops)
     tree_timing(args.repeats, args.loops)
+    differ += candidate_timing(args.repeats, args.loops)
     return 1 if differ else 0
 
 
@@ -112,6 +117,40 @@ def tree_timing(repeats: int, loops: int) -> None:
                "digest": init.digest, "Network(...)": lambda: Network(spec, theta0, x, init)}
         for op, fn in ops.items():
             print(f"{op:<14}{mode.value:<10}{us_per_call(fn, repeats, loops):>8.2f}")
+
+
+def candidate_timing(repeats: int, loops: int) -> int:
+    """Print the per-candidate table; returns the number of paradigms whose routes differ."""
+    import numpy as np
+    from fuselab.fusion import DEFAULT_LAMBDA_GRID
+    from fuselab.models import ModeTag, ModelSpec, Scorer, build_model
+    from fuselab.params import combine
+
+    print(f"\n{'candidate':<12}{'rows':>6}{'grid':>6}{'single_us':>11}{'batched_us':>12}{'ratio':>8}  bits")
+    differ = 0
+    for mode in ModeTag:
+        spec = ModelSpec(16, (32, 32), 3, mode=mode)
+        theta0, init = build_model(spec, 0)
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((256, spec.input_dim))
+        base, direction = init.flatten(), 0.1 * rng.standard_normal(init.num_values)
+        weights = [[lam] for lam in DEFAULT_LAMBDA_GRID]
+        directions = [{"sum": direction}] * len(weights)
+        flats = np.stack([combine(base, [direction], w) for w in weights])
+        scorer = Scorer(spec, theta0, init, x)
+
+        def single():
+            return np.stack([scorer.candidate(*c) for c in zip(flats, directions, weights)])
+
+        def batched():
+            return scorer.candidates(flats, directions, weights)
+
+        same = single().tobytes() == batched().tobytes()
+        differ += not same
+        single_us, batched_us = (us_per_call(fn, repeats, loops) / len(weights) for fn in (single, batched))
+        print(f"{mode.value:<12}{256:>6}{len(weights):>6}{single_us:>11.1f}{batched_us:>12.1f}"
+              f"{single_us / batched_us:>7.1f}x  {'equal' if same else 'DIFFERENT'}")
+    return differ
 
 
 if __name__ == "__main__":
