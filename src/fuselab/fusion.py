@@ -6,13 +6,15 @@ directions and weights: the public merges, the sweep and the replay all
 take their parameters from it. ``models.Scorer`` scores them in every
 paradigm: a sweep scores its whole grid on each validation set in one
 ``Scorer.candidates`` call, and lorahub's search scores one weighting at a
-time with ``Scorer.candidate``. Direction names are stable for one set of
+time with ``Scorer.candidate``, taking its direction names from
+``_candidates`` once per search. Direction names are stable for one set of
 checkpoints, so the scorers of ``scorers_for`` can serve every subset of a
 fuse stage. All order-sensitive reductions canonicalize their inputs
 by task id before summing, so permuting the caller's checkpoint or vector
-order can never change a merged result. That holds
-for lorahub too: its Nelder-Mead search draws no random numbers, and its
-``seed`` is only recorded in provenance.
+order can never change a merged result. That holds for lorahub too: its
+search is ``_nelder_mead``, an in-package copy of scipy's fixed-coefficient
+Nelder-Mead that draws no random numbers, and its ``seed`` is only
+recorded in provenance. Nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -240,16 +242,18 @@ def lorahub_optimize(
     """Derivative-free search for per-task combination weights.
 
     Minimizes few-shot cross-entropy of initial + sum(w_i * v_i) plus an
-    L1 penalty alpha * sum|w_i| with a Nelder-Mead simplex started at
+    L1 penalty alpha * sum|w_i| with ``_nelder_mead`` (coefficients 1, 2,
+    ½, ½; stop tests ``xatol`` 1e-10 and ``fatol`` 1e-12) started at
     uniform weights; see ``_lorahub_objective`` for how a linearized mode
     scores a weighting. The search draws no random numbers: ``seed`` is only
     recorded in provenance, and because the vectors are sorted by task id
     the result is bit-identical under any permutation of them. The
-    pretrained point w=0 is scored as part of the initial population, so
-    the returned best never loses to it. Budget: at most ``max_steps``
-    objective evaluations beyond the initial simplex; running out is not
-    an error, the best-so-far wins. Non-finite candidates and NaN
-    objectives are discarded.
+    pretrained point w=0 is scored first, outside the search's count, so
+    the returned best never loses to it. Budget: ``max_steps + n + 1``
+    search evaluations for n vectors, that is at most ``max_steps`` beyond
+    the initial simplex; running out is not an error, the best-so-far wins.
+    Non-finite candidates and NaN objectives score ``inf`` and are never
+    chosen; their floating-point warnings are silenced for the whole search.
     """
     if len(fewshot) == 0:
         raise ContractError("lorahub needs a non-empty few-shot dataset")
@@ -265,22 +269,9 @@ def lorahub_optimize(
             best["w"] = np.array(w, dtype=np.float64)
         return obj
 
-    from scipy.optimize import minimize  # scipy's import is slow; only lorahub needs it
-
-    objective(np.zeros(n))  # pretrained baseline, part of the initial population
-    w0 = np.full(n, 1.0 / n)
-    minimize(
-        objective,
-        w0,
-        method="Nelder-Mead",
-        options={
-            "maxfev": max_steps + n + 1,
-            "xatol": 1e-10,
-            "fatol": 1e-12,
-            "adaptive": False,
-            "disp": False,
-        },
-    )
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        objective(np.zeros(n))  # pretrained baseline, outside the search's budget
+        _nelder_mead(objective, np.full(n, 1.0 / n), maxfev=max_steps + n + 1, xatol=1e-10, fatol=1e-12)
     weights = [float(v) for v in best["w"]]
     hyperparameters = {
         "alpha": float(alpha),
@@ -300,27 +291,114 @@ def _lorahub_objective(spec, theta0, initial: ParamTree, deltas: list[np.ndarray
 
     Logits come from ``Scorer.candidate`` on the few-shot inputs. The
     few-shot labels are checked once, here (``ContractError`` when one lies
-    outside the spec's classes), so an evaluation runs the unchecked
-    cross-entropy; a weighting whose merged vector, logits or objective is
-    not finite scores ``inf``.
+    outside the spec's classes), and the direction names are taken from
+    ``_candidates`` once, so an evaluation is one ``combine``, one scored
+    candidate and the unchecked cross-entropy; a weighting whose merged
+    vector, logits or objective is not finite scores ``inf``. The caller
+    silences the floating-point warnings of such a weighting.
     """
     check_labels(fewshot.ys, spec.num_classes)
     initial_flat = initial.flatten()
-    ids = tuple(range(len(deltas)))
+    uniform = {"weights": [1.0] * len(deltas)}
+    directions = next(_candidates("lorahub", initial_flat, deltas, None, [uniform],
+                                  tuple(range(len(deltas)))))[3]
     scorer = Scorer(spec, theta0, initial, fewshot.xs)
+    ys, alpha = fewshot.ys, float(alpha)
 
     def objective(w) -> float:
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            _, _, flat, directions, weights = next(
-                _candidates("lorahub", initial_flat, deltas, None, [{"weights": w}], ids))
-            try:
-                logits = scorer.candidate(flat, directions, weights)
-            except ContractError:
-                return np.inf
-            obj = cross_entropy_loss(logits, fewshot.ys, check=False) + float(alpha) * float(np.sum(np.abs(w)))
+        try:
+            logits = scorer.candidate(combine(initial_flat, deltas, w), directions, w)
+        except ContractError:
+            return np.inf
+        obj = cross_entropy_loss(logits, ys, check=False) + alpha * float(np.sum(np.abs(w)))
         return obj if np.isfinite(obj) else np.inf
 
     return objective
+
+
+class _BudgetSpent(Exception):
+    """Raised inside ``_nelder_mead`` when ``f`` is asked for one evaluation too many."""
+
+
+def _sorted_simplex(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    ind = np.argsort(fsim)
+    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+
+def _nelder_mead(f, x0: np.ndarray, maxfev: int, xatol: float, fatol: float) -> tuple[np.ndarray, int]:
+    """Minimize ``f`` from ``x0`` with the fixed-coefficient Nelder-Mead simplex.
+
+    Repeats scipy 1.17.1's ``minimize(method="Nelder-Mead", adaptive=False)``
+    operation for operation, so ``f`` sees the same points in the same
+    order and the same vertex comes back (``tests/test_nelder_mead.py``
+    holds scipy as the oracle). The initial simplex steps each coordinate
+    by +5%, or to 0.00025 where it is zero; reflection, expansion,
+    contraction and shrink use ρ, χ, ψ, σ = 1, 2, ½, ½; the simplex is
+    re-sorted by value (``argsort``/``take``, twice after the initial
+    simplex) after every iteration. The search stops when every vertex
+    lies within ``xatol`` of the best in every coordinate and every value
+    within ``fatol`` of the best, or after ``maxfev`` evaluations, which
+    may end it partway through the initial simplex or a shrink. ``f`` must
+    neither keep nor modify the array it is given. Returns the best vertex
+    and the number of evaluations.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, dtype=np.float64)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.full(n + 1, np.inf)
+    calls = 0
+
+    def call(x: np.ndarray) -> float:
+        nonlocal calls
+        if calls >= maxfev:
+            raise _BudgetSpent
+        calls += 1
+        return f(x)
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = call(sim[k])
+    except _BudgetSpent:
+        pass
+    # Sorted twice, as scipy does: argsort need not keep tied values in place.
+    sim, fsim = _sorted_simplex(*_sorted_simplex(sim, fsim))
+    while calls < maxfev:
+        try:
+            if np.max(np.abs(sim[1:] - sim[0])) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = call(xr)
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = call(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    fxc = call(xc)
+                    shrink = not fxc <= fxr
+                else:  # inside contraction
+                    xc = (1 - psi) * xbar + psi * sim[-1]
+                    fxc = call(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = call(sim[j])
+        except _BudgetSpent:
+            pass
+        sim, fsim = _sorted_simplex(sim, fsim)
+    return sim[0], calls
 
 
 def _fewshot_loss(spec, theta0, anchor, tree, fewshot: Dataset) -> float:

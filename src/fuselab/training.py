@@ -63,18 +63,21 @@ def cross_entropy_loss(logits, labels, check: bool = True) -> float:
 
     The numpy ops of ``autodiff``'s log_softmax → pick_rows → ×(−1) →
     mean_all, in that order, so the loss keeps the bits it had when it was
-    computed with them. ``check=False`` skips the shape and label checks,
-    for a caller that has run ``check_labels`` once on labels it reuses.
+    computed with them; ``np.add.reduce(v) / n`` is the division ``mean``
+    does. ``check=False`` skips the conversion of ``labels`` and the shape
+    and label checks, for a caller that has run ``check_labels`` once on an
+    integer label array it reuses.
     """
     arr = logits.array if isinstance(logits, Tensor) else np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
     if check:
+        labels = np.asarray(labels, dtype=np.int64)
         if arr.ndim != 2 or arr.shape[0] != labels.shape[0]:
             raise ContractError(f"logits {arr.shape} do not match {labels.shape[0]} labels")
         check_labels(labels, arr.shape[1])
+    n = labels.shape[0]
     shifted = arr - arr.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return float((log_probs[np.arange(labels.shape[0]), labels] * -1.0).mean())
+    return float(np.add.reduce(log_probs[np.arange(n), labels] * -1.0) / n)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

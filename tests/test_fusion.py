@@ -5,10 +5,10 @@ import math
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuselab import fusion
 from fuselab.autodiff import Tensor
 from fuselab.checkpoints import Checkpoint
 from fuselab.errors import ContractError
@@ -517,17 +517,21 @@ def test_non_finite_lorahub_candidate_scores_inf_and_is_never_selected(monkeypat
     spec, theta0, phi0, vectors, fewshot = linear_lorahub_case(ModeTag.LLORA)
     deltas = [v.delta.flatten() for v in vectors]
     huge = np.full(3, 1e308)
-    with np.errstate(over="ignore"):
-        assert not np.all(np.isfinite(combine(phi0.flatten(), deltas, huge)))
     objective = _lorahub_objective(spec, theta0, phi0, deltas, fewshot, alpha=0.05)
-    assert objective(huge) == np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.all(np.isfinite(combine(phi0.flatten(), deltas, huge)))
+        assert objective(huge) == np.inf
 
-    def probe(fun, x0, **options):  # stands in for Nelder-Mead: one huge, one finite step
-        fun(huge)
-        fun(np.array([0.5, 0.25, 0.0]))
+    budgets = []
 
-    monkeypatch.setattr(scipy.optimize, "minimize", probe)
+    def probe(f, x0, maxfev, xatol, fatol):  # stands in for Nelder-Mead: one huge, one finite step
+        budgets.append(maxfev)
+        f(huge)
+        f(np.array([0.5, 0.25, 0.0]))
+
+    monkeypatch.setattr(fusion, "_nelder_mead", probe)
     weights, model = lorahub_optimize(spec, theta0, phi0, vectors, fewshot)
+    assert budgets == [40 + 3 + 1]  # the search ran as the probe: max_steps + n + 1 evaluations
     assert weights in ([0.0, 0.0, 0.0], [0.5, 0.25, 0.0])
     assert np.isfinite(model.provenance["objective"])
     assert np.all(np.isfinite(model.trainable.flatten()))

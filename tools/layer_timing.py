@@ -15,8 +15,13 @@ construction on a 32-row batch. Then the microseconds per fusion candidate
 of a 21-point task-arithmetic grid on 256 rows, per paradigm, scored one
 candidate at a time (``Scorer.candidate``) and as one batch
 (``Scorer.candidates``), on a scorer that already holds the grid's one
-JVP. Exits 1 if any kernel pair or any pair of candidate logits differs.
-fuselab is imported from this checkout's src/:
+JVP. Last, per paradigm on ``tests/test_fusion.py``'s ``linear_lorahub_case``
+(three task vectors, 24 few-shot rows), the microseconds per lorahub
+objective evaluation and per whole Nelder-Mead search (``max_steps`` 40,
+44 evaluations), and, when scipy is importable, per the same search through
+``scipy.optimize.minimize``. Exits 1 if any kernel pair or any pair of
+candidate logits differs, or if the two searches evaluate points that
+differ in any bit. fuselab is imported from this checkout's src/:
 
     python3 tools/layer_timing.py [--repeats N] [--loops L]
 """
@@ -67,6 +72,7 @@ def main(argv=None) -> int:
     read_timing(args.repeats, args.loops)
     tree_timing(args.repeats, args.loops)
     differ += candidate_timing(args.repeats, args.loops)
+    differ += lorahub_timing(args.repeats, args.loops)
     return 1 if differ else 0
 
 
@@ -150,6 +156,54 @@ def candidate_timing(repeats: int, loops: int) -> int:
         single_us, batched_us = (us_per_call(fn, repeats, loops) / len(weights) for fn in (single, batched))
         print(f"{mode.value:<12}{256:>6}{len(weights):>6}{single_us:>11.1f}{batched_us:>12.1f}"
               f"{single_us / batched_us:>7.1f}x  {'equal' if same else 'DIFFERENT'}")
+    return differ
+
+
+def lorahub_timing(repeats: int, loops: int) -> int:
+    """Print the lorahub search table; returns the number of paradigms whose search differs from scipy's."""
+    import numpy as np
+    from fuselab.fusion import _lorahub_objective, _nelder_mead
+    from fuselab.models import ModeTag
+    from test_fusion import linear_lorahub_case
+
+    try:
+        from scipy.optimize import minimize
+    except ImportError:
+        minimize = None
+
+    def scipy_search(f, x0, maxfev, xatol, fatol):
+        options = {"maxfev": maxfev, "xatol": xatol, "fatol": fatol, "adaptive": False}
+        return minimize(f, x0, method="Nelder-Mead", options=options)
+
+    def points(search, objective, x0, maxfev):
+        seen = []
+
+        def recorded(w):
+            seen.append(np.array(w, dtype=np.float64).tobytes())
+            return objective(w)
+        search(recorded, x0, maxfev, 1e-10, 1e-12)
+        return seen
+
+    print(f"\n{'lorahub':<12}{'evals':>6}{'eval_us':>10}{'search_us':>11}{'scipy_us':>10}  points")
+    differ = 0
+    for mode in ModeTag:
+        spec, theta0, phi0, vectors, fewshot = linear_lorahub_case(mode)
+        deltas = [v.delta.flatten() for v in vectors]
+        objective = _lorahub_objective(spec, theta0, phi0, deltas, fewshot, alpha=0.05)
+        n = len(deltas)
+        x0, maxfev = np.full(n, 1.0 / n), 40 + n + 1
+        ours = points(_nelder_mead, objective, x0, maxfev)
+        eval_us = us_per_call(lambda: objective(x0), repeats, loops)
+        search_loops = max(1, loops // 10)
+        search_us = us_per_call(lambda: _nelder_mead(objective, x0, maxfev, 1e-10, 1e-12), repeats, search_loops)
+        if minimize is None:
+            scipy_cell, verdict = f"{'-':>10}", "unchecked (no scipy)"
+        else:
+            same = points(scipy_search, objective, x0, maxfev) == ours
+            differ += not same
+            scipy_us = us_per_call(lambda: scipy_search(objective, x0, maxfev, 1e-10, 1e-12), repeats, search_loops)
+            scipy_cell, verdict = f"{scipy_us:>10.0f}", "equal" if same else "DIFFERENT"
+        print(f"{mode.value:<12}{len(ours):>6}{eval_us:>10.1f}{search_us:>11.0f}{scipy_cell}  {verdict}")
     return differ
 
 
