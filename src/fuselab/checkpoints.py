@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import base64
 import functools
-import hashlib
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError, ContractError
+from .files import canonical_digest as _payload_digest
 from .files import indented_json, json_object, read_memoized, write_atomic
 from .models import ModelSpec, build_model
 from .params import ParamTree
@@ -66,11 +65,6 @@ def _decode_tree(d: dict, spec: ModelSpec) -> ParamTree:
     if d["paths"] != paths or [tuple(s) for s in d["shapes"]] != [shapes[p] for p in paths]:
         raise ContractError("tree paths and shapes are not the spec's trainable set in path order")
     return ParamTree.from_flat(np.frombuffer(base64.b64decode(d["data"]), dtype="<f8"), shapes)
-
-
-def _payload_digest(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def checkpoint_payload(ckpt: Checkpoint, config_digest: str = "") -> dict:

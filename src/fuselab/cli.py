@@ -17,6 +17,9 @@ from .models import ModeTag
 from . import pipeline
 
 MODE_CHOICES = [m.value for m in ModeTag]
+# The optional flags each analysis kind reads; any other one is an error.
+ANALYZE_FLAGS = {"disentangle": ("mode", "pair"), "landscape": ("pair",),
+                 "similarity": ("mode",), "ntk": ("mode", "task")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="emit geometry and dynamics CSV artifacts")
     _add_common(p)
-    p.add_argument("kind", choices=["disentangle", "landscape", "similarity", "ntk"])
+    p.add_argument("kind", choices=list(ANALYZE_FLAGS))
     p.add_argument("--mode", choices=MODE_CHOICES, action="append")
     p.add_argument("--pair", help="comma-separated task id pair")
     p.add_argument("--task", help="task id (ntk analysis)")
@@ -99,6 +102,9 @@ def run(argv=None) -> int:
                                       modes=_modes(args), subsets=subsets)
         print(f"wrote {len(written)} fusion artifacts to {args.out}")
     elif args.command == "analyze":
+        for flag in ("mode", "pair", "task"):
+            if getattr(args, flag) is not None and flag not in ANALYZE_FLAGS[args.kind]:
+                raise ConfigError(f"analyze {args.kind} does not read --{flag}")
         if args.kind == "similarity":
             written = pipeline.stage_analyze_similarity(resolved, args.out, modes=_modes(args))
         elif args.kind == "disentangle":

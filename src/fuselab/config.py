@@ -19,6 +19,7 @@ import math
 from pathlib import Path
 
 from .errors import ConfigError, ContractError
+from .files import canonical_digest as config_digest
 from .fusion import DEFAULT_LAMBDA_GRID, DEFAULT_TIES_GRID, FusionConfig
 from .models import ModeTag, ModelSpec
 from .training import OPTIMIZERS, TrainConfig
@@ -107,7 +108,7 @@ def _merge_strict(section: str, given: dict, defaults: dict) -> dict:
 
 def _check_ranges(resolved: dict) -> None:
     """Reject leaves that have the right kind but would fail only in a later stage."""
-    fusion, analysis = resolved["fusion"], resolved["analysis"]
+    fusion, analysis, suite = resolved["fusion"], resolved["analysis"], resolved["suite"]
     for key in ("lambda_grid", "ties_k_grid", "ties_lambda_grid"):
         if not fusion[key]:
             raise ConfigError(f"fusion.{key} must be non-empty")
@@ -121,8 +122,15 @@ def _check_ranges(resolved: dict) -> None:
             f"analysis.lambda_min = {analysis['lambda_min']} must be below "
             f"lambda_max = {analysis['lambda_max']}"
         )
-    if resolved["suite"]["n_tasks"] < 2:
-        raise ConfigError(f"suite.n_tasks = {resolved['suite']['n_tasks']} must be at least 2")
+    if suite["n_tasks"] < 2:
+        raise ConfigError(f"suite.n_tasks = {suite['n_tasks']} must be at least 2")
+    if not 0.0 <= suite["task_overlap"] <= 1.0:
+        raise ConfigError(f"suite.task_overlap = {suite['task_overlap']} must lie in [0, 1]")
+    if suite["samples_per_split"] < suite["num_classes"]:
+        raise ConfigError(
+            f"suite.samples_per_split = {suite['samples_per_split']} must be at least "
+            f"num_classes = {suite['num_classes']}"
+        )
     trains = {"train": resolved["train"]}
     trains.update((f"train_overrides.{m}", t) for m, t in resolved["train_overrides"].items())
     for section, train in trains.items():
@@ -158,7 +166,8 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> dict:
     items for finiteness, and, where a stage would otherwise fail after the
     ones before it had run, for range: non-empty fusion grids, trim
     fractions in (0, 1], a grid resolution of at least 2,
-    ``lambda_min < lambda_max``, at least two tasks, non-negative learning
+    ``lambda_min < lambda_max``, at least two tasks, a ``task_overlap`` in
+    [0, 1], at least ``num_classes`` samples per split, non-negative learning
     rates, ``lorahub_alpha`` and ``lorahub_max_steps``, at least one step,
     batch row, few-shot row per task and NTK sample, a known optimizer,
     Adam betas in [0, 1) and a positive ``eps``, and layer sizes and a
@@ -216,11 +225,6 @@ def load_config(path: str | Path | None, seed_override: int | None = None) -> di
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {p} is not valid JSON: {e}") from e
     return resolve_config(raw, seed_override)
-
-
-def config_digest(resolved: dict) -> str:
-    canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
-    return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def model_spec(resolved: dict, mode: ModeTag | str) -> ModelSpec:

@@ -1,4 +1,5 @@
-"""Crash-safe artifact writes and checked, memoised artifact reads."""
+"""Crash-safe artifact writes, the artifact JSON format and digest, and
+checked, memoised artifact reads."""
 
 from __future__ import annotations
 
@@ -36,102 +37,14 @@ def write_atomic(path, text: str) -> None:
 
 
 def indented_json(value) -> str:
-    """``json.dumps(value, sort_keys=True, indent=1)``, byte for byte, without its slow path.
-
-    With an indent, ``json`` falls back from its C encoder to pure-Python
-    generators; this writes the same layout in one recursive pass, with
-    json's own string escaper and float and int spellings. Values other
-    than str-keyed dicts, lists, tuples, strings, ints, floats, booleans and
-    None go to ``json.dumps`` itself, which formats or rejects them as it
-    always did.
-    """
-    out: list[str] = []
-    try:
-        _indented(value, "\n", out)
-    except _Unsupported:
-        return json.dumps(value, sort_keys=True, indent=1)
-    return "".join(out)
+    """The artifact JSON format: ``json.dumps(value, sort_keys=True, indent=1)``."""
+    return json.dumps(value, sort_keys=True, indent=1)
 
 
-class _Unsupported(Exception):
-    pass
-
-
-_escape = json.encoder.encode_basestring_ascii
-_ESCAPED_ASCII = bytes(range(0x20)) + b'\x7f"\\'  # the ASCII bytes json escapes
-_INFINITY = float("inf")
-
-
-def _string(s: str) -> str:
-    # A long ASCII string with nothing to escape, such as a base64 payload, is
-    # quoted as it is: checking it takes about a third of the time escaping does.
-    if len(s) > 64 and s.isascii():
-        data = s.encode("ascii")
-        if len(data.translate(None, _ESCAPED_ASCII)) == len(data):
-            return '"' + s + '"'
-    return _escape(s)
-
-
-def _float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == _INFINITY or x == -_INFINITY:
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)
-
-
-# Encoders of the leaf types, by exact type; subclasses take the slower
-# isinstance route in ``_indented``, with the same result.
-_LEAVES = {str: _string, float: _float, int: int.__repr__, bool: lambda b: "true" if b else "false",
-           type(None): lambda _: "null"}
-
-
-def _indented(value, newline: str, out: list) -> None:
-    """Append ``value``'s indented JSON to ``out``; ``newline`` ends with the current indent."""
-    leaf = _LEAVES.get(type(value))
-    if leaf is not None:
-        out.append(leaf(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        if not all(isinstance(key, str) for key in value):
-            raise _Unsupported
-        inner = newline + " "
-        sep = "{" + inner
-        for key in sorted(value):
-            out.append(sep + _escape(key) + ": ")
-            item = value[key]
-            leaf = _LEAVES.get(type(item))
-            if leaf is None:
-                _indented(item, inner, out)
-            else:
-                out.append(leaf(item))
-            sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + " "
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            leaf = _LEAVES.get(type(item))
-            if leaf is None:
-                _indented(item, inner, out)
-            else:
-                out.append(leaf(item))
-            sep = "," + inner
-        out.append(newline + "]")
-    elif isinstance(value, str):
-        out.append(_string(value))
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_float(value))
-    else:
-        raise _Unsupported
+def canonical_digest(value) -> str:
+    """``"sha256:"`` and the hex sha256 of ``value``'s compact, key-sorted JSON."""
+    canonical = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def read_memoized(path, parse):

@@ -155,14 +155,10 @@ def stage_finetune(
     task_ids: list[str] | None = None,
 ) -> list[Path]:
     """Fine-tune every requested (mode, task) pair and write checkpoints."""
-    paths, digest = ensure_run_dir(resolved, out)
-    tasks = load_tasks(resolved, out)
     if task_ids is not None:
-        wanted = set(task_ids)
-        tasks = [t for t in tasks if t.id in wanted]
-        missing = wanted - {t.id for t in tasks}
-        if missing:
-            raise ConfigError(f"unknown task ids {sorted(missing)}")
+        _require_task_ids(resolved, task_ids, "--task")
+    paths, digest = ensure_run_dir(resolved, out)
+    tasks = [t for t in load_tasks(resolved, out) if task_ids is None or t.id in task_ids]
     init_seed = derive_seed(resolved["master_seed"], "model_init")
     written = []
     for mode in modes or ALL_MODES:

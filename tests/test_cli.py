@@ -357,12 +357,16 @@ def test_wrong_leaf_kind_exits_one(tmp_path, raw):
     {"train_overrides": {"l_lora": {"learning_rate": -1}}},
     {"fusion": {"lorahub_alpha": -0.05}},
     {"model": {"lora_rank": 4}},
+    {"suite": {"task_overlap": 1.5}},
+    {"suite": {"task_overlap": -0.1}},
+    {"suite": {"samples_per_split": 2}},
 ], ids=["empty_lambda_grid", "empty_ties_k_grid", "empty_ties_lambda_grid", "ties_k_above_one",
         "ties_k_zero", "ties_k_negative", "resolution_one", "lambda_range_empty",
         "lambda_range_reversed", "one_task", "learning_rate_1e400", "learning_rate_nan",
         "lorahub_alpha_infinity", "lambda_grid_item_minus_infinity", "ntk_eta_nan",
         "learning_rate_negative", "override_learning_rate_negative", "lorahub_alpha_negative",
-        "lora_rank_above_num_classes"])
+        "lora_rank_above_num_classes", "task_overlap_above_one", "task_overlap_negative",
+        "samples_per_split_below_num_classes"])
 def test_out_of_range_leaf_exits_one_before_any_stage(tmp_path, raw):
     # Each of these used to resolve cleanly and fail only in a later stage
     # (or, for non-finite values, run on them), after the stages before it
@@ -593,8 +597,10 @@ def file_tree(root: Path) -> dict:
     (["analyze", "disentangle", "--pair", "task0,task9"], "task9"),
     (["analyze", "landscape", "--pair", "task0,task0"], "task0"),
     (["analyze", "ntk", "--task", "task9"], "task9"),
+    (["finetune", "--task", "task0", "--task", "task0"], "task0"),
+    (["finetune", "--task", "task9"], "task9"),
 ], ids=["fuse_unknown", "fuse_repeated", "fuse_single", "disentangle_unknown",
-        "landscape_repeated", "ntk_unknown"])
+        "landscape_repeated", "ntk_unknown", "finetune_repeated", "finetune_unknown"])
 def test_malformed_task_ids_exit_one_before_any_artifact(run_copy, capsys, argv, named):
     # Unknown ids used to raise a KeyError; a repeated or single id merged or
     # analysed a degenerate set and wrote it.
@@ -604,4 +610,22 @@ def test_malformed_task_ids_exit_one_before_any_artifact(run_copy, capsys, argv,
     assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(named) in err
+    assert file_tree(out) == before
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["analyze", "landscape", "--mode", "lora"], "--mode"),
+    (["analyze", "landscape", "--task", "task2"], "--task"),
+    (["analyze", "similarity", "--pair", "task0,task1"], "--pair"),
+    (["analyze", "ntk", "--pair", "task0,task1"], "--pair"),
+    (["analyze", "disentangle", "--task", "task1"], "--task"),
+], ids=["landscape_mode", "landscape_task", "similarity_pair", "ntk_pair", "disentangle_task"])
+def test_analyze_flag_the_kind_does_not_read_exits_one(run_copy, capsys, argv, flag):
+    # Each of these used to be ignored: the analysis ran on its defaults and exited 0.
+    cfg, out = run_copy
+    before = file_tree(out)
+    capsys.readouterr()
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
     assert file_tree(out) == before
