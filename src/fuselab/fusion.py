@@ -5,13 +5,12 @@ and ``_candidates`` is the one place that spells out each algorithm's
 directions and weights: the public merges, the sweep and the replay all
 take their parameters from it. ``models.Scorer`` scores them in every
 paradigm: a sweep scores its whole grid on each validation set in one
-``Scorer.candidates`` call, and lorahub's search scores one weighting at a
-time with ``Scorer.candidate``, taking its direction names from
-``_candidates`` once per search. Direction names are stable for one set of
-checkpoints, so the scorers of ``scorers_for`` can serve every subset of a
-fuse stage. All order-sensitive reductions canonicalize their inputs
-by task id before summing, so permuting the caller's checkpoint or vector
-order can never change a merged result. That holds for lorahub too: its
+``Scorer.candidates`` call, and lorahub's search scores each weighting
+``_candidates`` builds as a one-row batch. Direction names are stable for
+one set of checkpoints, so the scorers of ``scorers_for`` can serve every
+subset of a fuse stage. All order-sensitive reductions canonicalize their
+inputs by task id before summing, so permuting the caller's checkpoint or
+vector order can never change a merged result. That holds for lorahub too: its
 search is ``_nelder_mead``, an in-package copy of scipy's fixed-coefficient
 Nelder-Mead that draws no random numbers, and its ``seed`` is only
 recorded in provenance. Nothing here imports scipy.
@@ -289,25 +288,24 @@ def _lorahub_objective(spec, theta0, initial: ParamTree, deltas: list[np.ndarray
                        fewshot: Dataset, alpha: float):
     """``w -> few-shot cross-entropy + alpha * sum|w_i|`` at ``initial + Σ wᵢ·dᵢ``.
 
-    Logits come from ``Scorer.candidate`` on the few-shot inputs. The
-    few-shot labels are checked once, here (``ContractError`` when one lies
-    outside the spec's classes), and the direction names are taken from
-    ``_candidates`` once, so an evaluation is one ``combine``, one scored
-    candidate and the unchecked cross-entropy; a weighting whose merged
-    vector, logits or objective is not finite scores ``inf``. The caller
-    silences the floating-point warnings of such a weighting.
+    Each evaluation takes the merged flat and its named directions from
+    ``_candidates`` and scores them as a one-row ``Scorer.candidates`` batch
+    on the few-shot inputs. The few-shot labels are checked once, here
+    (``ContractError`` when one lies outside the spec's classes), so the
+    loss is the unchecked cross-entropy; a weighting whose merged vector,
+    logits or objective is not finite scores ``inf``. The caller silences
+    the floating-point warnings of such a weighting.
     """
     check_labels(fewshot.ys, spec.num_classes)
-    initial_flat = initial.flatten()
-    uniform = {"weights": [1.0] * len(deltas)}
-    directions = next(_candidates("lorahub", initial_flat, deltas, None, [uniform],
-                                  tuple(range(len(deltas)))))[3]
+    initial_flat, ids = initial.flatten(), tuple(range(len(deltas)))
     scorer = Scorer(spec, theta0, initial, fewshot.xs)
     ys, alpha = fewshot.ys, float(alpha)
 
     def objective(w) -> float:
+        _, _, flat, directions, weights = next(
+            _candidates("lorahub", initial_flat, deltas, None, [{"weights": w}], ids))
         try:
-            logits = scorer.candidate(combine(initial_flat, deltas, w), directions, w)
+            logits = scorer.candidates(flat[None], [directions], [weights])[0]
         except ContractError:
             return np.inf
         obj = cross_entropy_loss(logits, ys, check=False) + alpha * float(np.sum(np.abs(w)))

@@ -310,7 +310,7 @@ class Scorer:
     ``f(flat)``. It checks ``theta0`` and ``anchor`` against the spec and
     builds the ``Network`` once, for the anchor's layout. A linearized
     scorer runs the network at the anchor once in its lifetime and keeps
-    those activations for every route. Three routes:
+    those activations for every route. Two routes:
 
     - ``at(flat)``, for training and evaluation, returns
       ``(logits, pullback)``; ``pullback(dloss/dlogits)`` is the gradient of
@@ -325,11 +325,10 @@ class Scorer:
       ones form each group of candidates that share direction names as one
       broadcast ``f(anchor) + Σⱼ W[:, j]·J·dⱼ``, accumulated left to right
       like ``combine``, from JVPs taken once per name in the scorer's
-      lifetime, so a name must always mean the same vector. A non-finite
-      flat or non-finite logits raise ``ContractError``: the error the first
-      failing candidate would raise on its own.
-    - ``candidate(flat, directions, weights)`` is the same for one
-      candidate, with the same bits, for sequential searches.
+      lifetime, so a name must always mean the same vector. Any non-finite
+      flat raises ``ContractError`` before anything is scored; non-finite
+      logits raise it too. A one-row batch serves a sequential search: a
+      candidate has the same bits in any batch.
 
     ``jacobian()`` gives the explicit per-row output Jacobian at the anchor.
     """
@@ -368,26 +367,14 @@ class Scorer:
         acts = self.net.activations(flat)
         return acts[0], lambda ct: self.net.vjp(flat, ct, acts)
 
-    def candidate(self, flat: np.ndarray, directions: dict, weights) -> np.ndarray:
-        if not np.isfinite(flat).all():
-            raise ContractError("candidate parameters must be finite")
-        if self.linearized:
-            out = combine(self._anchor_acts()[0], self._named_jvps(directions), weights)
-        else:
-            out = self.net.forward(flat)
-        if not np.isfinite(out).all():
-            raise ContractError("candidate logits must be finite")
-        return out
-
     def candidates(self, flats, directions, weights) -> np.ndarray:
         flats = np.asarray(flats, dtype=np.float64)
-        scored = len(flats)
-        if not np.isfinite(flats).all():  # score up to the first non-finite flat
-            scored = int(np.argmin(np.isfinite(flats).all(axis=1)))
-        out = np.empty((scored, self.net.x.shape[0], self.spec.num_classes))
+        if not np.isfinite(flats).all():
+            raise ContractError("candidate parameters must be finite")
+        out = np.empty((len(flats), self.net.x.shape[0], self.spec.num_classes))
         if self.linearized:
             groups: dict = {}
-            for c in range(scored):
+            for c in range(len(flats)):
                 groups.setdefault(tuple(directions[c]), []).append(c)
             f0 = self._anchor_acts()[0]
             for names, members in groups.items():
@@ -399,12 +386,10 @@ class Scorer:
                 if acc is not out:
                     out[members] = acc
         else:
-            for c in range(scored):
-                out[c] = self.net.forward(flats[c])
+            for c, flat in enumerate(flats):
+                out[c] = self.net.forward(flat)
         if not np.isfinite(out).all():
             raise ContractError("candidate logits must be finite")
-        if scored < len(flats):
-            raise ContractError("candidate parameters must be finite")
         return out
 
     def jacobian(self) -> np.ndarray:

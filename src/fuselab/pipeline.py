@@ -9,6 +9,7 @@ byte-identical output trees.
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +145,9 @@ def load_tasks(resolved: dict, out: str | Path) -> list[Task]:
         task, meta = import_task(f)
         if meta.get("config_digest") != digest:
             raise ConfigError(f"task file {f} was produced under a different configuration")
+        if meta["num_classes"] != str(resolved["suite"]["num_classes"]):
+            raise ContractError(f"task file {f} has num_classes {meta['num_classes']}, the config says "
+                                f"{resolved['suite']['num_classes']}")
         tasks.append(task)
     return tasks
 
@@ -417,17 +421,14 @@ def stage_report(resolved: dict, out: str | Path) -> tuple:
         record = read_json_object(pf, "provenance")
         if record.get("config_digest") != digest:
             raise ConfigError(f"{pf} was produced under a different configuration")
-        try:
-            rows.append(
-                {
-                    "algorithm": record["algorithm"],
-                    "mode": record["mode"],
-                    "subset": tuple(record["subset"]),
-                    "mean_normalized_score": record["mean_normalized_score"],
-                }
-            )
-        except (KeyError, TypeError) as e:
-            raise ContractError(f"{pf} is not a provenance record: {e!r}") from e
+        fields = ("algorithm", "mode", "subset", "mean_normalized_score")
+        algorithm, mode, subset, score = map(record.get, fields)
+        # type() rejects a bool; the comparison is exact for any int and false for NaN.
+        if not (isinstance(subset, list) and all(isinstance(v, str) for v in (algorithm, mode, *subset))
+                and type(score) in (int, float) and abs(score) <= sys.float_info.max):
+            raise ContractError(f"{pf} is not a provenance record: algorithm, mode and subset's task ids "
+                                "must be strings and mean_normalized_score a finite number")
+        rows.append(dict(zip(fields, (algorithm, mode, tuple(subset), score))))
     report = aggregate_report(rows)
     paths.report_dir.mkdir(parents=True, exist_ok=True)
     csv_path = paths.report_dir / "fusion_report.csv"

@@ -236,8 +236,9 @@ def _parse_task(path, data: bytes) -> tuple[Task, dict]:
     for part in text[1].lstrip("# ").split():
         k, _, v = part.partition("=")
         meta[k] = v
-    if "task_id" not in meta:
-        raise ContractError(f"{path}: the header names no task_id")
+    if "task_id" not in meta or not meta.get("num_classes", "").isdecimal():
+        raise ContractError(f"{path}: the header names no task_id or num_classes")
+    num_classes = int(meta["num_classes"])
     rows = text[3:]
     if meta.get("content_digest") != _rows_digest(rows):
         raise ContractError(f"{path}: data rows do not match the header's content_digest")
@@ -259,8 +260,8 @@ def _parse_task(path, data: bytes) -> tuple[Task, dict]:
             values += map(float, parts[2:])
         except ValueError as e:
             raise ContractError(f"{path}: line {n} is not a data row: {e}") from e
-        if label < 0:
-            raise ContractError(f"{path}: line {n} has a negative label")
+        if not 0 <= label < num_classes:
+            raise ContractError(f"{path}: line {n} has label {label}, outside the {num_classes} classes")
         which.append(split)
         labels.append(label)
     xs = np.array(values).reshape(len(labels), columns - 2)

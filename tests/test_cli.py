@@ -474,6 +474,15 @@ def truncate(path: Path) -> None:
     path.write_text(text[: len(text) // 2])
 
 
+def set_field(key, value):
+    """A corruption that sets one field of a JSON object file."""
+    def corrupt(path: Path) -> None:
+        record = json.loads(path.read_text())
+        record[key] = value
+        path.write_text(json.dumps(record))
+    return corrupt
+
+
 def rewrite_trees(edit, trees=("initial", "trained")):
     """A corruption that applies ``edit`` to the named trees of a checkpoint."""
     def corrupt(path: Path) -> None:
@@ -546,11 +555,13 @@ def test_checkpoint_with_swapped_paths_fails_similarity_naming_the_file(run_copy
     lambda row: "{0},one,{2}".format(*row.split(",", 2)),
     lambda row: "{0},-1,{2}".format(*row.split(",", 2)),
     lambda row: row.replace(",", ",x", 3).replace(",x", ",", 2),
+    lambda row: "{0},3,{2}".format(*row.split(",", 2)),
 ], ids=["unknown_split", "extra_column", "missing_column", "non_numeric_label",
-        "negative_label", "non_numeric_feature"])
+        "negative_label", "non_numeric_feature", "label_outside_the_classes"])
 def test_malformed_task_row_exits_one_naming_the_file(run_copy, capsys, edit):
     # Rows that match a recomputed content_digest used to raise a KeyError
-    # (unknown split) or a ValueError (column count, label).
+    # (unknown split) or a ValueError (column count, label); a label past the
+    # classes was accepted.
     cfg, out = run_copy
     path = out / "tasks/task0.csv"
     rewrite_task_row(path, edit)
@@ -560,11 +571,27 @@ def test_malformed_task_row_exits_one_naming_the_file(run_copy, capsys, edit):
     assert err.startswith("error: ") and str(path) in err
 
 
+def test_task_header_num_classes_other_than_the_config_exits_one(run_copy, capsys):
+    # A header that disagreed with suite.num_classes used to be accepted.
+    cfg, out = run_copy
+    path = out / "tasks/task0.csv"
+    path.write_text(path.read_text().replace(" num_classes=3 ", " num_classes=4 ", 1))
+    capsys.readouterr()
+    assert fuse_one_pair(cfg, out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "num_classes 4" in err
+
+
 @pytest.mark.parametrize("corrupt", [
     truncate,
     lambda p: p.write_text('"provenance"'),
-], ids=["truncated", "not_an_object"])
+    set_field("mean_normalized_score", None),
+    set_field("mean_normalized_score", True),
+    set_field("subset", "task0+task1"),
+], ids=["truncated", "not_an_object", "score_null", "score_a_bool", "subset_a_string"])
 def test_malformed_provenance_exits_one_naming_the_file(run_copy, capsys, corrupt):
+    # A null score used to raise a raw TypeError; a true score counted as 1.0
+    # and a string subset as an 11-task subset, and report exited 0.
     cfg, out = run_copy
     path = out / "fusion/task_arithmetic/lora/task0+task1.provenance.json"
     corrupt(path)

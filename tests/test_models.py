@@ -206,7 +206,7 @@ def test_tangent_logits_are_affine_in_the_parameters(case, a, b):
 @pytest.mark.parametrize("mode", [ModeTag.FULL_LINEAR, ModeTag.LLORA])
 @pytest.mark.parametrize("case", ["random", "ties_trim", "lorahub"])
 def test_tangent_features_match_forward_linearized(mode, case):
-    # The scorer's merge route, combine(f(anchor), [J·dᵢ], [wᵢ]), against
+    # The scorer's merge route, f(anchor) + Σ wᵢ·J·dᵢ, against
     # the tangent model evaluated at the merged tree anchor + Σ wᵢ·dᵢ. Equal
     # in real arithmetic; the float64 difference comes only from the order
     # of rounding, so the tolerance is 1e-12 of the largest term.
@@ -225,9 +225,9 @@ def test_tangent_features_match_forward_linearized(mode, case):
 
     scorer = Scorer(spec, theta0, anchor, x)
     flat = combine(base, directions, weights)
-    fast = scorer.candidate(flat, dict(enumerate(directions)), weights)
+    fast = scorer.candidates(flat[None], [dict(enumerate(directions))], [weights])[0]
     oracle = forward_linearized(spec, theta0, LinearizedState(anchor, anchor.with_flat(flat)), x).array
-    f0 = scorer.candidate(base, {}, [])
+    f0 = scorer.candidates(base[None], [{}], [[]])[0]
     jds = [Network(spec, theta0, x, anchor).jvp(base, d)[1] for d in directions]
     scale = max([np.abs(f0).max(), 1.0] + [abs(w) * np.abs(j).max() for w, j in zip(weights, jds)])
     assert np.max(np.abs(fast - oracle)) <= 1e-12 * scale
@@ -241,7 +241,7 @@ def test_tangent_features_without_directions_is_the_anchor_forward(monkeypatch):
     want = forward_linearized(spec, theta0, LinearizedState(anchor, anchor), x).array
     jvps = []
     monkeypatch.setattr(Network, "jvp", lambda *args: jvps.append(args))
-    f0 = Scorer(spec, theta0, anchor, x).candidate(anchor.flatten(), {}, [])
+    f0 = Scorer(spec, theta0, anchor, x).candidates(anchor.flatten()[None], [{}], [[]])[0]
     assert jvps == []
     assert np.array_equal(f0, want)
 
@@ -265,7 +265,7 @@ def test_candidate_logits_match_predict_logits(mode):
     scorer = Scorer(spec, theta0, anchor, x)
     for weights in ([0.7, -1.3], [1.5, 0.25]):
         flat = combine(base, list(directions.values()), weights)
-        got = scorer.candidate(flat, directions, weights)
+        got = scorer.candidates(flat[None], [directions], [weights])[0]
         want = predict_logits(spec, theta0, anchor, anchor.with_flat(flat), x).array
         if mode.is_linearized:
             f0 = predict_logits(spec, theta0, anchor, anchor, x).array
@@ -285,7 +285,7 @@ def test_candidate_logits_reject_a_non_finite_vector(mode, bad):
     flat = anchor.flatten().copy()  # the tree's own vector is read-only
     flat[0] = bad
     with pytest.raises(ContractError):
-        scorer.candidate(flat, {"d": flat - anchor.flatten()}, [1.0])
+        scorer.candidates(flat[None], [{"d": flat - anchor.flatten()}], [[1.0]])
 
 
 @pytest.mark.parametrize("mode", list(ModeTag))
@@ -298,10 +298,10 @@ def test_candidate_logits_reject_overflowed_logits(mode):
     anchor = built.with_flat(np.full(built.num_values, 1e308))
     scorer = Scorer(spec, theta0, anchor, np.ones((2, 4)))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ContractError):
-        scorer.candidate(anchor.flatten(), {}, [])
+        scorer.candidates(anchor.flatten()[None], [{}], [[]])
 
 
-# --- the batched merge route against the one-candidate route -------------------
+# --- a mixed batch against each candidate scored alone ------------------------
 
 
 def mixed_batch(mode, rows=64):
@@ -326,9 +326,14 @@ def test_batched_candidates_equal_the_one_candidate_route_bit_for_bit(mode):
     spec, theta0, anchor, x, flats, directions, weights = mixed_batch(mode)
     batched = Scorer(spec, theta0, anchor, x).candidates(flats, directions, weights)
     single = Scorer(spec, theta0, anchor, x)
-    want = np.stack([single.candidate(f, d, w) for f, d, w in zip(flats, directions, weights)])
+    alone = np.stack([single.candidates(f[None], [d], [w])[0] for f, d, w in zip(flats, directions, weights)])
+    # The oracle: f(anchor) + Σ wᵢ·J·dᵢ through combine for a tangent model, the network otherwise.
+    net, base = Network(spec, theta0, x, anchor), anchor.flatten()
+    oracle = np.stack([
+        combine(net.forward(base), [net.jvp(base, v)[1] for v in d.values()], w) if mode.is_linearized
+        else net.forward(f) for f, d, w in zip(flats, directions, weights)])
     assert batched.shape == (len(flats), 64, 3)
-    assert batched.tobytes() == want.tobytes()
+    assert batched.tobytes() == alone.tobytes() == oracle.tobytes()
     assert len({row.tobytes() for row in batched}) == len(flats) - 1  # only the two () rows agree
 
 
@@ -344,7 +349,7 @@ def test_batched_candidates_raise_the_one_candidate_errors(mode):
     directions = [{}, {"d": bad - base}, {}]
     weights = [[], [1.0], []]
     with pytest.raises(ContractError, match="candidate parameters must be finite"):
-        Scorer(spec, theta0, anchor, x).candidate(bad, directions[1], weights[1])
+        Scorer(spec, theta0, anchor, x).candidates(bad[None], directions[1:2], weights[1:2])
     with pytest.raises(ContractError, match="candidate parameters must be finite"):
         Scorer(spec, theta0, anchor, x).candidates(flats, directions, weights)
 
@@ -352,9 +357,12 @@ def test_batched_candidates_raise_the_one_candidate_errors(mode):
     scorer = Scorer(spec, theta0, huge, x)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ContractError, match="candidate logits must be finite"):
-            scorer.candidate(huge.flatten(), {}, [])
+            scorer.candidates(huge.flatten()[None], [{}], [[]])
         with pytest.raises(ContractError, match="candidate logits must be finite"):
             scorer.candidates(np.stack([huge.flatten()] * 2), [{}, {}], [[], []])
+        # Any non-finite flat is rejected before the first row is scored.
+        with pytest.raises(ContractError, match="candidate parameters must be finite"):
+            scorer.candidates(np.stack([huge.flatten(), bad]), [{}, {}], [[], []])
 
 
 @pytest.mark.parametrize("mode", [ModeTag.FULL_LINEAR, ModeTag.LLORA])
@@ -373,7 +381,7 @@ def test_a_linearized_scorer_runs_the_anchor_and_each_named_jvp_once(mode, monke
     scorer.candidates(flats, directions, weights)
     scorer.candidates(flats[::-1], directions[::-1], weights[::-1])
     for f, d, w in zip(flats, directions, weights):
-        scorer.candidate(f, d, w)
+        scorer.candidates(f[None], [d], [w])
     assert calls == {"activations": 1, "jvp": 3}  # the anchor once; names a, b, c once each
     for f in flats:  # the training route reuses the anchor and takes one JVP per call
         scorer.at(f)

@@ -92,7 +92,7 @@ def test_fusion_never_branches_on_the_paradigm():
 
 def test_scoring_loops_build_no_parameter_trees():
     # A loop body, or a closure such a loop calls, that rebuilds a ParamTree
-    # per candidate instead of handing a flat vector to Scorer.candidate.
+    # per candidate instead of handing flat vectors to Scorer.candidates.
     offenders = []
     for name, wanted in SCORING_FUNCTIONS.items():
         tops = {f.name: f for f in parse(name).body if isinstance(f, ast.FunctionDef)}
@@ -106,6 +106,14 @@ def test_scoring_loops_build_no_parameter_trees():
                     if isinstance(node, ast.Attribute) and node.attr == "with_flat":
                         offenders.append(f"{name}:{fn}:{node.lineno}")
     assert offenders == []
+
+
+def test_fusion_forms_merged_vectors_only_in_candidates():
+    # Every merged flat comes from _candidates; _task_sum is the sum it reuses.
+    tree = parse("fusion.py")
+    callers = {innermost_function(tree, node) for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "combine"}
+    assert callers == {"_candidates", "_task_sum"}
 
 
 AUTODIFF_FREE = ("training.py", "fusion.py", "analysis.py")

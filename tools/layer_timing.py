@@ -12,16 +12,15 @@ before every call, and a memo hit. Last, the microseconds per
 ``ParamTree.flatten``, ``with_flat`` and ``digest`` of a full_ft (1699
 values) and a lora (294 values) trainable tree, and per ``Network(...)``
 construction on a 32-row batch. Then the microseconds per fusion candidate
-of a 21-point task-arithmetic grid on 256 rows, per paradigm, scored one
-candidate at a time (``Scorer.candidate``) and as one batch
-(``Scorer.candidates``), on a scorer that already holds the grid's one
-JVP. Last, per paradigm on ``tests/test_fusion.py``'s ``linear_lorahub_case``
-(three task vectors, 24 few-shot rows), the microseconds per lorahub
-objective evaluation and per whole Nelder-Mead search (``max_steps`` 40,
-44 evaluations), and, when scipy is importable, per the same search through
-``scipy.optimize.minimize``. Exits 1 if any kernel pair or any pair of
-candidate logits differs, or if the two searches evaluate points that
-differ in any bit. fuselab is imported from this checkout's src/:
+of a 21-point task-arithmetic grid on 256 rows, per paradigm, scored as 21
+one-row ``Scorer.candidates`` batches and as one 21-row batch, on a scorer
+that already holds the grid's one JVP. Last, per paradigm on
+``tests/test_fusion.py``'s ``linear_lorahub_case`` (three task vectors,
+24 few-shot rows), the microseconds per lorahub objective evaluation and
+per whole Nelder-Mead search (``max_steps`` 40, 44 evaluations), and, when
+scipy is importable, per the same search through ``scipy.optimize.minimize``.
+Exits 1 if any kernel pair, the one-row and 21-row candidate logits, or
+the points the two searches evaluate differ in any bit. fuselab is imported from this checkout's src/:
 
     python3 tools/layer_timing.py [--repeats N] [--loops L]
 """
@@ -146,7 +145,8 @@ def candidate_timing(repeats: int, loops: int) -> int:
         scorer = Scorer(spec, theta0, init, x)
 
         def single():
-            return np.stack([scorer.candidate(*c) for c in zip(flats, directions, weights)])
+            rows = zip(flats, directions, weights)
+            return np.stack([scorer.candidates(f[None], [d], [w])[0] for f, d, w in rows])
 
         def batched():
             return scorer.candidates(flats, directions, weights)
