@@ -11,7 +11,7 @@ NTK check through its training route and its per-row Jacobian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,6 @@ class DisentanglementGrid:
     lambda2_axis: np.ndarray
     xi: np.ndarray       # halved values in [0, 1]
     xi_raw: np.ndarray   # summed per-task disagreement in [0, 2]
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.xi.shape != (len(self.lambda1_axis), len(self.lambda2_axis)):
@@ -51,7 +50,6 @@ class LandscapeGrid:
     lambda1_axis: np.ndarray
     lambda2_axis: np.ndarray
     loss: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.loss.shape != (len(self.lambda1_axis), len(self.lambda2_axis)):
@@ -145,25 +143,20 @@ def disentanglement_grid(
     nu1: TaskVector,
     nu2: TaskVector,
     eval_sets: tuple[Dataset, Dataset],
-    lambda_range: float | tuple[float, float] = (-1.0, 2.0),
+    lambda_range: tuple[float, float] = (-1.0, 2.0),
     resolution: int = 21,
-    metadata: dict | None = None,
 ) -> DisentanglementGrid:
     """Disentanglement error over the Cartesian grid of scaling factors.
 
-    A scalar range r means the symmetric box [-r, r]^2; the default box
-    is [-1, 2]^2, covering and exceeding the [0, 1]^2 region fusion
-    sweeps search. Every cell goes through the same route as
-    disentanglement_error, so each equals the direct call bit for bit;
-    the pair is ordered once and each single-vector prediction is made
-    once per axis value.
+    ``lambda_range`` (lo, hi) spans both axes; the default box [-1, 2]^2
+    covers and exceeds the [0, 1]^2 region fusion sweeps search. Every
+    cell goes through the same route as disentanglement_error, so each
+    equals the direct call bit for bit; the pair is ordered once and each
+    single-vector prediction is made once per axis value.
     """
     if resolution < 2:
         raise ContractError("grid resolution must be at least 2")
-    if isinstance(lambda_range, (int, float)):
-        lo, hi = -float(lambda_range), float(lambda_range)
-    else:
-        lo, hi = float(lambda_range[0]), float(lambda_range[1])
+    lo, hi = float(lambda_range[0]), float(lambda_range[1])
     if not lo < hi:
         raise ContractError(f"empty lambda range [{lo}, {hi}]")
     axis1 = np.linspace(lo, hi, resolution)
@@ -172,11 +165,7 @@ def disentanglement_grid(
     raw = np.array(_errors(spec, theta0, phi0, nu1, nu2, eval_sets, cells)).reshape(
         resolution, resolution
     )
-    meta = {"mode": spec.mode.value, "tasks": [nu1.task_id, nu2.task_id]}
-    meta.update(metadata or {})
-    return DisentanglementGrid(
-        lambda1_axis=axis1, lambda2_axis=axis2, xi=raw / 2.0, xi_raw=raw, metadata=meta
-    )
+    return DisentanglementGrid(lambda1_axis=axis1, lambda2_axis=axis2, xi=raw / 2.0, xi_raw=raw)
 
 
 def loss_landscape_grid(
@@ -187,7 +176,6 @@ def loss_landscape_grid(
     lambda1_axis,
     lambda2_axis,
     eval_sets: tuple[Dataset, Dataset],
-    metadata: dict | None = None,
 ) -> LandscapeGrid:
     """Joint cross-entropy over the plane theta0 + l1*(theta1-theta0) + l2*(theta2-theta0).
 
@@ -217,9 +205,7 @@ def loss_landscape_grid(
         for data, scorer in zip(eval_sets, scorers):
             logits = scorer.candidates(flats, directions[block], weights[block])
             loss[block] = loss[block] + [cross_entropy_loss(cell, data.ys, check=False) for cell in logits]
-    meta = dict(metadata or {})
-    return LandscapeGrid(lambda1_axis=axis1, lambda2_axis=axis2,
-                         loss=loss.reshape(axis1.size, axis2.size), metadata=meta)
+    return LandscapeGrid(lambda1_axis=axis1, lambda2_axis=axis2, loss=loss.reshape(axis1.size, axis2.size))
 
 
 def normalized_score(absolute: float, single_task: float) -> float:

@@ -322,13 +322,12 @@ class Scorer:
       Candidate ``c`` is ``flats[c] = anchor + Σ wᵢ·dᵢ`` over
       ``weights[c]`` and ``directions[c]``, a dict mapping a name to its
       vector. Nonlinear paradigms run the network at each flat; linearized
-      ones form each group of candidates that share direction names as one
-      broadcast ``f(anchor) + Σⱼ W[:, j]·J·dⱼ``, accumulated left to right
-      like ``combine``, from JVPs taken once per name in the scorer's
-      lifetime, so a name must always mean the same vector. Any non-finite
-      flat raises ``ContractError`` before anything is scored; non-finite
-      logits raise it too. A one-row batch serves a sequential search: a
-      candidate has the same bits in any batch.
+      ones form each candidate as ``combine(f(anchor), [J·dᵢ], w)``, from
+      JVPs taken once per name in the scorer's lifetime, so a name must
+      always mean the same vector. Any non-finite flat raises
+      ``ContractError`` before anything is scored; non-finite logits raise
+      it too. A one-row batch serves a sequential search: a candidate has
+      the same bits in any batch.
 
     ``jacobian()`` gives the explicit per-row output Jacobian at the anchor.
     """
@@ -373,18 +372,9 @@ class Scorer:
             raise ContractError("candidate parameters must be finite")
         out = np.empty((len(flats), self.net.x.shape[0], self.spec.num_classes))
         if self.linearized:
-            groups: dict = {}
-            for c in range(len(flats)):
-                groups.setdefault(tuple(directions[c]), []).append(c)
             f0 = self._anchor_acts()[0]
-            for names, members in groups.items():
-                w = np.array([weights[c] for c in members], dtype=np.float64).reshape(len(members), len(names))
-                acc = out if len(groups) == 1 else np.empty((len(members), *f0.shape))
-                acc[...] = f0
-                for j, jd in enumerate(self._named_jvps(directions[members[0]])):
-                    acc += w[:, j, None, None] * jd
-                if acc is not out:
-                    out[members] = acc
+            for c in range(len(flats)):
+                out[c] = combine(f0, self._named_jvps(directions[c]), weights[c])
         else:
             for c, flat in enumerate(flats):
                 out[c] = self.net.forward(flat)

@@ -134,20 +134,26 @@ def stage_gen_tasks(resolved: dict, out: str | Path) -> list[Path]:
 
 
 def load_tasks(resolved: dict, out: str | Path) -> list[Task]:
-    """Read exported task files back, verifying the config digest."""
+    """Read exported task files back, verifying the config digest.
+
+    Each file's header must name the task the file is stored as and the
+    suite's ``num_classes`` and ``input_dim``.
+    """
     paths, digest = ensure_run_dir(resolved, out)
-    n = int(resolved["suite"]["n_tasks"])
+    suite = resolved["suite"]
     tasks = []
-    for i in range(n):
+    for i in range(int(suite["n_tasks"])):
         f = paths.task_file(f"task{i}")
         if not f.exists():
             raise ConfigError(f"missing task file {f}; run gen-tasks first")
         task, meta = import_task(f)
         if meta.get("config_digest") != digest:
             raise ConfigError(f"task file {f} was produced under a different configuration")
-        if meta["num_classes"] != str(resolved["suite"]["num_classes"]):
-            raise ContractError(f"task file {f} has num_classes {meta['num_classes']}, the config says "
-                                f"{resolved['suite']['num_classes']}")
+        if task.id != f"task{i}":
+            raise ContractError(f"task file {f} has task_id {task.id}, not task{i}")
+        for key in ("num_classes", "input_dim"):
+            if meta[key] != str(suite[key]):
+                raise ContractError(f"task file {f} has {key} {meta[key]}, the config says {suite[key]}")
         tasks.append(task)
     return tasks
 

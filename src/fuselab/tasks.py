@@ -217,7 +217,8 @@ def import_task(path) -> tuple[Task, dict]:
     """Read a task file back; the teacher is not part of the text format.
 
     The data rows must match the header's ``content_digest`` and per-split
-    counts, so an edited or truncated file is a ``ContractError``. Parses
+    counts, and the header's ``input_dim`` must count the feature columns,
+    so an edited or truncated file is a ``ContractError``. Parses
     are memoised per process on the file's bytes (``files.read_memoized``);
     each call gets its own copy of the header dict.
     """
@@ -245,6 +246,9 @@ def _parse_task(path, data: bytes) -> tuple[Task, dict]:
     columns = len(text[2].split(","))
     if columns < 3:
         raise ContractError(f"{path}: the header names no feature columns")
+    if meta.get("input_dim") != str(columns - 2):
+        raise ContractError(f"{path}: the header says input_dim {meta.get('input_dim')}, "
+                            f"the column line names {columns - 2} features")
     split_of = {name: i for i, name in enumerate(SPLITS)}
     which, labels, values = [], [], []
     for n, line in enumerate(rows, start=4):

@@ -582,6 +582,49 @@ def test_task_header_num_classes_other_than_the_config_exits_one(run_copy, capsy
     assert err.startswith("error: ") and str(path) in err and "num_classes 4" in err
 
 
+def drop_last_feature(input_dim: str | None = None):
+    """A corruption that drops the last feature from the column line and every
+    row, recomputes the content_digest and, if given, rewrites input_dim."""
+    def corrupt(path: Path) -> None:
+        lines = path.read_text().splitlines()
+        lines[2:] = [line.rsplit(",", 1)[0] for line in lines[2:]]
+        digest = "sha256:" + hashlib.sha256("".join(r + "\n" for r in lines[3:]).encode()).hexdigest()
+        fields = {"content_digest": digest}
+        if input_dim is not None:
+            fields["input_dim"] = input_dim
+        parts = [part.partition("=") for part in lines[1].split(" ")]
+        lines[1] = " ".join(f"{key}={fields[key]}" if key in fields else key + eq + value
+                            for key, eq, value in parts)
+        path.write_text("\n".join(lines) + "\n")
+    return corrupt
+
+
+def replace_in_header(old: str, new: str):
+    def corrupt(path: Path) -> None:
+        path.write_text(path.read_text().replace(old, new, 1))
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, named", [
+    (replace_in_header(" task_id=task0 ", " task_id=task1 "), "task_id task1"),
+    (replace_in_header(" input_dim=16 ", " input_dim=12 "), "input_dim 12"),
+    (drop_last_feature(), "15 features"),
+    (drop_last_feature(input_dim="15"), "input_dim 15"),
+], ids=["task_id_of_another_task", "input_dim_in_header_only", "dropped_feature_column",
+        "dropped_feature_column_and_input_dim"])
+def test_task_header_disagreeing_with_its_file_or_the_config_exits_one(run_copy, capsys, corrupt, named):
+    # A task0 file whose header named task1 was trained and saved as task1,
+    # a header-only input_dim was accepted, and a dropped feature column
+    # failed on the input batch shape without naming the file.
+    cfg, out = run_copy
+    path = out / "tasks/task0.csv"
+    corrupt(path)
+    capsys.readouterr()
+    assert fuse_one_pair(cfg, out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and named in err
+
+
 @pytest.mark.parametrize("corrupt", [
     truncate,
     lambda p: p.write_text('"provenance"'),

@@ -116,6 +116,16 @@ def test_fusion_forms_merged_vectors_only_in_candidates():
     assert callers == {"_candidates", "_task_sum"}
 
 
+def test_scorer_candidates_sums_logits_only_through_combine():
+    # params.combine fixes the accumulation order of f(anchor) + Σ wᵢ·J·dᵢ;
+    # the scorer writes no sum of its own, such as an in-place `acc += …`.
+    scorer = next(n for n in parse("models.py").body if isinstance(n, ast.ClassDef) and n.name == "Scorer")
+    candidates = next(f for f in scorer.body if isinstance(f, ast.FunctionDef) and f.name == "candidates")
+    assert "combine" in {n.func.id for n in ast.walk(candidates)
+                         if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    assert [n.lineno for n in ast.walk(scorer) if isinstance(n, ast.AugAssign)] == []
+
+
 AUTODIFF_FREE = ("training.py", "fusion.py", "analysis.py")
 TRACED_TRANSFORMS = {"jvp", "vjp", "grad"}
 

@@ -14,13 +14,18 @@ values) and a lora (294 values) trainable tree, and per ``Network(...)``
 construction on a 32-row batch. Then the microseconds per fusion candidate
 of a 21-point task-arithmetic grid on 256 rows, per paradigm, scored as 21
 one-row ``Scorer.candidates`` batches and as one 21-row batch, on a scorer
-that already holds the grid's one JVP. Last, per paradigm on
+that already holds the grid's one JVP. Then, for full_linear and l_lora,
+the milliseconds per ``analysis.disentanglement_grid`` at resolution 21
+(441 cells) on two 256-row sets, where each linearized cell is scored
+candidate by candidate. Last, per paradigm on
 ``tests/test_fusion.py``'s ``linear_lorahub_case`` (three task vectors,
 24 few-shot rows), the microseconds per lorahub objective evaluation and
 per whole Nelder-Mead search (``max_steps`` 40, 44 evaluations), and, when
 scipy is importable, per the same search through ``scipy.optimize.minimize``.
-Exits 1 if any kernel pair, the one-row and 21-row candidate logits, or
-the points the two searches evaluate differ in any bit. fuselab is imported from this checkout's src/:
+Exits 1 if any kernel pair, the one-row and 21-row candidate logits, a
+grid cell and the direct ``disentanglement_error`` at that cell, or the
+points the two searches evaluate differ in any bit. fuselab is imported
+from this checkout's src/:
 
     python3 tools/layer_timing.py [--repeats N] [--loops L]
 """
@@ -71,6 +76,7 @@ def main(argv=None) -> int:
     read_timing(args.repeats, args.loops)
     tree_timing(args.repeats, args.loops)
     differ += candidate_timing(args.repeats, args.loops)
+    differ += grid_timing(args.repeats, args.loops)
     differ += lorahub_timing(args.repeats, args.loops)
     return 1 if differ else 0
 
@@ -156,6 +162,34 @@ def candidate_timing(repeats: int, loops: int) -> int:
         single_us, batched_us = (us_per_call(fn, repeats, loops) / len(weights) for fn in (single, batched))
         print(f"{mode.value:<12}{256:>6}{len(weights):>6}{single_us:>11.1f}{batched_us:>12.1f}"
               f"{single_us / batched_us:>7.1f}x  {'equal' if same else 'DIFFERENT'}")
+    return differ
+
+
+def grid_timing(repeats: int, loops: int) -> int:
+    """Print the disentanglement-grid table; returns the number of paradigms whose cell differs."""
+    import numpy as np
+    from fuselab.analysis import disentanglement_error, disentanglement_grid
+    from fuselab.models import ModeTag, ModelSpec, build_model
+    from fuselab.task_vectors import TaskVector
+    from fuselab.tasks import Dataset
+
+    print(f"\n{'grid':<12}{'rows':>6}{'cells':>6}{'grid_ms':>9}{'cell_us':>9}  bits")
+    differ = 0
+    for mode in (ModeTag.FULL_LINEAR, ModeTag.LLORA):
+        spec = ModelSpec(16, (32, 32), 3, mode=mode)
+        theta0, init = build_model(spec, 0)
+        rng = np.random.default_rng(2)
+        vectors = [TaskVector(init.with_flat(0.1 * rng.standard_normal(init.num_values)), mode, f"task{i}")
+                   for i in range(2)]
+        sets = tuple(Dataset(rng.standard_normal((256, spec.input_dim)), np.zeros(256)) for _ in range(2))
+        grid = disentanglement_grid(spec, theta0, init, *vectors, sets, resolution=21)
+        l1, l2 = grid.lambda1_axis[3], grid.lambda2_axis[17]
+        same = grid.xi_raw[3, 17] == disentanglement_error(spec, theta0, init, *vectors, l1, l2, sets)
+        differ += not same
+        grid_us = us_per_call(lambda: disentanglement_grid(spec, theta0, init, *vectors, sets, resolution=21),
+                              repeats, max(1, loops // 10))
+        print(f"{mode.value:<12}{256:>6}{grid.xi.size:>6}{grid_us / 1e3:>9.1f}{grid_us / grid.xi.size:>9.1f}"
+              f"  {'equal' if same else 'DIFFERENT'}")
     return differ
 
 
