@@ -93,8 +93,8 @@ def _errors(
 
     def stack(terms: tuple[int, ...], weights: list[list[float]]):
         """(flats, directions, weights) of phi0 + Σ wₛ * deltas[s] over s in ``terms``, per weighting."""
-        directions = {s: deltas[s] for s in terms}
-        flats = np.stack([combine(base, list(directions.values()), w) for w in weights])
+        directions = [deltas[s] for s in terms]
+        flats = np.stack([combine(base, directions, w) for w in weights])
         return flats, [directions] * len(weights), weights
 
     scorers, singles, which = {}, {}, {}
@@ -195,7 +195,7 @@ def loss_landscape_grid(
     v1 = theta1.flatten() - base
     v2 = theta2.flatten() - base
     weights = [[l1, l2] for l1 in axis1 for l2 in axis2]
-    directions = [{"theta1": v1, "theta2": v2}] * len(weights)
+    directions = [[v1, v2]] * len(weights)
     scorers = [Scorer(spec.with_mode("full_ft"), theta0, theta0, data.xs) for data in eval_sets]
     for data in eval_sets:
         check_labels(data.ys, spec.num_classes)

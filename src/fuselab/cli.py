@@ -69,9 +69,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _modes(args) -> list[ModeTag] | None:
-    if getattr(args, "mode", None):
-        return [ModeTag(m) for m in args.mode]
-    return None
+    if not getattr(args, "mode", None):
+        return None
+    for i, m in enumerate(args.mode):
+        if m in args.mode[:i]:
+            raise ConfigError(f"mode {m!r} appears twice in --mode")
+    return [ModeTag(m) for m in args.mode]
 
 
 def _pairs(args):

@@ -6,11 +6,11 @@ directions and weights: the public merges, the sweep and the replay all
 take their parameters from it. ``models.Scorer`` scores them in every
 paradigm: a sweep scores its whole grid on each validation set in one
 ``Scorer.candidates`` call, and lorahub's search scores each weighting
-``_candidates`` builds as a one-row batch. Direction names are stable for
-one set of checkpoints, so the scorers of ``scorers_for`` can serve every
-subset of a fuse stage. All order-sensitive reductions canonicalize their
-inputs by task id before summing, so permuting the caller's checkpoint or
-vector order can never change a merged result. That holds for lorahub too: its
+``_candidates`` builds as a one-row batch. A scorer caches each direction's
+JVP by the vector's content, so the scorers of ``scorers_for`` can serve
+every subset of a fuse stage. All order-sensitive reductions canonicalize
+their inputs by task id before summing, so permuting the caller's checkpoint
+or vector order can never change a merged result. That holds for lorahub too: its
 search is ``_nelder_mead``, an in-package copy of scipy's fixed-coefficient
 Nelder-Mead that draws no random numbers, and its ``seed`` is only
 recorded in provenance. Nothing here imports scipy.
@@ -121,23 +121,19 @@ def _task_sum(deltas: list[np.ndarray]) -> np.ndarray:
 
 
 def _candidates(algorithm: str, initial_flat: np.ndarray, deltas: list[np.ndarray],
-                trained: list[np.ndarray] | None, grid: list[dict], ids: tuple):
+                trained: list[np.ndarray] | None, grid: list[dict]):
     """Yield ``(tie-break key, hyperparameters, merged flat, directions, weights)`` per point of ``grid``.
 
     The one place each algorithm's formula is spelled out. ``deltas`` and
-    ``trained`` are flat vectors in task-id order and ``ids`` the task ids
-    they belong to; ``grid`` holds the hyperparameter dicts to build, in
-    order (lorahub's ``weights`` listed in task-id order). ``directions``
-    maps a name to a fixed vector and ``weights`` holds their
-    coefficients, so the merged flat is ``initial + Σ wᵢ·dᵢ`` over them.
-    Names are stable for one set of checkpoints: a direction built from a
-    subset carries the subset's ids, and lorahub's per-task directions are
-    named by task id alone, so a linearized scorer shared by every subset
-    of a stage takes one JVP per name. Fixed directions are built once: the
-    task-vector sum once, the TIES merge vector once per k. simple_average's
-    merged flat is the mean of the trained vectors and its one direction
-    that mean minus the initial vector. Ties in score go to the smaller
-    key: scaling factor, then trim fraction.
+    ``trained`` are flat vectors in task-id order; ``grid`` holds the
+    hyperparameter dicts to build, in order (lorahub's ``weights`` listed
+    in task-id order). ``directions`` lists fixed vectors and ``weights``
+    their coefficients, so the merged flat is ``initial + Σ wᵢ·dᵢ`` over
+    them. Fixed directions are built once: the task-vector sum once, the
+    TIES merge vector once per k. simple_average's merged flat is the mean
+    of the trained vectors and its one direction that mean minus the
+    initial vector. Ties in score go to the smaller key: scaling factor,
+    then trim fraction.
     """
     if algorithm not in ALGORITHMS:
         raise ContractError(f"unknown fusion algorithm {algorithm!r}")
@@ -147,34 +143,32 @@ def _candidates(algorithm: str, initial_flat: np.ndarray, deltas: list[np.ndarra
             if len(trained) < 2:
                 raise ContractError("simple average needs at least two checkpoints")
             merged = np.mean(trained, axis=0)
-            yield (0.0, 0.0), hp, merged, {("average", ids): merged - initial_flat}, [1.0]
+            yield (0.0, 0.0), hp, merged, [merged - initial_flat], [1.0]
             continue
         if algorithm == "task_arithmetic":
-            key, name, weights = (hp["lambda"], 0.0), ("sum", ids), [hp["lambda"]]
-            if name not in fixed:
-                fixed[name] = _task_sum(deltas)
-            directions = {name: fixed[name]}
+            key, which, weights = (hp["lambda"], 0.0), "sum", [hp["lambda"]]
+            if which not in fixed:
+                fixed[which] = _task_sum(deltas)
+            directions = [fixed[which]]
         elif algorithm == "ties_merging":
-            key, name, weights = (hp["lambda"], hp["k"]), ("ties", hp["k"], ids), [hp["lambda"]]
-            if name not in fixed:
+            key, which, weights = (hp["lambda"], hp["k"]), hp["k"], [hp["lambda"]]
+            if which not in fixed:
                 trimmed = np.stack([ties_trim(d, hp["k"]) for d in deltas])
                 elected = np.sign(trimmed.sum(axis=0))
                 match = (np.sign(trimmed) == elected) & (elected != 0)
                 counts = match.sum(axis=0)
                 sums = (trimmed * match).sum(axis=0)
-                fixed[name] = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-            directions = {name: fixed[name]}
+                fixed[which] = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+            directions = [fixed[which]]
         else:
-            key, weights = (0.0, 0.0), hp["weights"]
-            directions = {("task", t): d for t, d in zip(ids, deltas)}
-        yield key, hp, combine(initial_flat, list(directions.values()), weights), directions, weights
+            key, directions, weights = (0.0, 0.0), deltas, hp["weights"]
+        yield key, hp, combine(initial_flat, directions, weights), directions, weights
 
 
 def _merge(algorithm: str, initial: ParamTree, ordered: list, deltas, trained, hp: dict,
            context: tuple[ModelSpec, int, ParamTree] | None) -> MergedModel:
     """The model ``algorithm`` builds at ``hp``: a one-point grid."""
-    ids = tuple(x.task_id for x in ordered)
-    flat = next(_candidates(algorithm, initial.flatten(), deltas, trained, [hp], ids))[2]
+    flat = next(_candidates(algorithm, initial.flatten(), deltas, trained, [hp]))[2]
     spec, seed, theta0 = context if context is not None else (None, None, None)
     return MergedModel(spec, theta0, initial, initial.with_flat(flat),
                        _provenance(algorithm, ordered, hp, init_seed=seed))
@@ -279,8 +273,7 @@ def lorahub_optimize(
         "weights": {v.task_id: w for v, w in zip(ordered, weights)},
     }
     provenance = _provenance("lorahub", ordered, hyperparameters, objective=float(best["obj"]))
-    ids = tuple(v.task_id for v in ordered)
-    flat = next(_candidates("lorahub", initial.flatten(), deltas, None, [{"weights": weights}], ids))[2]
+    flat = next(_candidates("lorahub", initial.flatten(), deltas, None, [{"weights": weights}]))[2]
     return weights, MergedModel(spec, theta0, initial, initial.with_flat(flat), provenance)
 
 
@@ -288,7 +281,7 @@ def _lorahub_objective(spec, theta0, initial: ParamTree, deltas: list[np.ndarray
                        fewshot: Dataset, alpha: float):
     """``w -> few-shot cross-entropy + alpha * sum|w_i|`` at ``initial + Σ wᵢ·dᵢ``.
 
-    Each evaluation takes the merged flat and its named directions from
+    Each evaluation takes the merged flat and its directions from
     ``_candidates`` and scores them as a one-row ``Scorer.candidates`` batch
     on the few-shot inputs. The few-shot labels are checked once, here
     (``ContractError`` when one lies outside the spec's classes), so the
@@ -297,13 +290,13 @@ def _lorahub_objective(spec, theta0, initial: ParamTree, deltas: list[np.ndarray
     the floating-point warnings of such a weighting.
     """
     check_labels(fewshot.ys, spec.num_classes)
-    initial_flat, ids = initial.flatten(), tuple(range(len(deltas)))
+    initial_flat = initial.flatten()
     scorer = Scorer(spec, theta0, initial, fewshot.xs)
     ys, alpha = fewshot.ys, float(alpha)
 
     def objective(w) -> float:
         _, _, flat, directions, weights = next(
-            _candidates("lorahub", initial_flat, deltas, None, [{"weights": w}], ids))
+            _candidates("lorahub", initial_flat, deltas, None, [{"weights": w}]))
         try:
             logits = scorer.candidates(flat[None], [directions], [weights])[0]
         except ContractError:
@@ -447,11 +440,10 @@ def sweep_and_select(
     parameters or logits raise ``ContractError``. ``scorers`` maps each task
     id to a scorer on its validation inputs (``scorers_for``); a caller that
     sweeps several subsets of one set of checkpoints passes the same dict
-    to each, so a linearized mode takes each named direction's JVP once.
-    Direction names identify vectors only within one set of checkpoints,
-    so the dict must not serve sweeps of another. Scorers built on another
-    paradigm or initial tree raise ``ContractError``. By default the sweep
-    builds its own.
+    to each, so a linearized mode takes each distinct direction's JVP once.
+    A missing task, or a scorer built on another paradigm, initial tree or
+    set of inputs, raises ``ContractError`` before anything is scored. By
+    default the sweep builds its own.
     """
     spec, init_seed, theta0, initial = _common_context(checkpoints)
     ordered = sorted(checkpoints, key=lambda c: c.task_id)
@@ -459,6 +451,17 @@ def sweep_and_select(
         ds = validation.get(c.task_id)
         if ds is None or len(ds) == 0:
             raise ContractError(f"validation set for {c.task_id!r} is empty or missing")
+    ids = tuple(c.task_id for c in ordered)
+    if scorers is None:
+        scorers = scorers_for(ordered, validation)
+    else:
+        for t in ids:
+            if t not in scorers:
+                raise ContractError(f"no sweep scorer for task {t!r}")
+            if scorers[t].spec != spec or not scorers[t].template.equal_bits(initial):
+                raise ContractError("sweep scorers were not built on these checkpoints' paradigm and initial tree")
+            if not np.array_equal(scorers[t].net.x, validation[t].xs):
+                raise ContractError(f"sweep scorer for {t!r} was not built on its validation inputs")
     vectors, deltas = _ordered_flats(initial, [compute_task_vector(c) for c in ordered])
     trained = [c.trained.flatten() for c in ordered]
 
@@ -481,13 +484,8 @@ def sweep_and_select(
         recorded = {"hyperparameters": model.provenance["hyperparameters"],
                     "objective": model.provenance["objective"]}
 
-    ids = tuple(c.task_id for c in ordered)
-    if scorers is None:
-        scorers = scorers_for(ordered, validation)
-    elif any(scorers[t].spec != spec or not scorers[t].template.equal_bits(initial) for t in ids):
-        raise ContractError("sweep scorers were not built on these checkpoints' paradigm and initial tree")
     keys, hps, flats, directions, weights = zip(
-        *_candidates(config.algorithm, initial.flatten(), deltas, trained, grid, ids))
+        *_candidates(config.algorithm, initial.flatten(), deltas, trained, grid))
     flats = np.stack(flats)
     accuracies = np.empty((len(keys), len(ids)))  # candidate × task
     for j, t in enumerate(ids):
@@ -524,6 +522,5 @@ def replay_merge(provenance: dict, checkpoints: list[Checkpoint]) -> ParamTree:
     hp = dict(provenance.get("hyperparameters", {}))
     if provenance["algorithm"] == "lorahub":
         hp["weights"] = [hp["weights"][v.task_id] for v in ordered]
-    ids = tuple(v.task_id for v in ordered)
-    flat = next(_candidates(provenance["algorithm"], initial.flatten(), deltas, trained, [hp], ids))[2]
+    flat = next(_candidates(provenance["algorithm"], initial.flatten(), deltas, trained, [hp]))[2]
     return initial.with_flat(flat)

@@ -320,11 +320,11 @@ class Scorer:
     - ``candidates(flats, directions, weights)``, for merge scoring, returns
       the logits of a stack of C candidates, shape ``(C, rows, classes)``.
       Candidate ``c`` is ``flats[c] = anchor + Σ wᵢ·dᵢ`` over
-      ``weights[c]`` and ``directions[c]``, a dict mapping a name to its
-      vector. Nonlinear paradigms run the network at each flat; linearized
-      ones form each candidate as ``combine(f(anchor), [J·dᵢ], w)``, from
-      JVPs taken once per name in the scorer's lifetime, so a name must
-      always mean the same vector. Any non-finite flat raises
+      ``weights[c]`` and the list of vectors ``directions[c]``. Nonlinear
+      paradigms run the network at each flat; linearized ones form each
+      candidate as ``combine(f(anchor), [J·dᵢ], w)``, with ``J·d`` cached
+      under ``d``'s bytes, so each distinct vector's JVP is taken once in
+      the scorer's lifetime. Any non-finite flat raises
       ``ContractError`` before anything is scored; non-finite logits raise
       it too. A one-row batch serves a sequential search: a candidate has
       the same bits in any batch.
@@ -350,13 +350,12 @@ class Scorer:
         """``J(anchor)·d``; the one place the network's JVP is taken."""
         return self.net.jvp(self.anchor, d, acts)[1]
 
-    def _named_jvps(self, directions: dict) -> list[np.ndarray]:
-        """``J(anchor)·d`` for each named direction, each name's taken once."""
-        missing = [name for name in directions if name not in self._jds]
-        if missing:
-            acts = self._anchor_acts()
-            self._jds.update((name, self._jvp(directions[name], acts)) for name in missing)
-        return [self._jds[name] for name in directions]
+    def _cached_jvp(self, d: np.ndarray) -> np.ndarray:
+        """``J(anchor)·d``, keyed by ``d``'s bytes: equal keys are bit-identical vectors."""
+        key = d.tobytes()
+        if key not in self._jds:
+            self._jds[key] = self._jvp(d, self._anchor_acts())
+        return self._jds[key]
 
     def at(self, flat: np.ndarray):
         if self.linearized:
@@ -374,7 +373,7 @@ class Scorer:
         if self.linearized:
             f0 = self._anchor_acts()[0]
             for c in range(len(flats)):
-                out[c] = combine(f0, self._named_jvps(directions[c]), weights[c])
+                out[c] = combine(f0, [self._cached_jvp(d) for d in directions[c]], weights[c])
         else:
             for c, flat in enumerate(flats):
                 out[c] = self.net.forward(flat)

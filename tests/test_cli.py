@@ -669,8 +669,13 @@ def file_tree(root: Path) -> dict:
     (["analyze", "ntk", "--task", "task9"], "task9"),
     (["finetune", "--task", "task0", "--task", "task0"], "task0"),
     (["finetune", "--task", "task9"], "task9"),
+    (["finetune", "--mode", "full_ft", "--mode", "full_ft"], "full_ft"),
+    (["fuse", "--algorithm", "simple_average", "--all-subsets", "--mode", "full_ft", "--mode", "full_ft"],
+     "full_ft"),
+    (["analyze", "similarity", "--mode", "full_ft", "--mode", "full_ft"], "full_ft"),
 ], ids=["fuse_unknown", "fuse_repeated", "fuse_single", "disentangle_unknown",
-        "landscape_repeated", "ntk_unknown", "finetune_repeated", "finetune_unknown"])
+        "landscape_repeated", "ntk_unknown", "finetune_repeated", "finetune_unknown",
+        "finetune_mode_repeated", "fuse_mode_repeated", "similarity_mode_repeated"])
 def test_malformed_task_ids_exit_one_before_any_artifact(run_copy, capsys, argv, named):
     # Unknown ids used to raise a KeyError; a repeated or single id merged or
     # analysed a degenerate set and wrote it.

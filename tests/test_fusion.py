@@ -581,3 +581,50 @@ def test_sweep_rejects_scorers_built_on_another_anchor():
     config = FusionConfig(algorithm="task_arithmetic")
     with pytest.raises(ContractError, match="initial tree"):
         sweep_and_select(config, cks, validation, scorers=scorers_for(others, validation))
+
+
+def test_sweep_rejects_scorers_on_other_rows_and_a_missing_task():
+    # Scorers on the test rows used to run the sweep there and record those
+    # scores as validation scores; a dict without a task raised a raw KeyError.
+    _, _, _, cks = make_checkpoints(n=3, seed=9, mode=ModeTag.LLORA)
+    rng = np.random.default_rng(12)
+    validation, test = ({c.task_id: Dataset(rng.standard_normal((20, 4)), rng.integers(0, 3, size=20))
+                         for c in cks} for _ in range(2))
+    config = FusionConfig(algorithm="task_arithmetic")
+    with pytest.raises(ContractError, match="'task0'.*validation inputs"):
+        sweep_and_select(config, cks, validation, scorers=scorers_for(cks, test))
+    partial = {t: s for t, s in scorers_for(cks, validation).items() if t != "task2"}
+    with pytest.raises(ContractError, match="'task2'"):
+        sweep_and_select(config, cks, validation, scorers=partial)
+
+
+@pytest.fixture(scope="module")
+def two_checkpoint_sets():
+    """Per linearized mode, two checkpoint sets on one spec and initial tree,
+    trained 300 and 60 steps."""
+    suite = make_task_suite(n_tasks=2, seed=403, samples_per_split=64)
+    sets = {}
+    for mode in (ModeTag.FULL_LINEAR, ModeTag.LLORA):
+        spec = ModelSpec(input_dim=16, hidden_dims=(32, 32), num_classes=3, lora_rank=2, mode=mode)
+        theta0, phi0 = build_model(spec, seed=403)
+        sets[mode] = [[finetune(spec, theta0, phi0, t, TrainConfig(steps=steps, learning_rate=0.02),
+                                init_seed=403)[0] for t in suite.tasks] for steps in (300, 60)]
+    return {t.id: t.val for t in suite.tasks}, sets
+
+
+@pytest.mark.parametrize("algorithm", ["task_arithmetic", "ties_merging"])
+@pytest.mark.parametrize("mode", [ModeTag.FULL_LINEAR, ModeTag.LLORA])
+def test_a_scorer_dict_reused_on_another_checkpoint_set_matches_fresh_scorers(two_checkpoint_sets, mode, algorithm):
+    # The sets share the spec and the initial tree, so the sweep accepts the
+    # dict; scoring the second set with the first set's JVPs used to choose
+    # another merge.
+    validation, sets = two_checkpoint_sets
+    first, second = sets[mode]
+    config = FusionConfig(algorithm=algorithm)
+    scorers = scorers_for(first, validation)
+    sweep_and_select(config, first, validation, scorers=scorers)
+    reused = sweep_and_select(config, second, validation, scorers=scorers)
+    fresh = sweep_and_select(config, second, validation)
+    for field in ("hyperparameters", "validation_scores"):
+        assert reused.provenance[field] == fresh.provenance[field]
+    assert reused.trainable.digest() == fresh.trainable.digest()

@@ -225,9 +225,9 @@ def test_tangent_features_match_forward_linearized(mode, case):
 
     scorer = Scorer(spec, theta0, anchor, x)
     flat = combine(base, directions, weights)
-    fast = scorer.candidates(flat[None], [dict(enumerate(directions))], [weights])[0]
+    fast = scorer.candidates(flat[None], [directions], [weights])[0]
     oracle = forward_linearized(spec, theta0, LinearizedState(anchor, anchor.with_flat(flat)), x).array
-    f0 = scorer.candidates(base[None], [{}], [[]])[0]
+    f0 = scorer.candidates(base[None], [[]], [[]])[0]
     jds = [Network(spec, theta0, x, anchor).jvp(base, d)[1] for d in directions]
     scale = max([np.abs(f0).max(), 1.0] + [abs(w) * np.abs(j).max() for w, j in zip(weights, jds)])
     assert np.max(np.abs(fast - oracle)) <= 1e-12 * scale
@@ -241,7 +241,7 @@ def test_tangent_features_without_directions_is_the_anchor_forward(monkeypatch):
     want = forward_linearized(spec, theta0, LinearizedState(anchor, anchor), x).array
     jvps = []
     monkeypatch.setattr(Network, "jvp", lambda *args: jvps.append(args))
-    f0 = Scorer(spec, theta0, anchor, x).candidates(anchor.flatten()[None], [{}], [[]])[0]
+    f0 = Scorer(spec, theta0, anchor, x).candidates(anchor.flatten()[None], [[]], [[]])[0]
     assert jvps == []
     assert np.array_equal(f0, want)
 
@@ -251,7 +251,7 @@ def test_tangent_features_without_directions_is_the_anchor_forward(monkeypatch):
 
 @pytest.mark.parametrize("mode", list(ModeTag))
 def test_candidate_logits_match_predict_logits(mode):
-    # Two weightings of the same named directions, so linearized modes reuse
+    # Two weightings of the same directions, so linearized modes reuse
     # their cached JVPs on the second call. Nonlinear modes run the same
     # program at the same vector and must agree bit for bit; linearized
     # modes differ from the traced oracle only in rounding order, so the
@@ -261,10 +261,10 @@ def test_candidate_logits_match_predict_logits(mode):
     rng = np.random.default_rng(22)
     x = rng.standard_normal((64, 16))
     base = anchor.flatten()
-    directions = dict(zip("ab", 0.1 * rng.standard_normal((2, base.size))))
+    directions = list(0.1 * rng.standard_normal((2, base.size)))
     scorer = Scorer(spec, theta0, anchor, x)
     for weights in ([0.7, -1.3], [1.5, 0.25]):
-        flat = combine(base, list(directions.values()), weights)
+        flat = combine(base, directions, weights)
         got = scorer.candidates(flat[None], [directions], [weights])[0]
         want = predict_logits(spec, theta0, anchor, anchor.with_flat(flat), x).array
         if mode.is_linearized:
@@ -285,7 +285,7 @@ def test_candidate_logits_reject_a_non_finite_vector(mode, bad):
     flat = anchor.flatten().copy()  # the tree's own vector is read-only
     flat[0] = bad
     with pytest.raises(ContractError):
-        scorer.candidates(flat[None], [{"d": flat - anchor.flatten()}], [[1.0]])
+        scorer.candidates(flat[None], [[flat - anchor.flatten()]], [[1.0]])
 
 
 @pytest.mark.parametrize("mode", list(ModeTag))
@@ -298,7 +298,7 @@ def test_candidate_logits_reject_overflowed_logits(mode):
     anchor = built.with_flat(np.full(built.num_values, 1e308))
     scorer = Scorer(spec, theta0, anchor, np.ones((2, 4)))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ContractError):
-        scorer.candidates(anchor.flatten()[None], [{}], [[]])
+        scorer.candidates(anchor.flatten()[None], [[]], [[]])
 
 
 # --- a mixed batch against each candidate scored alone ------------------------
@@ -315,9 +315,9 @@ def mixed_batch(mode, rows=64):
     base = anchor.flatten()
     named = dict(zip("abc", 0.1 * rng.standard_normal((3, base.size))))
     plan = [("a",), ("b", "c"), (), ("a",), ("c", "b"), ("b", "c"), ("a",), ()]
-    directions = [{name: named[name] for name in names} for names in plan]
+    directions = [[named[name] for name in names] for names in plan]
     weights = [list(rng.uniform(-1.5, 1.5, size=len(names))) for names in plan]
-    flats = np.stack([combine(base, list(d.values()), w) for d, w in zip(directions, weights)])
+    flats = np.stack([combine(base, d, w) for d, w in zip(directions, weights)])
     return spec, theta0, anchor, x, flats, directions, weights
 
 
@@ -330,7 +330,7 @@ def test_batched_candidates_equal_the_one_candidate_route_bit_for_bit(mode):
     # The oracle: f(anchor) + Σ wᵢ·J·dᵢ through combine for a tangent model, the network otherwise.
     net, base = Network(spec, theta0, x, anchor), anchor.flatten()
     oracle = np.stack([
-        combine(net.forward(base), [net.jvp(base, v)[1] for v in d.values()], w) if mode.is_linearized
+        combine(net.forward(base), [net.jvp(base, v)[1] for v in d], w) if mode.is_linearized
         else net.forward(f) for f, d, w in zip(flats, directions, weights)])
     assert batched.shape == (len(flats), 64, 3)
     assert batched.tobytes() == alone.tobytes() == oracle.tobytes()
@@ -346,7 +346,7 @@ def test_batched_candidates_raise_the_one_candidate_errors(mode):
     bad = base.copy()
     bad[0] = np.nan
     flats = np.stack([base, bad, base])
-    directions = [{}, {"d": bad - base}, {}]
+    directions = [[], [bad - base], []]
     weights = [[], [1.0], []]
     with pytest.raises(ContractError, match="candidate parameters must be finite"):
         Scorer(spec, theta0, anchor, x).candidates(bad[None], directions[1:2], weights[1:2])
@@ -357,12 +357,12 @@ def test_batched_candidates_raise_the_one_candidate_errors(mode):
     scorer = Scorer(spec, theta0, huge, x)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ContractError, match="candidate logits must be finite"):
-            scorer.candidates(huge.flatten()[None], [{}], [[]])
+            scorer.candidates(huge.flatten()[None], [[]], [[]])
         with pytest.raises(ContractError, match="candidate logits must be finite"):
-            scorer.candidates(np.stack([huge.flatten()] * 2), [{}, {}], [[], []])
+            scorer.candidates(np.stack([huge.flatten()] * 2), [[], []], [[], []])
         # Any non-finite flat is rejected before the first row is scored.
         with pytest.raises(ContractError, match="candidate parameters must be finite"):
-            scorer.candidates(np.stack([huge.flatten(), bad]), [{}, {}], [[], []])
+            scorer.candidates(np.stack([huge.flatten(), bad]), [[], []], [[], []])
 
 
 @pytest.mark.parametrize("mode", [ModeTag.FULL_LINEAR, ModeTag.LLORA])
@@ -382,7 +382,8 @@ def test_a_linearized_scorer_runs_the_anchor_and_each_named_jvp_once(mode, monke
     scorer.candidates(flats[::-1], directions[::-1], weights[::-1])
     for f, d, w in zip(flats, directions, weights):
         scorer.candidates(f[None], [d], [w])
-    assert calls == {"activations": 1, "jvp": 3}  # the anchor once; names a, b, c once each
+    scorer.candidates(flats[:1], [[directions[0][0].copy()]], weights[:1])  # a bit-identical copy of a
+    assert calls == {"activations": 1, "jvp": 3}  # the anchor once; vectors a, b, c once each
     for f in flats:  # the training route reuses the anchor and takes one JVP per call
         scorer.at(f)
     assert calls == {"activations": 1, "jvp": 3 + len(flats)}

@@ -146,7 +146,7 @@ def candidate_timing(repeats: int, loops: int) -> int:
         x = rng.standard_normal((256, spec.input_dim))
         base, direction = init.flatten(), 0.1 * rng.standard_normal(init.num_values)
         weights = [[lam] for lam in DEFAULT_LAMBDA_GRID]
-        directions = [{"sum": direction}] * len(weights)
+        directions = [[direction]] * len(weights)
         flats = np.stack([combine(base, [direction], w) for w in weights])
         scorer = Scorer(spec, theta0, init, x)
 
