@@ -136,6 +136,19 @@ def disentanglement_error(
     return _errors(spec, theta0, phi0, nu1, nu2, eval_sets, [(lambda1, lambda2)])[0]
 
 
+def grid_axis(lambda_range: tuple[float, float], resolution: int) -> np.ndarray:
+    """``resolution`` evenly spaced scaling factors from ``lambda_range``'s lo to hi.
+
+    Raises ``ContractError`` unless ``resolution`` is at least 2 and lo < hi.
+    """
+    if resolution < 2:
+        raise ContractError(f"resolution = {resolution} must be at least 2")
+    lo, hi = float(lambda_range[0]), float(lambda_range[1])
+    if not lo < hi:
+        raise ContractError(f"empty lambda range [{lo}, {hi}]: lambda_min must be below lambda_max")
+    return np.linspace(lo, hi, resolution)
+
+
 def disentanglement_grid(
     spec: ModelSpec,
     theta0: ParamTree,
@@ -148,24 +161,18 @@ def disentanglement_grid(
 ) -> DisentanglementGrid:
     """Disentanglement error over the Cartesian grid of scaling factors.
 
-    ``lambda_range`` (lo, hi) spans both axes; the default box [-1, 2]^2
+    Both axes are ``grid_axis(lambda_range, resolution)``; the default box [-1, 2]^2
     covers and exceeds the [0, 1]^2 region fusion sweeps search. Every
     cell goes through the same route as disentanglement_error, so each
     equals the direct call bit for bit; the pair is ordered once and each
     single-vector prediction is made once per axis value.
     """
-    if resolution < 2:
-        raise ContractError("grid resolution must be at least 2")
-    lo, hi = float(lambda_range[0]), float(lambda_range[1])
-    if not lo < hi:
-        raise ContractError(f"empty lambda range [{lo}, {hi}]")
-    axis1 = np.linspace(lo, hi, resolution)
-    axis2 = np.linspace(lo, hi, resolution)
-    cells = [(l1, l2) for l1 in axis1 for l2 in axis2]
+    axis = grid_axis(lambda_range, resolution)
+    cells = [(l1, l2) for l1 in axis for l2 in axis]
     raw = np.array(_errors(spec, theta0, phi0, nu1, nu2, eval_sets, cells)).reshape(
         resolution, resolution
     )
-    return DisentanglementGrid(lambda1_axis=axis1, lambda2_axis=axis2, xi=raw / 2.0, xi_raw=raw)
+    return DisentanglementGrid(lambda1_axis=axis, lambda2_axis=axis, xi=raw / 2.0, xi_raw=raw)
 
 
 def loss_landscape_grid(

@@ -28,10 +28,20 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+class _Once(argparse.Action):
+    """Store a single-value flag's value; a second use of the flag is an error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"{option_string} given more than once")
+        setattr(namespace, self.dest, values)
+
+
 def _add_common(p):
-    p.add_argument("--config", help="run configuration JSON file (defaults apply when omitted)")
-    p.add_argument("--out", required=True, help="output directory for this run")
-    p.add_argument("--seed", type=int, default=None, help="override the master seed")
+    p.add_argument("--config", action=_Once,
+                   help="run configuration JSON file (defaults apply when omitted)")
+    p.add_argument("--out", action=_Once, required=True, help="output directory for this run")
+    p.add_argument("--seed", action=_Once, type=int, help="override the master seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,10 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuse", help="merge task-specific checkpoints")
     _add_common(p)
-    p.add_argument("--algorithm", choices=ALGORITHMS, required=True)
+    p.add_argument("--algorithm", action=_Once, choices=ALGORITHMS, required=True)
     p.add_argument("--mode", choices=MODE_CHOICES, action="append")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--subset", help="comma-separated task ids to merge")
+    group.add_argument("--subset", action=_Once, help="comma-separated task ids to merge")
     group.add_argument("--all-subsets", action="store_true",
                        help="merge every subset of size >= 2")
 
@@ -60,8 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("kind", choices=list(ANALYZE_FLAGS))
     p.add_argument("--mode", choices=MODE_CHOICES, action="append")
-    p.add_argument("--pair", help="comma-separated task id pair")
-    p.add_argument("--task", help="task id (ntk analysis)")
+    p.add_argument("--pair", action=_Once, help="comma-separated task id pair")
+    p.add_argument("--task", action=_Once, help="task id (ntk analysis)")
 
     p = sub.add_parser("report", help="aggregate fusion provenance into tables")
     _add_common(p)

@@ -16,15 +16,25 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
+from .analysis import grid_axis
 from .errors import ConfigError, ContractError
 from .files import canonical_digest as config_digest
-from .fusion import DEFAULT_LAMBDA_GRID, DEFAULT_TIES_GRID, FusionConfig
+from .fusion import ALGORITHMS, FusionConfig
 from .models import ModeTag, ModelSpec
-from .training import OPTIMIZERS, TrainConfig
+from .tasks import split_sizes
+from .training import TrainConfig
 
 SEED_SCHEME = "sha256(master|label...)[:8] little-endian"
+
+
+def _field_defaults(cls, skip: str) -> dict:
+    """The defaults of ``cls``'s fields but ``skip``, tuples as lists."""
+    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+            for f in fields(cls) if f.name != skip}
+
 
 SUITE_DEFAULTS = {
     "n_tasks": 4,
@@ -38,23 +48,8 @@ MODEL_DEFAULTS = {
     "lora_rank": 2,
     "lora_alpha": 2.0,
 }
-TRAIN_DEFAULTS = {
-    "steps": 300,
-    "batch_size": 32,
-    "learning_rate": 0.005,
-    "optimizer": "adam",
-    "beta1": 0.9,
-    "beta2": 0.999,
-    "eps": 1e-8,
-}
-FUSION_DEFAULTS = {
-    "lambda_grid": list(DEFAULT_LAMBDA_GRID),
-    "ties_k_grid": list(DEFAULT_TIES_GRID),
-    "ties_lambda_grid": list(DEFAULT_TIES_GRID),
-    "lorahub_alpha": 0.05,
-    "lorahub_max_steps": 40,
-    "fewshot_per_task": 32,
-}
+TRAIN_DEFAULTS = _field_defaults(TrainConfig, skip="shuffle_seed")
+FUSION_DEFAULTS = {**_field_defaults(FusionConfig, skip="algorithm"), "fewshot_per_task": 32}
 ANALYSIS_DEFAULTS = {
     "lambda_min": -1.0,
     "lambda_max": 2.0,
@@ -87,6 +82,13 @@ def _kind_matches(value, default) -> bool:
     return isinstance(value, list) and all(_kind_matches(v, default[0]) for v in value)
 
 
+def _finite(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _merge_strict(section: str, given: dict, defaults: dict) -> dict:
     if not isinstance(given, dict):
         raise ConfigError(f"section {section!r} must be a JSON object")
@@ -94,85 +96,57 @@ def _merge_strict(section: str, given: dict, defaults: dict) -> dict:
     if unknown:
         raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
     for key, value in given.items():
-        if not _kind_matches(value, defaults[key]):
+        default = defaults[key]
+        if not _kind_matches(value, default):
             raise ConfigError(
-                f"{section}.{key} = {value!r} does not have the kind of its default {defaults[key]!r}"
+                f"{section}.{key} = {value!r} does not have the kind of its default {default!r}"
             )
-        if any(isinstance(v, float) and not math.isfinite(v)
-               for v in (value if isinstance(value, list) else [value])):
-            raise ConfigError(f"{section}.{key} = {value!r} is not finite")
+        kind = default[0] if isinstance(default, list) else default
+        items = value if isinstance(value, list) else [value]
+        if isinstance(kind, float) and not all(map(_finite, items)):
+            raise ConfigError(f"{section}.{key} = {value!r} is not a finite float")
     out = dict(defaults)
     out.update(given)
     return out
 
 
+def _built(section: str, owner, *args) -> None:
+    """Call ``owner(*args)``; its ``ContractError`` becomes a ``ConfigError`` naming ``section``."""
+    try:
+        owner(*args)
+    except ContractError as e:
+        raise ConfigError(f"{section}: {e}") from e
+
+
 def _check_ranges(resolved: dict) -> None:
-    """Reject leaves that have the right kind but would fail only in a later stage."""
-    fusion, analysis, suite = resolved["fusion"], resolved["analysis"], resolved["suite"]
-    for key in ("lambda_grid", "ties_k_grid", "ties_lambda_grid"):
-        if not fusion[key]:
-            raise ConfigError(f"fusion.{key} must be non-empty")
-    outside = [k for k in fusion["ties_k_grid"] if not 0.0 < k <= 1.0]
-    if outside:
-        raise ConfigError(f"fusion.ties_k_grid items must lie in (0, 1], got {outside}")
-    if analysis["resolution"] < 2:
-        raise ConfigError(f"analysis.resolution = {analysis['resolution']} must be at least 2")
-    if not analysis["lambda_min"] < analysis["lambda_max"]:
-        raise ConfigError(
-            f"analysis.lambda_min = {analysis['lambda_min']} must be below "
-            f"lambda_max = {analysis['lambda_max']}"
-        )
-    if suite["n_tasks"] < 2:
-        raise ConfigError(f"suite.n_tasks = {suite['n_tasks']} must be at least 2")
-    if not 0.0 <= suite["task_overlap"] <= 1.0:
-        raise ConfigError(f"suite.task_overlap = {suite['task_overlap']} must lie in [0, 1]")
-    if suite["samples_per_split"] < suite["num_classes"]:
-        raise ConfigError(
-            f"suite.samples_per_split = {suite['samples_per_split']} must be at least "
-            f"num_classes = {suite['num_classes']}"
-        )
-    trains = {"train": resolved["train"]}
-    trains.update((f"train_overrides.{m}", t) for m, t in resolved["train_overrides"].items())
-    for section, train in trains.items():
-        if train["learning_rate"] < 0:
-            raise ConfigError(f"{section}.learning_rate = {train['learning_rate']} is negative")
-        for key in ("steps", "batch_size"):
-            if train[key] < 1:
-                raise ConfigError(f"{section}.{key} = {train[key]} must be at least 1")
-        if train["optimizer"] not in OPTIMIZERS:
-            raise ConfigError(f"{section}.optimizer = {train['optimizer']!r} is not one of {OPTIMIZERS}")
-        for key in ("beta1", "beta2"):
-            if not 0.0 <= train[key] < 1.0:
-                raise ConfigError(f"{section}.{key} = {train[key]} must lie in [0, 1)")
-        if train["eps"] <= 0:
-            raise ConfigError(f"{section}.eps = {train['eps']} must be positive")
-    if fusion["lorahub_alpha"] < 0:
-        raise ConfigError(f"fusion.lorahub_alpha = {fusion['lorahub_alpha']} is negative")
-    if fusion["lorahub_max_steps"] < 0:
-        raise ConfigError(f"fusion.lorahub_max_steps = {fusion['lorahub_max_steps']} is negative")
+    """Build once what the stages build, so a leaf outside its owner's range fails up front."""
+    suite, analysis = resolved["suite"], resolved["analysis"]
+    _built("train", _train, resolved["train"], 0)
+    for mode, section in resolved["train_overrides"].items():
+        _built(f"train_overrides.{mode}", _train, section, 0)
+    _built("fusion", fusion_config, resolved, ALGORITHMS[0])  # no check reads the algorithm
+    # the adapter paradigms check lora_rank against every layer
+    _built("suite and model", model_spec, resolved, ModeTag.LORA)
+    _built("suite", split_sizes, suite["n_tasks"], suite["num_classes"],
+           suite["samples_per_split"], suite["task_overlap"])
+    # A 2-point axis passes exactly when the configured one does, and a huge
+    # resolution allocates nothing here.
+    _built("analysis", grid_axis, (analysis["lambda_min"], analysis["lambda_max"]),
+           min(analysis["resolution"], 2))
     for section, key in (("fusion", "fewshot_per_task"), ("analysis", "ntk_max_samples")):
         if resolved[section][key] < 1:
             raise ConfigError(f"{section}.{key} = {resolved[section][key]} must be at least 1")
-    try:  # the adapter paradigms check lora_rank against every layer
-        model_spec(resolved, ModeTag.LORA)
-    except ContractError as e:
-        raise ConfigError(f"suite and model sections do not build the adapter network: {e}") from e
 
 
 def resolve_config(raw: dict, seed_override: int | None = None) -> dict:
     """Fill every default in; returns the resolved configuration dict.
 
     Leaves are checked for their default's kind, float leaves and list
-    items for finiteness, and, where a stage would otherwise fail after the
-    ones before it had run, for range: non-empty fusion grids, trim
-    fractions in (0, 1], a grid resolution of at least 2,
-    ``lambda_min < lambda_max``, at least two tasks, a ``task_overlap`` in
-    [0, 1], at least ``num_classes`` samples per split, non-negative learning
-    rates, ``lorahub_alpha`` and ``lorahub_max_steps``, at least one step,
-    batch row, few-shot row per task and NTK sample, a known optimizer,
-    Adam betas in [0, 1) and a positive ``eps``, and layer sizes and a
-    ``lora_rank`` that build the adapter network. ``train_overrides``
-    sections are checked like ``train``.
+    items for finiteness, and every leaf for range, up front, by the type
+    or function a stage hands it to: ``TrainConfig`` (each ``train`` and
+    ``train_overrides`` section), ``FusionConfig``, ``ModelSpec`` in an
+    adapter paradigm, ``tasks.split_sizes`` and ``analysis.grid_axis``.
+    ``fewshot_per_task`` and ``ntk_max_samples`` must be at least 1.
     """
     if not isinstance(raw, dict):
         raise ConfigError("run configuration must be a JSON object")
@@ -240,19 +214,16 @@ def model_spec(resolved: dict, mode: ModeTag | str) -> ModelSpec:
     )
 
 
+def _train(section: dict, shuffle_seed: int) -> TrainConfig:
+    """The ``TrainConfig`` of a resolved train section, each leaf cast to its default's kind."""
+    return TrainConfig(**{k: type(TRAIN_DEFAULTS[k])(v) for k, v in section.items()},
+                       shuffle_seed=shuffle_seed)
+
+
 def train_config(resolved: dict, mode: ModeTag | str, task_id: str) -> TrainConfig:
     mode = ModeTag(mode)
     section = resolved["train_overrides"].get(mode.value, resolved["train"])
-    return TrainConfig(
-        steps=int(section["steps"]),
-        batch_size=int(section["batch_size"]),
-        learning_rate=float(section["learning_rate"]),
-        optimizer=str(section["optimizer"]),
-        beta1=float(section["beta1"]),
-        beta2=float(section["beta2"]),
-        eps=float(section["eps"]),
-        shuffle_seed=derive_seed(resolved["master_seed"], "shuffle", mode.value, task_id),
-    )
+    return _train(section, derive_seed(resolved["master_seed"], "shuffle", mode.value, task_id))
 
 
 def fusion_config(resolved: dict, algorithm: str) -> FusionConfig:

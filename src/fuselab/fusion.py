@@ -19,6 +19,7 @@ recorded in provenance. Nothing here imports scipy.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,8 +51,13 @@ class FusionConfig:
             raise ContractError(f"unknown fusion algorithm {self.algorithm!r}")
         if not self.lambda_grid or not self.ties_k_grid or not self.ties_lambda_grid:
             raise ContractError("hyperparameter grids must be non-empty")
-        if self.lorahub_alpha < 0:
-            raise ContractError("lorahub_alpha must be non-negative")
+        outside = [k for k in self.ties_k_grid if not 0 < k <= 1]
+        if outside:
+            raise ContractError(f"ties_k_grid items must lie in (0, 1], got {outside}")
+        if not 0 <= self.lorahub_alpha < math.inf:
+            raise ContractError(f"lorahub_alpha = {self.lorahub_alpha} must be finite and non-negative")
+        if self.lorahub_max_steps < 0:
+            raise ContractError(f"lorahub_max_steps = {self.lorahub_max_steps} is negative")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ between the tangent model and the network.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -61,8 +62,8 @@ class ModelSpec:
             raise ContractError("layer dimensions must be positive")
         if self.num_classes < 2:
             raise ContractError("num_classes must be at least 2")
-        if self.lora_rank < 1 or self.lora_alpha <= 0:
-            raise ContractError("lora_rank must be positive and lora_alpha > 0")
+        if self.lora_rank < 1 or not 0 < self.lora_alpha < math.inf:
+            raise ContractError("lora_rank must be positive and lora_alpha finite and > 0")
         if self.mode.is_peft:
             for din, dout in self.layer_dims():
                 if self.lora_rank > min(din, dout):

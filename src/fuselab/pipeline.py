@@ -18,6 +18,7 @@ from .analysis import (
     aggregate_report,
     disentanglement_grid,
     format_report_table,
+    grid_axis,
     loss_landscape_grid,
     normalized_score,
     ntk_one_step_check,
@@ -360,7 +361,7 @@ def stage_analyze_landscape(resolved: dict, out: str | Path, pairs=None) -> list
     by_id = {c.task_id: c for c in cks}
     ids = sorted(by_id)
     chosen = pairs if pairs is not None else [(ids[0], ids[1])]
-    axes = np.linspace(float(a["lambda_min"]), float(a["lambda_max"]), int(a["resolution"]))
+    axes = grid_axis((a["lambda_min"], a["lambda_max"]), a["resolution"])
     written = []
     for t1, t2 in chosen:
         grid = loss_landscape_grid(

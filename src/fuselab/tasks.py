@@ -91,6 +91,25 @@ def _teacher_labels(w: np.ndarray, v: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return np.argmax(scores, axis=1).astype(np.int64)
 
 
+def split_sizes(n_tasks: int, num_classes: int, samples_per_split: int,
+                task_overlap: float) -> dict[str, int]:
+    """Rows per split: ``samples_per_split`` to train, half that (at least
+    ``num_classes``) to val and to test. Raises ``ContractError`` unless
+    there are two or more tasks, a ``task_overlap`` in [0, 1] and at least
+    ``num_classes`` samples per split.
+    """
+    if n_tasks < 2:
+        raise ContractError(f"n_tasks = {n_tasks} must be at least 2")
+    if not 0 <= task_overlap <= 1:
+        raise ContractError(f"task_overlap = {task_overlap} must lie in [0, 1]")
+    if samples_per_split < num_classes:
+        raise ContractError(
+            f"samples_per_split = {samples_per_split} must be at least num_classes = {num_classes}"
+        )
+    held_out = max(num_classes, samples_per_split // 2)
+    return {"train": samples_per_split, "val": held_out, "test": held_out}
+
+
 def make_task_suite(
     n_tasks: int = 4,
     input_dim: int = 16,
@@ -101,25 +120,13 @@ def make_task_suite(
 ) -> TaskSuite:
     """Generate a deterministic suite of related classification tasks.
 
-    ``samples_per_split`` sizes the train split; val and test each get half
-    that (at least one sample per class). Teachers are mixed so that
-    ``task_overlap`` is the correlation between any two tasks' teacher
-    weights. Every split must contain every class; a violating split's
-    inputs are redrawn from a fresh sub-seed, at most ten times.
+    ``split_sizes`` checks the arguments and sizes the splits. Teachers
+    are mixed so that ``task_overlap`` is the correlation between any two
+    tasks' teacher weights. Every split must contain every class; a
+    violating split's inputs are redrawn from a fresh sub-seed, at most ten
+    times.
     """
-    if n_tasks < 2:
-        raise ContractError("a suite needs at least two tasks")
-    if not 0.0 <= task_overlap <= 1.0:
-        raise ContractError("task_overlap must lie in [0, 1]")
-    if samples_per_split < num_classes:
-        raise ContractError(
-            f"samples_per_split={samples_per_split} cannot cover {num_classes} classes"
-        )
-    sizes = {
-        "train": samples_per_split,
-        "val": max(num_classes, samples_per_split // 2),
-        "test": max(num_classes, samples_per_split // 2),
-    }
+    sizes = split_sizes(n_tasks, num_classes, samples_per_split, task_overlap)
 
     common = _rng(seed, 0)
     w_common = common.standard_normal((TEACHER_HIDDEN, input_dim))

@@ -10,6 +10,7 @@ a forward and a backward pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,14 +39,18 @@ class TrainConfig:
     shuffle_seed: int = 0
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ContractError("steps must be at least 1")
-        if self.learning_rate < 0:
-            raise ContractError("learning_rate must be non-negative")
+        for key in ("steps", "batch_size"):
+            if getattr(self, key) < 1:
+                raise ContractError(f"{key} = {getattr(self, key)} must be at least 1")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ContractError(f"learning_rate = {self.learning_rate} must be finite and non-negative")
         if self.optimizer not in OPTIMIZERS:
-            raise ContractError(f"unknown optimizer {self.optimizer!r}")
-        if self.batch_size < 1:
-            raise ContractError("batch_size must be positive")
+            raise ContractError(f"optimizer = {self.optimizer!r} is not one of {OPTIMIZERS}")
+        for key in ("beta1", "beta2"):
+            if not 0 <= getattr(self, key) < 1:
+                raise ContractError(f"{key} = {getattr(self, key)} must lie in [0, 1)")
+        if not self.eps > 0:
+            raise ContractError(f"eps = {self.eps} must be positive")
 
 
 def check_labels(labels: np.ndarray, num_classes: int):

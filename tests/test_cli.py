@@ -3,6 +3,7 @@
 import base64
 import hashlib
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -13,11 +14,11 @@ from fuselab.analysis import read_grid_csv
 from fuselab.checkpoints import _payload_digest, load_checkpoint
 from fuselab.cli import main
 from fuselab.config import config_digest, load_config, resolve_config
-from fuselab.errors import ConfigError
-from fuselab.fusion import replay_merge
-from fuselab.models import ModeTag
+from fuselab.errors import ConfigError, ContractError
+from fuselab.fusion import FusionConfig, replay_merge
+from fuselab.models import ModeTag, ModelSpec
 from fuselab.pipeline import load_mode_checkpoints, load_tasks
-from fuselab.training import evaluate_checkpoint
+from fuselab.training import TrainConfig, evaluate_checkpoint
 
 FAST_CONFIG = {
     "master_seed": 7,
@@ -360,17 +361,20 @@ def test_wrong_leaf_kind_exits_one(tmp_path, raw):
     {"suite": {"task_overlap": 1.5}},
     {"suite": {"task_overlap": -0.1}},
     {"suite": {"samples_per_split": 2}},
+    json.loads('{"train": {"steps": 2, "learning_rate": 1' + "0" * 400 + '}}'),
+    json.loads('{"model": {"lora_alpha": 1' + "0" * 400 + '}}'),
 ], ids=["empty_lambda_grid", "empty_ties_k_grid", "empty_ties_lambda_grid", "ties_k_above_one",
         "ties_k_zero", "ties_k_negative", "resolution_one", "lambda_range_empty",
         "lambda_range_reversed", "one_task", "learning_rate_1e400", "learning_rate_nan",
         "lorahub_alpha_infinity", "lambda_grid_item_minus_infinity", "ntk_eta_nan",
         "learning_rate_negative", "override_learning_rate_negative", "lorahub_alpha_negative",
         "lora_rank_above_num_classes", "task_overlap_above_one", "task_overlap_negative",
-        "samples_per_split_below_num_classes"])
+        "samples_per_split_below_num_classes", "learning_rate_integer_overflow",
+        "lora_alpha_integer_overflow"])
 def test_out_of_range_leaf_exits_one_before_any_stage(tmp_path, raw):
     # Each of these used to resolve cleanly and fail only in a later stage
     # (or, for non-finite values, run on them), after the stages before it
-    # had run.
+    # had run. An integer too large for a float raised a raw OverflowError.
     with pytest.raises(ConfigError):
         resolve_config(raw)
     p = tmp_path / "config.json"
@@ -412,10 +416,12 @@ def test_boundary_leaves_resolve():
     {"analysis": {"ntk_max_samples": 0}},
     {"train": {"eps": -1.0}},
     {"train_overrides": {"lora": {"eps": 0.0}}},
+    {"train": {"learning_rate": -1}, "train_overrides": {m.value: {} for m in ModeTag}},
 ], ids=["fewshot_per_task_negative", "fewshot_per_task_zero", "lorahub_max_steps_negative",
         "steps_zero", "batch_size_zero", "optimizer_unknown", "beta1_one", "beta2_above_one",
         "beta1_negative", "override_steps_zero", "override_optimizer_unknown",
-        "override_beta2_one", "ntk_max_samples_zero", "eps_negative", "override_eps_zero"])
+        "override_beta2_one", "ntk_max_samples_zero", "eps_negative", "override_eps_zero",
+        "train_read_by_no_mode"])
 def test_count_and_choice_leaves_out_of_range_exit_one_before_any_stage(tmp_path, raw):
     # Each of these used to resolve cleanly, then fail in finetune, fuse or
     # analyze after the stages before had run, or run without an error: no
@@ -436,6 +442,30 @@ def test_smallest_counts_and_betas_resolve():
                                "fusion": {"fewshot_per_task": 1, "lorahub_max_steps": 0},
                                "analysis": {"ntk_max_samples": 1}})
     assert resolved["fusion"]["lorahub_max_steps"] == 0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: TrainConfig(beta1=1.0),
+    lambda: TrainConfig(beta2=1.5),
+    lambda: TrainConfig(beta1=-0.1),
+    lambda: TrainConfig(eps=0.0),
+    lambda: TrainConfig(eps=-1.0),
+    lambda: TrainConfig(learning_rate=math.nan),
+    lambda: TrainConfig(learning_rate=math.inf),
+    lambda: FusionConfig(ties_k_grid=(1.5,)),
+    lambda: FusionConfig(ties_k_grid=(0.0,)),
+    lambda: FusionConfig(lorahub_max_steps=-1),
+    lambda: FusionConfig(lorahub_alpha=math.nan),
+    lambda: ModelSpec(4, (6,), 3, lora_alpha=math.nan),
+], ids=["beta1_one", "beta2_above_one", "beta1_negative", "eps_zero", "eps_negative",
+        "learning_rate_nan", "learning_rate_inf", "ties_k_above_one", "ties_k_zero",
+        "lorahub_max_steps_negative", "lorahub_alpha_nan", "lora_alpha_nan"])
+def test_each_owner_rejects_what_the_config_rejects(build):
+    # The config refused each of these, but the types took them: beta1 = 1
+    # diverged at step 0, lorahub with -1 steps returned the pretrained
+    # weights, and a NaN lorahub_alpha gave an infinite objective.
+    with pytest.raises(ContractError):
+        build()
 
 
 # --- malformed run artifacts: exit 1 with an error naming the file ------------
@@ -703,4 +733,26 @@ def test_analyze_flag_the_kind_does_not_read_exits_one(run_copy, capsys, argv, f
     assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err
+    assert file_tree(out) == before
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["fuse", "--algorithm", "lorahub", "--algorithm", "simple_average", "--all-subsets"],
+     "--algorithm"),
+    (["fuse", "--algorithm", "simple_average", "--subset", "task0,task1", "--subset", "task2,task3"],
+     "--subset"),
+    (["analyze", "ntk", "--task", "task0", "--task", "task1"], "--task"),
+    (["analyze", "disentangle", "--pair", "task0,task1", "--pair", "task2,task3"], "--pair"),
+    (["report", "--seed", "1", "--seed", "2"], "--seed"),
+    (["report", "--out", "elsewhere"], "--out"),
+    (["report", "--config", "other.json"], "--config"),
+], ids=["algorithm", "subset", "ntk_task", "pair", "seed", "out", "config"])
+def test_single_value_flag_given_twice_exits_one(run_copy, capsys, argv, flag):
+    # Each of these used to keep the flag's last value and run on it.
+    cfg, out = run_copy
+    before = file_tree(out)
+    capsys.readouterr()
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {flag} given more than once" in err
     assert file_tree(out) == before
