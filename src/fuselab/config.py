@@ -89,6 +89,10 @@ def _finite(v) -> bool:
         return False
 
 
+def _int64(v) -> bool:
+    return -2**63 <= v < 2**63
+
+
 def _merge_strict(section: str, given: dict, defaults: dict) -> dict:
     if not isinstance(given, dict):
         raise ConfigError(f"section {section!r} must be a JSON object")
@@ -105,6 +109,8 @@ def _merge_strict(section: str, given: dict, defaults: dict) -> dict:
         items = value if isinstance(value, list) else [value]
         if isinstance(kind, float) and not all(map(_finite, items)):
             raise ConfigError(f"{section}.{key} = {value!r} is not a finite float")
+        if isinstance(kind, int) and not all(map(_int64, items)):
+            raise ConfigError(f"{section}.{key} = {value!r} does not fit a 64-bit integer")
     out = dict(defaults)
     out.update(given)
     return out
@@ -142,10 +148,11 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> dict:
     """Fill every default in; returns the resolved configuration dict.
 
     Leaves are checked for their default's kind, float leaves and list
-    items for finiteness, and every leaf for range, up front, by the type
-    or function a stage hands it to: ``TrainConfig`` (each ``train`` and
-    ``train_overrides`` section), ``FusionConfig``, ``ModelSpec`` in an
-    adapter paradigm, ``tasks.split_sizes`` and ``analysis.grid_axis``.
+    items for finiteness, integer ones for the int64 range, and every leaf
+    for range, up front, by the type or function a stage hands it to:
+    ``TrainConfig`` (each ``train`` and ``train_overrides`` section),
+    ``FusionConfig``, ``ModelSpec`` in an adapter paradigm,
+    ``tasks.split_sizes`` and ``analysis.grid_axis``.
     ``fewshot_per_task`` and ``ntk_max_samples`` must be at least 1.
     """
     if not isinstance(raw, dict):
@@ -196,7 +203,7 @@ def load_config(path: str | Path | None, seed_override: int | None = None) -> di
         raise ConfigError(f"config file {p} does not exist")
     try:
         raw = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # malformed JSON, or an integer literal too long to convert
         raise ConfigError(f"config file {p} is not valid JSON: {e}") from e
     return resolve_config(raw, seed_override)
 

@@ -8,10 +8,12 @@ paradigm: a sweep scores its whole grid on each validation set in one
 ``Scorer.candidates`` call, and lorahub's search scores each weighting
 ``_candidates`` builds as a one-row batch. A scorer caches each direction's
 JVP by the vector's content, so the scorers of ``scorers_for`` can serve
-every subset of a fuse stage. All order-sensitive reductions canonicalize
-their inputs by task id before summing, so permuting the caller's checkpoint
-or vector order can never change a merged result. That holds for lorahub too: its
-search is ``_nelder_mead``, an in-package copy of scipy's fixed-coefficient
+every subset of a fuse stage: the task vectors' JVPs stay for every sweep,
+and a sweep releases those of the directions it built once it has scored
+them. All order-sensitive reductions canonicalize their inputs by task id
+before summing, so permuting the caller's checkpoint or vector order can
+never change a merged result. That holds for lorahub too: its search is
+``_nelder_mead``, an in-package copy of scipy's fixed-coefficient
 Nelder-Mead that draws no random numbers, and its ``seed`` is only
 recorded in provenance. Nothing here imports scipy.
 """
@@ -446,10 +448,14 @@ def sweep_and_select(
     parameters or logits raise ``ContractError``. ``scorers`` maps each task
     id to a scorer on its validation inputs (``scorers_for``); a caller that
     sweeps several subsets of one set of checkpoints passes the same dict
-    to each, so a linearized mode takes each distinct direction's JVP once.
-    A missing task, or a scorer built on another paradigm, initial tree or
-    set of inputs, raises ``ContractError`` before anything is scored. By
-    default the sweep builds its own.
+    to each, so a linearized mode takes each task vector's JVP once per
+    validation set. The directions the sweep builds (the simple-average
+    direction, the task-vector sum, the TIES merge vectors) serve no other
+    sweep, so their JVPs are released from the scorers once the grid is
+    scored; sweeping a subset again takes them again. A missing task, or a
+    scorer built on another paradigm, initial tree or set of inputs, raises
+    ``ContractError`` before anything is scored. By default the sweep builds
+    its own.
     """
     spec, init_seed, theta0, initial = _common_context(checkpoints)
     ordered = sorted(checkpoints, key=lambda c: c.task_id)
@@ -497,6 +503,10 @@ def sweep_and_select(
     for j, t in enumerate(ids):
         predictions = np.argmax(scorers[t].candidates(flats, directions, weights), axis=2)
         accuracies[:, j] = np.mean(predictions == validation[t].ys, axis=1)
+    if config.algorithm != "lorahub":  # lorahub's directions are the task vectors
+        built = [d for ds in directions for d in ds]
+        for t in ids:
+            scorers[t].release(built)
     means = accuracies.mean(axis=1)
     best = 0
     for c in range(1, len(keys)):

@@ -324,12 +324,14 @@ class Scorer:
       ``weights[c]`` and the list of vectors ``directions[c]``. Nonlinear
       paradigms run the network at each flat; linearized ones form each
       candidate as ``combine(f(anchor), [J·dᵢ], w)``, with ``J·d`` cached
-      under ``d``'s bytes, so each distinct vector's JVP is taken once in
-      the scorer's lifetime. Any non-finite flat raises
+      under ``d``'s bytes, so each distinct vector's JVP is taken once
+      until ``release`` drops it. Any non-finite flat raises
       ``ContractError`` before anything is scored; non-finite logits raise
       it too. A one-row batch serves a sequential search: a candidate has
       the same bits in any batch.
 
+    ``release(vectors)`` drops the cached JVPs of vectors no later call
+    will score; one that comes back is recomputed, with the same bits.
     ``jacobian()`` gives the explicit per-row output Jacobian at the anchor.
     """
 
@@ -357,6 +359,10 @@ class Scorer:
         if key not in self._jds:
             self._jds[key] = self._jvp(d, self._anchor_acts())
         return self._jds[key]
+
+    def release(self, vectors) -> None:
+        for d in vectors:
+            self._jds.pop(d.tobytes(), None)
 
     def at(self, flat: np.ndarray):
         if self.linearized:

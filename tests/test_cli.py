@@ -363,6 +363,9 @@ def test_wrong_leaf_kind_exits_one(tmp_path, raw):
     {"suite": {"samples_per_split": 2}},
     json.loads('{"train": {"steps": 2, "learning_rate": 1' + "0" * 400 + '}}'),
     json.loads('{"model": {"lora_alpha": 1' + "0" * 400 + '}}'),
+    {"analysis": {"resolution": 10**30}},
+    {"suite": {"samples_per_split": 10**30}},
+    {"model": {"hidden_dims": [8, 2**63]}},
 ], ids=["empty_lambda_grid", "empty_ties_k_grid", "empty_ties_lambda_grid", "ties_k_above_one",
         "ties_k_zero", "ties_k_negative", "resolution_one", "lambda_range_empty",
         "lambda_range_reversed", "one_task", "learning_rate_1e400", "learning_rate_nan",
@@ -370,11 +373,13 @@ def test_wrong_leaf_kind_exits_one(tmp_path, raw):
         "learning_rate_negative", "override_learning_rate_negative", "lorahub_alpha_negative",
         "lora_rank_above_num_classes", "task_overlap_above_one", "task_overlap_negative",
         "samples_per_split_below_num_classes", "learning_rate_integer_overflow",
-        "lora_alpha_integer_overflow"])
+        "lora_alpha_integer_overflow", "resolution_beyond_int64", "samples_per_split_beyond_int64",
+        "hidden_dim_beyond_int64"])
 def test_out_of_range_leaf_exits_one_before_any_stage(tmp_path, raw):
     # Each of these used to resolve cleanly and fail only in a later stage
     # (or, for non-finite values, run on them), after the stages before it
-    # had run. An integer too large for a float raised a raw OverflowError.
+    # had run. An integer too large for a float raised a raw OverflowError,
+    # and an integer leaf beyond int64 a raw numpy error.
     with pytest.raises(ConfigError):
         resolve_config(raw)
     p = tmp_path / "config.json"
@@ -382,6 +387,34 @@ def test_out_of_range_leaf_exits_one_before_any_stage(tmp_path, raw):
     out = tmp_path / "out"
     assert main(["gen-tasks", "--config", str(p), "--out", str(out)]) == 1
     assert not out.exists()
+
+
+def test_integer_literal_too_long_to_parse_exits_one_naming_the_file(tmp_path, capsys):
+    # json.loads refuses an integer literal of more than 4300 digits with a
+    # plain ValueError, which used to end in a traceback.
+    p = tmp_path / "big.json"
+    p.write_text('{"train": {"steps": 1' + "0" * 5000 + '}}')
+    out = tmp_path / "out"
+    assert main(["gen-tasks", "--config", str(p), "--out", str(out)]) == 1
+    assert str(p) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, leaf, value", [
+    ("analysis", "resolution", 10**30),
+    ("suite", "samples_per_split", 10**30),
+    ("train", "steps", 2**63),
+    ("train", "batch_size", -2**63 - 1),
+    ("model", "hidden_dims", [8, 2**63]),
+], ids=["resolution", "samples_per_split", "steps_2_63", "batch_size_below_int64", "hidden_dims_item"])
+def test_integer_leaf_beyond_int64_names_the_leaf(section, leaf, value):
+    with pytest.raises(ConfigError, match=f"^{section}\\.{leaf} = .* 64-bit integer"):
+        resolve_config({section: {leaf: value}})
+
+
+def test_int64_bounds_resolve():
+    resolved = resolve_config({"train": {"steps": 2**63 - 1}})
+    assert resolved["train"]["steps"] == 2**63 - 1
 
 
 def test_zero_rates_and_largest_rank_resolve():

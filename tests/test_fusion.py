@@ -33,6 +33,7 @@ from fuselab.params import ParamTree, combine
 from fuselab.task_vectors import TaskVector, compute_task_vector
 from fuselab.tasks import Dataset, make_task_suite
 from fuselab.training import TrainConfig, finetune
+from test_scoring_counts import Calls, key
 
 
 def reference_ties(deltas, k, lam):
@@ -628,3 +629,48 @@ def test_a_scorer_dict_reused_on_another_checkpoint_set_matches_fresh_scorers(tw
     for field in ("hyperparameters", "validation_scores"):
         assert reused.provenance[field] == fresh.provenance[field]
     assert reused.trainable.digest() == fresh.trainable.digest()
+
+
+def random_validation(cks, seed, rows=30):
+    rng = np.random.default_rng(seed)
+    return {c.task_id: Dataset(rng.standard_normal((rows, 4)), rng.integers(0, 3, size=rows))
+            for c in cks}
+
+
+@pytest.mark.parametrize("algorithm, built", [("task_arithmetic", 1), ("ties_merging", 2)])
+@pytest.mark.parametrize("mode", [ModeTag.FULL_LINEAR, ModeTag.LLORA])
+def test_a_sweep_releases_the_tangents_of_the_directions_it_built(monkeypatch, mode, algorithm, built):
+    # The task-vector sum and the TIES merge vectors serve one sweep only, so
+    # sweeping a subset again on the same scorer dict takes their JVPs again
+    # on each validation set; they used to stay in the scorers for the stage.
+    _, _, _, cks = make_checkpoints(n=3, seed=9, mode=mode)
+    validation = random_validation(cks, 13)
+    config = FusionConfig(algorithm=algorithm, lambda_grid=(0.0, 0.5, 1.0), ties_k_grid=(0.5, 1.0))
+    scorers = scorers_for(cks, validation)
+    calls = Calls(monkeypatch)
+    first, second = (sweep_and_select(config, cks[:2], validation, scorers=scorers) for _ in range(2))
+    assert second.provenance == first.provenance
+    assert second.trainable.equal_bits(first.trainable)
+    assert {x for x, _ in calls.jvps} == {key(validation[c.task_id].xs) for c in cks[:2]}
+    assert len(calls.jvps) == 2 * built  # (validation set, direction) pairs
+    assert set(calls.jvps.values()) == {2}
+
+
+@pytest.mark.parametrize("mode", [ModeTag.FULL_LINEAR, ModeTag.LLORA])
+def test_lorahub_sweeps_sharing_a_task_take_its_tangent_once_per_validation_set(monkeypatch, mode):
+    # lorahub scores the task vectors themselves, which the next lorahub
+    # sweep over these scorers asks for again, so the sweep keeps them.
+    _, _, _, cks = make_checkpoints(n=3, seed=9, mode=mode)
+    validation = random_validation(cks, 14)
+    fewshot = Dataset(np.random.default_rng(15).standard_normal((12, 4)), np.arange(12) % 3)
+    config = FusionConfig(algorithm="lorahub", lorahub_max_steps=4)
+    scorers = scorers_for(cks, validation)
+    calls = Calls(monkeypatch)
+    for subset in ([cks[0], cks[1]], [cks[0], cks[2]]):
+        sweep_and_select(config, subset, validation, fewshot=fewshot, scorers=scorers)
+    val_jvps = {pair: n for pair, n in calls.jvps.items() if pair[0] != key(fewshot.xs)}
+    # task0's set scores d0, d1, d2; task1's d0, d1; task2's d0, d2
+    assert len(val_jvps) == 7
+    assert set(val_jvps.values()) == {1}
+    shared = (key(validation["task0"].xs), key(compute_task_vector(cks[0]).delta.flatten()))
+    assert shared in val_jvps

@@ -387,3 +387,21 @@ def test_a_linearized_scorer_runs_the_anchor_and_each_named_jvp_once(mode, monke
     for f in flats:  # the training route reuses the anchor and takes one JVP per call
         scorer.at(f)
     assert calls == {"activations": 1, "jvp": 3 + len(flats)}
+
+
+@pytest.mark.parametrize("mode", [ModeTag.FULL_LINEAR, ModeTag.LLORA])
+def test_a_released_vector_is_recomputed_with_the_same_bits(mode, monkeypatch):
+    spec, theta0, anchor, x, flats, directions, weights = mixed_batch(mode)
+    jvps = []
+    jvp = Network.jvp
+    monkeypatch.setattr(Network, "jvp", lambda net, *args: jvps.append(1) or jvp(net, *args))
+    scorer = Scorer(spec, theta0, anchor, x)
+    before = scorer.candidates(flats, directions, weights)
+    a, b = directions[0][0], directions[1][0]
+    scorer.release([a.copy(), np.zeros_like(a)])  # a by content; a vector never scored is ignored
+    after = scorer.candidates(flats, directions, weights)
+    assert len(jvps) == 3 + 1  # a, b, c, then a again; b and c stay cached
+    assert after.tobytes() == before.tobytes()
+    scorer.release([b])
+    scorer.candidates(flats[1:2], directions[1:2], weights[1:2])
+    assert len(jvps) == 5

@@ -22,10 +22,15 @@ candidate by candidate. Last, per paradigm on
 24 few-shot rows), the microseconds per lorahub objective evaluation and
 per whole Nelder-Mead search (``max_steps`` 40, 44 evaluations), and, when
 scipy is importable, per the same search through ``scipy.optimize.minimize``.
+Then, for full_linear and l_lora, the tangent memory of a fuse stage: the
+``tracemalloc`` peak over the 11 default-grid ties_merging sweeps of four
+tasks (256 validation rows each) on one ``fusion.scorers_for`` dict, and
+the number of JVPs each task's scorer still holds after them.
 Exits 1 if any kernel pair, the one-row and 21-row candidate logits, a
 grid cell and the direct ``disentanglement_error`` at that cell, or the
-points the two searches evaluate differ in any bit. fuselab is imported
-from this checkout's src/:
+points the two searches evaluate differ in any bit, or if a scorer still
+holds the JVP of a direction a sweep built. fuselab is imported from this
+checkout's src/:
 
     python3 tools/layer_timing.py [--repeats N] [--loops L]
 """
@@ -78,6 +83,7 @@ def main(argv=None) -> int:
     differ += candidate_timing(args.repeats, args.loops)
     differ += grid_timing(args.repeats, args.loops)
     differ += lorahub_timing(args.repeats, args.loops)
+    differ += tangent_memory()
     return 1 if differ else 0
 
 
@@ -239,6 +245,41 @@ def lorahub_timing(repeats: int, loops: int) -> int:
             scipy_cell, verdict = f"{scipy_us:>10.0f}", "equal" if same else "DIFFERENT"
         print(f"{mode.value:<12}{len(ours):>6}{eval_us:>10.1f}{search_us:>11.0f}{scipy_cell}  {verdict}")
     return differ
+
+
+def tangent_memory() -> int:
+    """Print the tangent-memory table; returns the number of paradigms whose scorers hold a built direction."""
+    import tracemalloc
+
+    import numpy as np
+    from fuselab.checkpoints import Checkpoint
+    from fuselab.fusion import FusionConfig, enumerate_subsets, scorers_for, sweep_and_select
+    from fuselab.models import ModeTag, ModelSpec, build_model
+    from fuselab.tasks import Dataset
+
+    print(f"\n{'tangents':<12}{'sweeps':>7}{'peak_kb':>9}  held per scorer")
+    held_built = 0
+    for mode in (ModeTag.FULL_LINEAR, ModeTag.LLORA):
+        spec = ModelSpec(16, (32, 32), 3, mode=mode)
+        theta0, init = build_model(spec, 0)
+        rng = np.random.default_rng(3)
+        cks = {f"task{i}": Checkpoint(spec, f"task{i}", 0, init,
+                                      init.with_flat(init.flatten() + 0.1 * rng.standard_normal(init.num_values)))
+               for i in range(4)}
+        validation = {t: Dataset(rng.standard_normal((256, 16)), rng.integers(0, 3, size=256)) for t in cks}
+        config = FusionConfig(algorithm="ties_merging")
+        subsets = enumerate_subsets(sorted(cks))
+        tracemalloc.start()
+        scorers = scorers_for(list(cks.values()), validation)
+        for subset in subsets:
+            sweep_and_select(config, [cks[t] for t in subset], validation, scorers=scorers)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        held = [len(s._jds) for s in scorers.values()]  # ties scores no task vector: each is a built direction
+        held_built += sum(held) > 0
+        print(f"{mode.value:<12}{len(subsets):>7}{peak / 1024:>9.0f}  {'/'.join(map(str, held))}"
+              f"  {'BUILT HELD' if sum(held) else 'released'}")
+    return held_built
 
 
 if __name__ == "__main__":
