@@ -12,12 +12,11 @@ NTK check through its training route and its per-row Jacobian.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractError, ResourceLimitError
-from .files import write_atomic
+from .files import read_csv, write_csv
 from .models import LinearizedState, ModelSpec, Scorer
 from .params import ParamTree, combine
 from .task_vectors import TaskVector
@@ -335,39 +334,21 @@ def aggregate_report(results: list[dict]) -> FusionReport:
 
 def write_grid_csv(axis1, axis2, values, path, meta: str = "") -> None:
     """Matrix CSV whose first row and column carry the axes."""
-    lines = []
-    if meta:
-        lines.append(f"# {meta}")
-    lines.append(",".join(["lambda1\\lambda2", *("%.17g" % v for v in axis2)]))
-    for l1, row in zip(axis1, values):
-        lines.append(",".join(["%.17g" % l1, *("%.17g" % v for v in row)]))
-    write_atomic(path, "\n".join(lines) + "\n")
+    write_csv(path, meta, ["lambda1\\lambda2", *axis2], ([l1, *row] for l1, row in zip(axis1, values)))
 
 
 def read_grid_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    lines = [l for l in Path(path).read_text().splitlines() if l and not l.startswith("#")]
-    axis2 = np.array([float(v) for v in lines[0].split(",")[1:]])
-    axis1 = []
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        axis1.append(float(parts[0]))
-        rows.append([float(v) for v in parts[1:]])
-    return np.array(axis1), axis2, np.array(rows)
+    """The axes and values ``write_grid_csv`` wrote to ``path``."""
+    header, *body = read_csv(path)
+    rows = [[float(v) for v in row] for row in body]
+    return (np.array([r[0] for r in rows]), np.array([float(v) for v in header[1:]]),
+            np.array([r[1:] for r in rows]))
 
 
 def write_report_csv(report: FusionReport, path, meta: str = "") -> None:
-    lines = []
-    if meta:
-        lines.append(f"# {meta}")
-    lines.append("algorithm,mode,subset_size,n_subsets,mean_normalized,std_normalized")
-    for r in report.rows:
-        size = "all" if r.subset_size is None else str(r.subset_size)
-        lines.append(
-            "%s,%s,%s,%d,%.17g,%.17g"
-            % (r.algorithm, r.mode, size, r.n_subsets, r.mean_normalized, r.std_normalized)
-        )
-    write_atomic(path, "\n".join(lines) + "\n")
+    write_csv(path, meta, ["algorithm", "mode", "subset_size", "n_subsets", "mean_normalized", "std_normalized"],
+              ([r.algorithm, r.mode, "all" if r.subset_size is None else r.subset_size, r.n_subsets,
+                r.mean_normalized, r.std_normalized] for r in report.rows))
 
 
 def format_report_table(report: FusionReport) -> str:

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .files import canonical_digest as _payload_digest
-from .files import indented_json, json_object, read_memoized, write_atomic
+from .files import canonical_digest, json_object, read_memoized, write_json
 from .models import ModelSpec, build_model
 from .params import ParamTree
 
@@ -81,13 +80,12 @@ def checkpoint_payload(ckpt: Checkpoint, config_digest: str = "") -> dict:
         "trained": _encode_tree(ckpt.trained),
         "metrics": {k: float(v) for k, v in sorted(ckpt.metrics.items())},
     }
-    payload["digest"] = _payload_digest(payload)
+    payload["digest"] = canonical_digest(payload)
     return payload
 
 
 def save_checkpoint(ckpt: Checkpoint, path, config_digest: str = "") -> None:
-    payload = checkpoint_payload(ckpt, config_digest)
-    write_atomic(path, indented_json(payload) + "\n")
+    write_json(path, checkpoint_payload(ckpt, config_digest))
 
 
 def load_checkpoint(path, expected_config_digest: str | None = None) -> Checkpoint:
@@ -113,7 +111,7 @@ def _parse_checkpoint(path, data: bytes) -> tuple[Checkpoint, object]:
     if payload.get("format") != FORMAT or payload.get("version") != VERSION:
         raise ContractError(f"{path} is not a version-{VERSION} checkpoint file")
     stored = payload.pop("digest", None)
-    if stored != _payload_digest(payload):
+    if stored != canonical_digest(payload):
         raise ContractError(f"checkpoint {path} is corrupted (digest mismatch)")
     try:
         spec = ModelSpec.from_dict(payload["spec"])

@@ -1,7 +1,8 @@
 """Command-line entry point for the fusion laboratory.
 
 Subcommands: gen-tasks, finetune, fuse, analyze, report. Exit codes:
-0 success, 1 contract or configuration error, 2 numeric failure
+0 success, 1 contract or configuration error (an allocation too large
+for memory, such as an absurd resolution, included), 2 numeric failure
 (divergence or NaN).
 """
 
@@ -144,7 +145,7 @@ def main(argv=None) -> int:
     except TrainingDivergedError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 2
-    except FuselabError as e:
+    except (FuselabError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

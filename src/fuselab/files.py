@@ -1,5 +1,11 @@
-"""Crash-safe artifact writes, the artifact JSON format and digest, and
-checked, memoised artifact reads."""
+"""Crash-safe artifact writes, the artifact JSON and CSV formats, the JSON
+digest, and checked, memoised artifact reads.
+
+An artifact CSV is an optional ``# comment`` line, a header line and one line
+per row, each newline-terminated, cells joined by commas. A string cell is
+written as it is, an int (numpy's too) as ``%d`` and any other number as
+``%.17g``, which a float64 reads back bit for bit.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +13,7 @@ import hashlib
 import json
 import os
 from collections import OrderedDict
+from numbers import Integral
 from pathlib import Path
 
 from .errors import ContractError
@@ -36,9 +43,31 @@ def write_atomic(path, text: str) -> None:
         raise
 
 
-def indented_json(value) -> str:
-    """The artifact JSON format: ``json.dumps(value, sort_keys=True, indent=1)``."""
-    return json.dumps(value, sort_keys=True, indent=1)
+def write_json(path, value) -> None:
+    """Write ``value`` to ``path`` in the artifact JSON format:
+    ``json.dumps(value, sort_keys=True, indent=1)`` and a newline."""
+    write_atomic(path, json.dumps(value, sort_keys=True, indent=1) + "\n")
+
+
+def write_csv(path, comment: str, header, rows) -> None:
+    """Write an artifact CSV (see the module docstring); no comment line when ``comment`` is empty."""
+    lines = [f"# {comment}"] if comment else []
+    lines += (",".join(map(_cell, cells)) for cells in (header, *rows))
+    write_atomic(path, "\n".join(lines) + "\n")
+
+
+def _cell(value) -> str:
+    if isinstance(value, float):  # np.float64 too; first, as the commonest cell and cheapest check
+        return "%.17g" % value
+    if isinstance(value, str):
+        return value
+    return ("%d" if isinstance(value, Integral) else "%.17g") % value
+
+
+def read_csv(path) -> list[list[str]]:
+    """The cells of each line of an artifact CSV but the comment and empty lines."""
+    return [l.split(",") for l in Path(path).read_text(encoding="utf-8").splitlines()
+            if l and not l.startswith("#")]
 
 
 def canonical_digest(value) -> str:

@@ -28,7 +28,7 @@ from .analysis import (
 from .checkpoints import Checkpoint, load_checkpoint, save_checkpoint
 from .config import config_digest, derive_seed, fusion_config, model_spec, train_config
 from .errors import ConfigError, ContractError
-from .files import indented_json, read_json_object, write_atomic
+from .files import read_json_object, write_atomic, write_csv, write_json
 from .fusion import ALGORITHMS, enumerate_subsets, scorers_for, sweep_and_select
 from .models import LinearizedState, ModeTag, build_model
 from .task_vectors import compute_task_vector, similarity_matrix, write_similarity_csv
@@ -94,7 +94,7 @@ def ensure_run_dir(resolved: dict, out: str | Path) -> tuple[RunPaths, str]:
                 f"{paths.root} was produced under a different configuration"
             )
     else:
-        write_atomic(paths.resolved_config, indented_json(resolved) + "\n")
+        write_json(paths.resolved_config, resolved)
     return paths, digest
 
 
@@ -296,7 +296,7 @@ def stage_fuse(
             mf = paths.merged_file(algorithm, mode, subset)
             save_checkpoint(merged_ckpt, mf, config_digest=digest)
             pf = paths.provenance_file(algorithm, mode, subset)
-            write_atomic(pf, indented_json(provenance) + "\n")
+            write_json(pf, provenance)
             written.extend([mf, pf])
     return written
 
@@ -406,13 +406,9 @@ def stage_analyze_ntk(resolved: dict, out: str | Path, modes=None, task_id=None)
             ck.spec, ck.theta0(), lin, xs, ys, eta=eta, max_jacobian_samples=cap
         )
         f = paths.analysis_dir / f"ntk_{mode.value}_{tid}.csv"
-        lines = [
-            f"# mode={mode.value} task={tid} config_digest={digest}",
-            "eta,batch,relative_error,predicted_norm,observed_norm",
-            "%.17g,%d,%.17g,%.17g,%.17g"
-            % (eta, n, rel, float(np.linalg.norm(predicted)), float(np.linalg.norm(observed))),
-        ]
-        write_atomic(f, "\n".join(lines) + "\n")
+        write_csv(f, f"mode={mode.value} task={tid} config_digest={digest}",
+                  ["eta", "batch", "relative_error", "predicted_norm", "observed_norm"],
+                  [[eta, n, rel, np.linalg.norm(predicted), np.linalg.norm(observed)]])
         written.append(f)
     return written
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .checkpoints import Checkpoint
 from .errors import ContractError, UndefinedSimilarityError
-from .files import write_atomic
+from .files import write_csv
 from .models import ModeTag, ModelSpec
 from .params import ParamTree, combine
 
@@ -131,10 +131,4 @@ def embed_in_joint_space(vector: TaskVector, spec: ModelSpec) -> TaskVector:
 
 def write_similarity_csv(ids: list[str], matrix: np.ndarray, path, meta: str = "") -> None:
     """Square CSV with the task-id header row and column."""
-    lines = []
-    if meta:
-        lines.append(f"# {meta}")
-    lines.append(",".join(["task_id", *ids]))
-    for task_id, row in zip(ids, matrix):
-        lines.append(",".join([task_id, *("%.17g" % v for v in row)]))
-    write_atomic(path, "\n".join(lines) + "\n")
+    write_csv(path, meta, ["task_id", *ids], ([task_id, *row] for task_id, row in zip(ids, matrix)))

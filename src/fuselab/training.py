@@ -18,7 +18,7 @@ import numpy as np
 from .autodiff import Tensor
 from .checkpoints import Checkpoint, backbone_for
 from .errors import ContractError, TrainingDivergedError
-from .files import write_atomic
+from .files import write_csv
 from .models import ModelSpec, Scorer, require_trees
 from .params import ParamTree
 from .tasks import Dataset, Task
@@ -276,8 +276,4 @@ def evaluate_checkpoint(ckpt: Checkpoint, dataset: Dataset) -> float:
 
 def write_metrics_csv(history, path, meta: str = "") -> None:
     """Sidecar with one row per step: step, train loss, val accuracy."""
-    lines = [f"# {meta}" if meta else "# fuselab-metrics v1"]
-    lines.append("step,train_loss,val_accuracy")
-    for step, loss, acc in history:
-        lines.append("%d,%.17g,%.17g" % (step, loss, acc))
-    write_atomic(path, "\n".join(lines) + "\n")
+    write_csv(path, meta or "fuselab-metrics v1", ["step", "train_loss", "val_accuracy"], history)

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from fuselab.analysis import read_grid_csv
-from fuselab.checkpoints import _payload_digest, load_checkpoint
+from fuselab.checkpoints import load_checkpoint
 from fuselab.cli import main
 from fuselab.config import config_digest, load_config, resolve_config
 from fuselab.errors import ConfigError, ContractError
+from fuselab.files import canonical_digest
 from fuselab.fusion import FusionConfig, replay_merge
 from fuselab.models import ModeTag, ModelSpec
 from fuselab.pipeline import load_mode_checkpoints, load_tasks
@@ -517,7 +518,7 @@ def rewrite_checkpoint(path: Path, edit) -> None:
     payload = json.loads(path.read_text())
     del payload["digest"]
     edit(payload)
-    payload["digest"] = _payload_digest(payload)
+    payload["digest"] = canonical_digest(payload)
     path.write_text(json.dumps(payload))
 
 
@@ -721,6 +722,24 @@ def test_truncated_resolved_config_exits_one_naming_the_file(run_copy, capsys):
 
 def file_tree(root: Path) -> dict:
     return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*")) if f.is_file()}
+
+
+@pytest.mark.parametrize("kind, mode", [("landscape", "full_ft"), ("disentangle", "lora")])
+def test_a_grid_too_large_to_allocate_exits_one_writing_nothing(tmp_path, capsys, kind, mode):
+    # 10**18 fits in int64, so the config resolves; numpy's MemoryError from
+    # grid_axis used to end in a traceback.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"suite": {"samples_per_split": 16}, "model": {"hidden_dims": [4]},
+                               "train": {"steps": 4}, "analysis": {"resolution": 10**18}}))
+    common = ["--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert main(["gen-tasks", *common]) == 0
+    assert main(["finetune", "--mode", mode, *common]) == 0
+    before = file_tree(tmp_path / "out")
+    capsys.readouterr()
+    assert main(["analyze", kind, *common]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert file_tree(tmp_path / "out") == before
 
 
 @pytest.mark.parametrize("argv, named", [

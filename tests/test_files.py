@@ -1,4 +1,4 @@
-"""The per-process read memo for task files and checkpoints."""
+"""The per-process read memo for task files and checkpoints, and the artifact JSON and CSV text."""
 
 import json
 import shutil
@@ -169,7 +169,7 @@ def test_two_runs_in_one_process_are_byte_identical_and_the_second_parses_nothin
 
 # --- the indented JSON writer -----------------------------------------------------
 
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=True)
@@ -183,13 +183,16 @@ JSON_VALUES = st.recursive(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(JSON_VALUES)
-@example({"data": "QUJD" * 40, "empty": {}, "none": [], "nested": [[], {}, [[]]]})
-@example({"ünï": [" ", "\x00", -0.0, float("nan")]})
-@example({1: "int key", 2.5: [True, None]})
-def test_indented_json_is_json_dumps_byte_for_byte(value):
-    assert files.indented_json(value) == json.dumps(value, sort_keys=True, indent=1)
+# Every example overwrites the same file, so sharing tmp_path is safe.
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(value=JSON_VALUES)
+@example(value={"data": "QUJD" * 40, "empty": {}, "none": [], "nested": [[], {}, [[]]]})
+@example(value={"ünï": [" ", "\x00", -0.0, float("nan")]})
+@example(value={1: "int key", 2.5: [True, None]})
+def test_write_json_is_json_dumps_and_a_newline_byte_for_byte(tmp_path, value):
+    files.write_json(tmp_path / "v.json", value)
+    expected = json.dumps(value, sort_keys=True, indent=1) + "\n"
+    assert (tmp_path / "v.json").read_bytes() == expected.encode("utf-8")
 
 
 def test_a_saved_checkpoint_keeps_the_json_dumps_bytes(tmp_path):
@@ -199,3 +202,83 @@ def test_a_saved_checkpoint_keeps_the_json_dumps_bytes(tmp_path):
     save_checkpoint(Checkpoint(spec, "task0", 3, init, init, {"acc": 0.5}), path)
     payload = json.loads(path.read_text())
     assert path.read_text() == json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+# --- Golden CSV bytes -----------------------------------------------------------
+# Each expected string is what the per-artifact writers produced before they
+# shared files.write_csv. The cells cover -0.0, the smallest subnormal, the
+# largest double, numpy scalars and the empty comment.
+
+import numpy as np  # noqa: E402
+
+from fuselab.analysis import FusionReport, ReportRow, read_grid_csv, write_grid_csv, write_report_csv  # noqa: E402
+from fuselab.task_vectors import write_similarity_csv  # noqa: E402
+from fuselab.training import write_metrics_csv  # noqa: E402
+
+TINY, HUGE = 5e-324, 1.7976931348623157e308
+AXIS1 = np.array([-0.0, TINY])
+AXIS2 = [np.float64(HUGE), 0.1, -2.5]
+GRID = np.array([[1 / 3, -0.0, TINY], [HUGE, -1e-300, 2.0]])
+GRID_BODY = ("lambda1\\lambda2,1.7976931348623157e+308,0.10000000000000001,-2.5\n"
+             "-0,0.33333333333333331,-0,4.9406564584124654e-324\n"
+             "4.9406564584124654e-324,1.7976931348623157e+308,-1e-300,2\n")
+REPORT = FusionReport(rows=(ReportRow("lorahub", "l_lora", None, np.int64(5), np.float64(-0.0), TINY),
+                            ReportRow("ties_merging", "full_ft", 2, 6, 0.1, HUGE)))
+REPORT_HEADER = ["algorithm", "mode", "subset_size", "n_subsets", "mean_normalized", "std_normalized"]
+SIMILARITY = np.array([[1.0, -0.0], [TINY, np.float64(2 / 3)]])
+HISTORY = [(0, np.float64(1.0986), 1 / 3), (np.int64(10), TINY, -0.0)]
+NTK_ROW = [0.05, np.int64(12), np.float64(1e-7), HUGE, -0.0]
+
+GOLDEN = {
+    "grid_no_comment": (
+        lambda path: write_grid_csv(AXIS1, AXIS2, GRID, path),
+        "", ["lambda1\\lambda2", *AXIS2], [[a, *row] for a, row in zip(AXIS1, GRID)],
+        GRID_BODY),
+    "grid": (
+        lambda path: write_grid_csv(AXIS1, AXIS2, GRID, path, meta="mode=lora pair=a,b"),
+        "mode=lora pair=a,b", ["lambda1\\lambda2", *AXIS2], [[a, *row] for a, row in zip(AXIS1, GRID)],
+        "# mode=lora pair=a,b\n" + GRID_BODY),
+    "report": (
+        lambda path: write_report_csv(REPORT, path, meta="config_digest=sha256:ab"),
+        "config_digest=sha256:ab", REPORT_HEADER,
+        [["lorahub", "l_lora", "all", np.int64(5), np.float64(-0.0), TINY],
+         ["ties_merging", "full_ft", 2, 6, 0.1, HUGE]],
+        "# config_digest=sha256:ab\n" + ",".join(REPORT_HEADER) + "\n"
+        "lorahub,l_lora,all,5,-0,4.9406564584124654e-324\n"
+        "ties_merging,full_ft,2,6,0.10000000000000001,1.7976931348623157e+308\n"),
+    "similarity": (
+        lambda path: write_similarity_csv(["task0", "task1"], SIMILARITY, path),
+        "", ["task_id", "task0", "task1"], [["task0", *SIMILARITY[0]], ["task1", *SIMILARITY[1]]],
+        "task_id,task0,task1\ntask0,1,-0\ntask1,4.9406564584124654e-324,0.66666666666666663\n"),
+    "metrics": (
+        lambda path: write_metrics_csv(HISTORY, path),
+        "fuselab-metrics v1", ["step", "train_loss", "val_accuracy"], HISTORY,
+        "# fuselab-metrics v1\nstep,train_loss,val_accuracy\n"
+        "0,1.0986,0.33333333333333331\n10,4.9406564584124654e-324,-0\n"),
+    "ntk": (
+        None,
+        "mode=l_lora task=task0 config_digest=sha256:ab",
+        ["eta", "batch", "relative_error", "predicted_norm", "observed_norm"], [NTK_ROW],
+        "# mode=l_lora task=task0 config_digest=sha256:ab\n"
+        "eta,batch,relative_error,predicted_norm,observed_norm\n"
+        "0.050000000000000003,12,9.9999999999999995e-08,1.7976931348623157e+308,-0\n"),
+}
+
+
+@pytest.mark.parametrize("kind", GOLDEN)
+def test_write_csv_gives_each_artifact_its_golden_bytes(tmp_path, kind):
+    writer, comment, header, rows, expected = GOLDEN[kind]
+    files.write_csv(tmp_path / "direct.csv", comment, header, rows)
+    assert (tmp_path / "direct.csv").read_bytes() == expected.encode()
+    if writer is not None:
+        writer(tmp_path / "artifact.csv")
+        assert (tmp_path / "artifact.csv").read_bytes() == expected.encode()
+
+
+def test_read_grid_csv_returns_every_float_bit_for_bit(tmp_path):
+    path = tmp_path / "grid.csv"
+    write_grid_csv(AXIS1, AXIS2, GRID, path, meta="mode=lora")
+    a1, a2, values = read_grid_csv(path)
+    for got, wrote in ((a1, AXIS1), (a2, AXIS2), (values, GRID)):
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.asarray(wrote, dtype=np.float64).tobytes()

@@ -186,7 +186,7 @@ FILE_READS = {"open", "read_text", "read_bytes", "load", "loadtxt", "genfromtxt"
 
 def test_files_holds_the_only_read_of_task_and_checkpoint_files():
     # Task files and checkpoints are read only through files.read_memoized;
-    # the other readers take the user's config file and analysis grid CSVs.
+    # the other readers take the user's config file and artifact JSON and CSVs.
     readers = set()
     for path in sorted(SOURCE.glob("*.py")):
         tree = parse(path.name)
@@ -197,13 +197,23 @@ def test_files_holds_the_only_read_of_task_and_checkpoint_files():
                 if name in FILE_READS:
                     readers.add((path.name, innermost_function(tree, node)))
     assert readers == {("files.py", "write_atomic"), ("files.py", "read_memoized"),
-                       ("files.py", "read_json_object"), ("config.py", "load_config"),
-                       ("analysis.py", "read_grid_csv")}
+                       ("files.py", "read_json_object"), ("files.py", "read_csv"),
+                       ("config.py", "load_config")}
     for name, fn in (("tasks.py", "import_task"), ("checkpoints.py", "load_checkpoint")):
         top = next(f for f in parse(name).body if isinstance(f, ast.FunctionDef) and f.name == fn)
         called = {n.func.id for n in ast.walk(top)
                   if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
         assert "read_memoized" in called, fn
+
+
+def test_files_owns_the_artifact_json_and_csv_number_formats():
+    # Task files keep their own columnar format in tasks.py; every other
+    # float cell and all JSON text (artifacts and digests) is formatted in files.py.
+    def holders(text):
+        return {p.name for p in sorted(SOURCE.rglob("*.py")) if text in p.read_text()}
+
+    assert holders("%.17g") == {"files.py", "tasks.py"}
+    assert holders("json.dumps") == {"files.py"}
 
 
 def test_nothing_in_the_package_imports_scipy(tmp_path):
