@@ -199,10 +199,10 @@ def load_config(path: str | Path | None, seed_override: int | None = None) -> di
     if path is None:
         return resolve_config({}, seed_override)
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file {p} does not exist")
     try:
         raw = json.loads(p.read_text())
+    except OSError as e:  # missing, a directory, or unreadable
+        raise ConfigError(f"cannot read config file {p}: {e.strerror}") from e
     except ValueError as e:  # malformed JSON, or an integer literal too long to convert
         raise ConfigError(f"config file {p} is not valid JSON: {e}") from e
     return resolve_config(raw, seed_override)

@@ -86,7 +86,10 @@ def ensure_run_dir(resolved: dict, out: str | Path) -> tuple[RunPaths, str]:
     """Create the run directory and pin the resolved configuration."""
     paths = RunPaths(out)
     digest = config_digest(resolved)
-    paths.root.mkdir(parents=True, exist_ok=True)
+    try:
+        paths.root.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # --out names a file, or a path under one
+        raise ConfigError(f"cannot create run directory {paths.root}: {e.strerror}") from e
     if paths.resolved_config.exists():
         existing = read_json_object(paths.resolved_config, "resolved configuration")
         if config_digest(existing) != digest:

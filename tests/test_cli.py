@@ -401,6 +401,29 @@ def test_integer_literal_too_long_to_parse_exits_one_naming_the_file(tmp_path, c
     assert not out.exists()
 
 
+def test_a_config_path_naming_a_directory_exits_one_naming_it(tmp_path, capsys):
+    # read_text's IsADirectoryError used to end in a traceback.
+    conf = tmp_path / "conf"
+    conf.mkdir()
+    out = tmp_path / "out"
+    assert main(["gen-tasks", "--config", str(conf), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(conf) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/run"], ids=["a_file", "under_a_file"])
+def test_an_out_path_that_cannot_be_a_directory_exits_one_naming_it(tmp_path, capsys, out):
+    # mkdir's FileExistsError or NotADirectoryError used to end in a traceback.
+    cfg = write_config(tmp_path)
+    (tmp_path / "taken").write_text("kept\n")
+    before = file_tree(tmp_path)
+    assert main(["gen-tasks", "--config", str(cfg), "--out", str(tmp_path / out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path / out) in err
+    assert file_tree(tmp_path) == before
+
+
 @pytest.mark.parametrize("section, leaf, value", [
     ("analysis", "resolution", 10**30),
     ("suite", "samples_per_split", 10**30),

@@ -255,3 +255,28 @@ def test_nothing_in_the_package_imports_scipy(tmp_path):
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip().splitlines()[-1] == "['scipy'] None"
     assert len(list((out / "fusion" / "lorahub").glob("*/task0+task1.provenance.json"))) == 4
+
+
+def test_no_stage_loads_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma (about 1.25 MB resident); the class-coverage
+    # check of make_task_suite used to load it in every process that ran gen-tasks.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "suite": {"samples_per_split": 16}, "model": {"hidden_dims": [4]}, "train": {"steps": 4},
+        "analysis": {"resolution": 3}}))
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "from fuselab.cli import main\n"
+        "common = ['--config', sys.argv[1], '--out', sys.argv[2]]\n"
+        "for command in (['gen-tasks'], ['finetune'],\n"
+        "                ['fuse', '--algorithm', 'ties_merging', '--subset', 'task0,task1'],\n"
+        "                ['analyze', 'disentangle']):\n"
+        "    if main(command + common):\n"
+        "        sys.exit(f'{command[0]} failed')\n"
+        "    if not before and 'numpy.ma' in sys.modules:\n"
+        "        sys.exit(f'{command[0]} loaded numpy.ma')\n")
+    run = subprocess.run([sys.executable, "-c", script, str(config), str(tmp_path / "out")],
+                         env={**os.environ, "PYTHONPATH": str(SOURCE.parent)}, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

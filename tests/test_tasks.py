@@ -7,6 +7,10 @@ import pytest
 
 from fuselab.errors import ContractError
 from fuselab.tasks import (
+    SPLITS,
+    Dataset,
+    Task,
+    TaskSuite,
     export_task,
     import_task,
     make_task_suite,
@@ -76,6 +80,28 @@ def test_export_deterministic_bytes(tmp_path):
     export_task(suite.tasks[1], p1, suite)
     export_task(suite.tasks[1], p2, suite)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def per_value_rows(task) -> list[str]:
+    """The data rows of ``task`` formatted value by value: the reference for ``export_task``."""
+    return [f"{name},{label}," + ",".join("%.17g" % v for v in row)
+            for name in SPLITS for row, label in zip(getattr(task, name).xs, getattr(task, name).ys)]
+
+
+@pytest.mark.parametrize("xs", [
+    [[-0.0, 5e-324, 1.7976931348623157e308], [0.1, -2.5, 1e-300], [3.0, -1.7976931348623157e308, 0.0]],
+    [[-0.0], [5e-324], [1.7976931348623157e308]],
+], ids=["three_features", "one_feature"])
+def test_each_data_row_is_the_per_value_format(tmp_path, xs):
+    xs = np.array(xs)
+    ds = Dataset(xs, np.arange(len(xs)) % 2)
+    task = Task("task0", ds, ds.take([2, 0]), ds.take([1]))
+    suite = TaskSuite((task,), seed=0, input_dim=xs.shape[1], num_classes=2, task_overlap=0.5)
+    path = tmp_path / "task0.csv"
+    export_task(task, path, suite)
+    assert path.read_text().splitlines()[3:] == per_value_rows(task)
+    loaded, _ = import_task(path)
+    assert loaded.train.xs.tobytes() == xs.tobytes()
 
 
 def _exported_lines(tmp_path):
@@ -151,13 +177,15 @@ def test_import_rejects_malformed_headers_naming_the_file(tmp_path, edit):
 @pytest.mark.parametrize("row", [0, 7])
 @pytest.mark.parametrize("column", [0, 3])
 def test_a_bad_feature_names_its_line(tmp_path, row, column):
+    # float() reads nan and inf, which used to load and then fail training
+    # as a divergence rather than as malformed input.
     path, lines = _exported_lines(tmp_path)
-    parts = lines[3 + row].split(",")
-    parts[2 + column] = "1.5e"
-    lines[3 + row] = ",".join(parts)
-    _write_consistent(path, lines)
-    with pytest.raises(ContractError, match=f"line {4 + row} is not a data row"):
-        import_task(path)
+    for value in ("1.5e", "nan", "inf", "-inf"):
+        parts = lines[3 + row].split(",")
+        parts[2 + column] = value
+        _write_consistent(path, [*lines[:3 + row], ",".join(parts), *lines[4 + row:]])
+        with pytest.raises(ContractError, match=f"line {4 + row} is not a data row"):
+            import_task(path)
 
 
 def test_import_rejects_a_file_that_is_not_utf8(tmp_path):

@@ -1,14 +1,15 @@
 """Time the network kernel against the traced autodiff program, per paradigm,
-and the artifact reads with and without the read memo.
+the task-file export, and the artifact reads with and without the read memo.
 
 For each paradigm at batch 32 and 256 (16→32→32→3), prints the best-of-N
 microseconds per call of forward, JVP and VJP for ``models.Network`` and
 for the same network traced by ``autodiff`` (the oracle in
 ``tests/test_network.py``), and checks that both return the same bytes.
-Then prints the microseconds per ``tasks.import_task`` of a default task
-file (1024 rows) and per ``checkpoints.load_checkpoint`` of a full_ft
-checkpoint (1699 values each tree): a cold parse, with the memo emptied
-before every call, and a memo hit. Last, the microseconds per
+Then prints the microseconds per ``tasks.export_task`` of a default task
+file (1024 rows), and per ``tasks.import_task`` of that file and
+``checkpoints.load_checkpoint`` of a full_ft checkpoint (1699 values each
+tree): a cold parse, with the memo emptied before every call, and a memo
+hit. Last, the microseconds per
 ``ParamTree.flatten``, ``with_flat`` and ``digest`` of a full_ft (1699
 values) and a lora (294 values) trainable tree, and per ``Network(...)``
 construction on a 32-row batch. Then the microseconds per fusion candidate
@@ -26,11 +27,12 @@ Then, for full_linear and l_lora, the tangent memory of a fuse stage: the
 ``tracemalloc`` peak over the 11 default-grid ties_merging sweeps of four
 tasks (256 validation rows each) on one ``fusion.scorers_for`` dict, and
 the number of JVPs each task's scorer still holds after them.
-Exits 1 if any kernel pair, the one-row and 21-row candidate logits, a
-grid cell and the direct ``disentanglement_error`` at that cell, or the
-points the two searches evaluate differ in any bit, or if a scorer still
-holds the JVP of a direction a sweep built. fuselab is imported from this
-checkout's src/:
+Exits 1 if the exported task rows differ from per-value ``%.17g``
+formatting (the reference in ``tests/test_tasks.py``), if any kernel pair,
+the one-row and 21-row candidate logits, a grid cell and the direct
+``disentanglement_error`` at that cell, or the points the two searches
+evaluate differ in any bit, or if a scorer still holds the JVP of a
+direction a sweep built. fuselab is imported from this checkout's src/:
 
     python3 tools/layer_timing.py [--repeats N] [--loops L]
 """
@@ -78,7 +80,7 @@ def main(argv=None) -> int:
                 differ += not same
                 print(f"{mode.value:<12}{batch:>6}  {op:<8}{kernel_us:>10.1f}{traced_us:>11.1f}"
                       f"{traced_us / kernel_us:>7.1f}x  {'equal' if same else 'DIFFERENT'}")
-    read_timing(args.repeats, args.loops)
+    differ += read_timing(args.repeats, args.loops)
     tree_timing(args.repeats, args.loops)
     differ += candidate_timing(args.repeats, args.loops)
     differ += grid_timing(args.repeats, args.loops)
@@ -91,11 +93,13 @@ def us_per_call(fn, repeats: int, loops: int) -> float:
     return 1e6 * min(timeit.repeat(fn, number=loops, repeat=repeats)) / loops
 
 
-def read_timing(repeats: int, loops: int) -> None:
+def read_timing(repeats: int, loops: int) -> int:
+    """Print the read table; returns 1 if the exported data rows differ from per-value formatting."""
     from fuselab import files
     from fuselab.checkpoints import Checkpoint, load_checkpoint, save_checkpoint
     from fuselab.models import ModeTag, ModelSpec, build_model
     from fuselab.tasks import export_task, import_task, make_task_suite
+    from test_tasks import per_value_rows
 
     def cold(read):
         def fn():
@@ -106,8 +110,10 @@ def read_timing(repeats: int, loops: int) -> None:
     print(f"\n{'read':<16}{'cold_us':>10}{'hit_us':>10}{'ratio':>8}")
     with tempfile.TemporaryDirectory() as tmp:
         suite = make_task_suite(seed=0)
-        task_file = Path(tmp) / "task0.csv"
-        export_task(suite.tasks[0], task_file, suite)
+        task, task_file = suite.tasks[0], Path(tmp) / "task0.csv"
+        export_us = us_per_call(lambda: export_task(task, task_file, suite), repeats, max(1, loops // 10))
+        same = task_file.read_text().splitlines()[3:] == per_value_rows(task)
+        print(f"{'export_task':<16}{export_us:>10.1f}{'-':>10}{'-':>8}  rows {'equal' if same else 'DIFFERENT'}")
         spec = ModelSpec(16, (32, 32), 3, mode=ModeTag.FULL_FT)
         _, init = build_model(spec, 0)
         ckpt_file = Path(tmp) / "task0.json"
@@ -118,6 +124,7 @@ def read_timing(repeats: int, loops: int) -> None:
             read()
             hit_us = us_per_call(read, repeats, loops)
             print(f"{name:<16}{cold_us:>10.1f}{hit_us:>10.1f}{cold_us / hit_us:>7.1f}x")
+    return int(not same)
 
 
 def tree_timing(repeats: int, loops: int) -> None:
