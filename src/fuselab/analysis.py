@@ -73,10 +73,10 @@ def _errors(
     The pair is put in canonical (task id, digest) order once; that order
     fixes the float summation order of the combined parameters, and for
     linearized modes of the combined logits, so the error is exactly
-    symmetric under swapping the task pair. One ``Scorer`` per eval set
-    scores its slot's distinct single-vector models in one
-    ``Scorer.candidates`` call and the cells' combined models in blocks of
-    ``GRID_BLOCK``, so linearized modes take two JVPs per eval set. A
+    symmetric under swapping the task pair. One ``Scorer`` per eval set (the
+    second its ``on``) scores its slot's distinct single-vector models in
+    one ``Scorer.candidates`` call and the cells' combined models in blocks
+    of ``GRID_BLOCK``, so linearized modes take two JVPs per eval set. A
     block's combined vectors are built once and scored on both eval sets.
     """
     d1, d2 = eval_sets
@@ -96,9 +96,9 @@ def _errors(
         flats = np.stack([combine(base, directions, w) for w in weights])
         return flats, [directions] * len(weights), weights
 
-    scorers, singles, which = {}, {}, {}
+    head = Scorer(spec, theta0, phi0, d1.xs)
+    scorers, singles, which = [head, head.on(d2.xs)], {}, {}
     for s in order:
-        scorers[s] = Scorer(spec, theta0, phi0, eval_sets[s].xs)
         factors: dict[float, int] = {}  # each distinct factor of slot s, in first-seen order
         which[s] = np.array([factors.setdefault(lam[s], len(factors)) for lam in lams])
         singles[s] = np.argmax(scorers[s].candidates(*stack((s,), [[f] for f in factors])), axis=2)
@@ -202,7 +202,8 @@ def loss_landscape_grid(
     v2 = theta2.flatten() - base
     weights = [[l1, l2] for l1 in axis1 for l2 in axis2]
     directions = [[v1, v2]] * len(weights)
-    scorers = [Scorer(spec.with_mode("full_ft"), theta0, theta0, data.xs) for data in eval_sets]
+    head = Scorer(spec.with_mode("full_ft"), theta0, theta0, d1.xs)
+    scorers = [head, head.on(d2.xs)]
     for data in eval_sets:
         check_labels(data.ys, spec.num_classes)
     loss = np.zeros(len(weights))
@@ -245,9 +246,8 @@ def ntk_one_step_check(
         raise ContractError("the one-step output-dynamics identity holds for sgd only")
     if not spec.mode.is_linearized:
         raise ContractError("ntk check applies to linearized paradigms only")
-    xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.int64)
-    batch = xs.shape[0]
+    batch = len(xs)
     if batch > max_jacobian_samples:
         raise ResourceLimitError(
             f"batch of {batch} exceeds the explicit-Jacobian cap {max_jacobian_samples}"

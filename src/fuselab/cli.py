@@ -2,8 +2,8 @@
 
 Subcommands: gen-tasks, finetune, fuse, analyze, report. Exit codes:
 0 success, 1 contract or configuration error (an allocation too large
-for memory, such as an absurd resolution, included), 2 numeric failure
-(divergence or NaN).
+for memory, such as an absurd resolution, or a run entry of the wrong
+kind included), 2 numeric failure (divergence or NaN).
 """
 
 from __future__ import annotations
@@ -147,6 +147,9 @@ def main(argv=None) -> int:
         return 2
     except (FuselabError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except (IsADirectoryError, NotADirectoryError, FileExistsError) as e:  # a run entry of the wrong kind
+        print(f"error: {e.filename2 or e.filename}: {e.strerror}", file=sys.stderr)
         return 1
 
 

@@ -298,13 +298,12 @@ def _lorahub_objective(spec, theta0, initial: ParamTree, deltas: list[np.ndarray
     the floating-point warnings of such a weighting.
     """
     check_labels(fewshot.ys, spec.num_classes)
-    initial_flat = initial.flatten()
     scorer = Scorer(spec, theta0, initial, fewshot.xs)
     ys, alpha = fewshot.ys, float(alpha)
 
     def objective(w) -> float:
         _, _, flat, directions, weights = next(
-            _candidates("lorahub", initial_flat, deltas, None, [{"weights": w}]))
+            _candidates("lorahub", scorer.anchor, deltas, None, [{"weights": w}]))
         try:
             logits = scorer.candidates(flat[None], [directions], [weights])[0]
         except ContractError:
@@ -420,11 +419,12 @@ def enumerate_subsets(task_ids: list[str]) -> list[tuple[str, ...]]:
 def scorers_for(checkpoints: list[Checkpoint], datasets: dict[str, Dataset]) -> dict[str, Scorer]:
     """One ``Scorer`` per checkpoint's task id on that task's inputs in ``datasets``.
 
-    Every scorer is anchored at the checkpoints' shared initial tree, so
-    one dict serves every subset of them, in sweeps and test scoring alike.
+    Each is one checked scorer moved with ``on``, anchored at the shared
+    initial tree, so one dict serves every subset in sweeps and test scoring.
     """
     spec, _, theta0, initial = _common_context(checkpoints)
-    return {c.task_id: Scorer(spec, theta0, initial, datasets[c.task_id].xs) for c in checkpoints}
+    head = Scorer(spec, theta0, initial, datasets[checkpoints[0].task_id].xs)
+    return {c.task_id: head.on(datasets[c.task_id].xs) for c in checkpoints}
 
 
 def sweep_and_select(
@@ -472,7 +472,7 @@ def sweep_and_select(
                 raise ContractError(f"no sweep scorer for task {t!r}")
             if scorers[t].spec != spec or not scorers[t].template.equal_bits(initial):
                 raise ContractError("sweep scorers were not built on these checkpoints' paradigm and initial tree")
-            if not np.array_equal(scorers[t].net.x, validation[t].xs):
+            if not np.array_equal(scorers[t].x, validation[t].xs):
                 raise ContractError(f"sweep scorer for {t!r} was not built on its validation inputs")
     vectors, deltas = _ordered_flats(initial, [compute_task_vector(c) for c in ordered])
     trained = [c.trained.flatten() for c in ordered]

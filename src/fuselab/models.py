@@ -16,6 +16,7 @@ between the tangent model and the network.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -182,17 +183,17 @@ def require_trees(spec: ModelSpec, theta0: ParamTree, *trainable: ParamTree):
 
 
 class Network:
-    """The spec's tanh MLP on fixed inputs ``x``, as a function of flat trainable vectors.
+    """The spec's tanh MLP as a function of a flat trainable vector and input rows.
 
     The flat vectors are laid out like ``template``. One hand-written
-    kernel, built once per (spec, θ₀, x, layout), with three methods:
-    ``forward(flat)``, ``jvp(anchor, d) -> (f(anchor), J(anchor)·d)`` and
-    ``vjp(point, ct) -> J(point)ᵀ·ct``; the last two accept the forward
-    pass's ``activations`` at their point. Adapter paradigms run the frozen
-    backbone with ``W₀ + (α/r)·B·A`` per layer. Each method repeats the
-    numpy operations of the same network written in ``autodiff`` ops and
-    traced, in their order and on operands of the same layouts, so it
-    equals that traced program's forward, ``autodiff.jvp`` and
+    kernel, built once per (spec, θ₀, layout), with three methods:
+    ``activations(flat, x)`` on the rows ``x``, and ``jvp(anchor, d, acts)
+    -> (f(anchor), J(anchor)·d)`` and ``vjp(point, ct, acts) -> J(point)ᵀ·ct``
+    on the rows of ``acts``, the activations at their point. Adapter
+    paradigms run the frozen backbone with ``W₀ + (α/r)·B·A`` per layer.
+    Each method repeats the numpy operations of the same network written in
+    ``autodiff`` ops and traced, in their order and on operands of the same
+    layouts, so it equals that traced program's forward, ``autodiff.jvp`` and
     ``autodiff.vjp`` bit for bit (``tests/test_network.py`` holds the
     traced program and checks this). The ``+ 0.0`` and ``· 0.0`` terms
     exist only for that: the traced JVP starts every matmul tangent from a
@@ -201,12 +202,8 @@ class Network:
     ``-0.0`` into ``+0.0``; ``BA·0.0`` is NaN where ``B·A`` overflowed.
     """
 
-    def __init__(self, spec: ModelSpec, theta0: ParamTree, x, template: ParamTree):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != spec.input_dim:
-            raise ContractError(f"input batch must have shape (batch, {spec.input_dim})")
+    def __init__(self, spec: ModelSpec, theta0: ParamTree, template: ParamTree):
         spans = {path: (start, stop, shape) for path, start, stop, shape in template.layout()}
-        self.x = x
         self.size = template.num_values
         self.peft = spec.mode.is_peft
         self.scale = spec.lora_alpha / spec.lora_rank
@@ -232,13 +229,12 @@ class Network:
             return w0 + (p @ q) * self.scale, b0
         return p, q
 
-    def activations(self, flat: np.ndarray):
-        """``(logits, inputs, weights)`` at ``flat``: the network's output, and
-        each layer's input and effective weight matrix. ``jvp`` and ``vjp``
-        at ``flat`` take them as ``acts`` instead of running the forward
-        pass again."""
+    def activations(self, flat: np.ndarray, x: np.ndarray):
+        """``(logits, inputs, weights)`` at ``flat`` on the rows ``x``: the
+        network's output, and each layer's input and effective weight
+        matrix. ``jvp`` and ``vjp`` at ``flat`` take them as ``acts``."""
         inputs, weights = [], []
-        h = self.x
+        h = x
         last = len(self.layers) - 1
         for i in range(len(self.layers)):
             w, b = self._weights(flat, i)
@@ -248,15 +244,12 @@ class Network:
             h = z if i == last else np.tanh(z)
         return h, inputs, weights
 
-    def forward(self, flat: np.ndarray) -> np.ndarray:
-        return self.activations(flat)[0]
-
-    def jvp(self, anchor: np.ndarray, d: np.ndarray, acts=None) -> tuple[np.ndarray, np.ndarray]:
+    def jvp(self, anchor: np.ndarray, d: np.ndarray, acts) -> tuple[np.ndarray, np.ndarray]:
         if d.shape != anchor.shape:
             raise DimensionError(
                 f"direction shape {d.shape} does not match parameter shape {anchor.shape}"
             )
-        out, inputs, weights = acts or self.activations(anchor)
+        out, inputs, weights = acts
         t = None
         last = len(self.layers) - 1
         for i in range(len(self.layers)):
@@ -278,9 +271,9 @@ class Network:
                 t = (1.0 - h * h) * t
         return out, t
 
-    def vjp(self, point: np.ndarray, ct, acts=None) -> np.ndarray:
+    def vjp(self, point: np.ndarray, ct, acts) -> np.ndarray:
         ct = np.asarray(ct, dtype=np.float64)
-        out, inputs, weights = acts or self.activations(point)
+        out, inputs, weights = acts
         if ct.shape != out.shape:
             raise DimensionError(f"cotangent shape {ct.shape} does not match output shape {out.shape}")
         grad = np.zeros(self.size)
@@ -303,15 +296,15 @@ class Network:
 
 
 class Scorer:
-    """A paradigm's logits on fixed inputs ``x`` as a function of flat trainable vectors.
+    """A paradigm's logits on the input rows ``x`` as a function of flat trainable vectors.
 
     The one definition of "logits for this paradigm at these parameters":
     linearized paradigms evaluate the tangent model
     ``f(anchor) + J(anchor)·(flat − anchor)``, the others the network
     ``f(flat)``. It checks ``theta0`` and ``anchor`` against the spec and
-    builds the ``Network`` once, for the anchor's layout. A linearized
-    scorer runs the network at the anchor once in its lifetime and keeps
-    those activations for every route. Two routes:
+    ``x``'s width, and builds the ``Network`` once, for the anchor's
+    layout. A linearized scorer runs the network at the anchor once in its
+    lifetime and keeps those activations for every route. Two routes:
 
     - ``at(flat)``, for training and evaluation, returns
       ``(logits, pullback)``; ``pullback(dloss/dlogits)`` is the gradient of
@@ -333,20 +326,31 @@ class Scorer:
     ``release(vectors)`` drops the cached JVPs of vectors no later call
     will score; one that comes back is recomputed, with the same bits.
     ``jacobian()`` gives the explicit per-row output Jacobian at the anchor.
+    ``on(x)`` is the same scorer on the rows ``x``, with empty caches,
+    without checking the trees or building the ``Network`` again.
     """
 
     def __init__(self, spec: ModelSpec, theta0: ParamTree, anchor: ParamTree, x):
         require_trees(spec, theta0, anchor)
-        self.spec, self.theta0, self.template = spec, theta0, anchor
-        self.net = Network(spec, theta0, x, anchor)
+        self.spec, self.template = spec, anchor
+        self.net = Network(spec, theta0, anchor)
         self.anchor = anchor.flatten()
         self.linearized = spec.mode.is_linearized
-        self._acts = None
-        self._jds: dict = {}
+        self._take(x)
+
+    def _take(self, x) -> "Scorer":
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
+            raise ContractError(f"input batch must have shape (batch, {self.spec.input_dim})")
+        self.x, self._acts, self._jds = x, None, {}
+        return self
+
+    def on(self, x) -> "Scorer":
+        return copy.copy(self)._take(x)
 
     def _anchor_acts(self):
         if self._acts is None:
-            self._acts = self.net.activations(self.anchor)
+            self._acts = self.net.activations(self.anchor, self.x)
         return self._acts
 
     def _jvp(self, d: np.ndarray, acts) -> np.ndarray:
@@ -369,21 +373,21 @@ class Scorer:
             acts = self._anchor_acts()
             logits = combine(acts[0], [self._jvp(flat - self.anchor, acts)], [1.0])
             return logits, lambda ct: self.net.vjp(self.anchor, ct, acts)
-        acts = self.net.activations(flat)
+        acts = self.net.activations(flat, self.x)
         return acts[0], lambda ct: self.net.vjp(flat, ct, acts)
 
     def candidates(self, flats, directions, weights) -> np.ndarray:
         flats = np.asarray(flats, dtype=np.float64)
         if not np.isfinite(flats).all():
             raise ContractError("candidate parameters must be finite")
-        out = np.empty((len(flats), self.net.x.shape[0], self.spec.num_classes))
+        out = np.empty((len(flats), self.x.shape[0], self.spec.num_classes))
         if self.linearized:
             f0 = self._anchor_acts()[0]
             for c in range(len(flats)):
                 out[c] = combine(f0, [self._cached_jvp(d) for d in directions[c]], weights[c])
         else:
             for c, flat in enumerate(flats):
-                out[c] = self.net.forward(flat)
+                out[c] = self.net.activations(flat, self.x)[0]
         if not np.isfinite(out).all():
             raise ContractError("candidate logits must be finite")
         return out
@@ -394,15 +398,12 @@ class Scorer:
         Entry ``[i, c]`` is the VJP at the anchor of the one-hot cotangent
         of class ``c``, through the network on row ``i`` alone.
         """
-        x, classes = self.net.x, self.spec.num_classes
-        jac = np.zeros((x.shape[0], classes, self.anchor.size))
+        x, one_hot = self.x, np.eye(self.spec.num_classes)
+        jac = np.zeros((x.shape[0], len(one_hot), self.anchor.size))
         for i in range(x.shape[0]):
-            net = Network(self.spec, self.theta0, x[i : i + 1], self.template)
-            acts = net.activations(self.anchor)
-            for c in range(classes):
-                ct = np.zeros((1, classes))
-                ct[0, c] = 1.0
-                jac[i, c] = net.vjp(self.anchor, ct, acts)
+            acts = self.net.activations(self.anchor, x[i : i + 1])
+            for c in range(len(one_hot)):
+                jac[i, c] = self.net.vjp(self.anchor, one_hot[c : c + 1], acts)
         return jac
 
 

@@ -178,7 +178,7 @@ def finetune(
     """
     if len(task.train) == 0 or len(task.val) == 0:
         raise ContractError("task splits must be non-empty")
-    require_trees(spec, theta0, init_trainable)
+    val = Scorer(spec, theta0, init_trainable, task.val.xs)
     check_labels(task.train.ys, spec.num_classes)
     if not theta0.equal_bits(backbone_for(spec, int(init_seed))):
         raise ContractError(
@@ -189,22 +189,18 @@ def finetune(
     batcher = _Batcher(len(task.train), config.batch_size, config.shuffle_seed)
     opt = _make_optimizer(config)
     history: list[tuple[int, float, float]] = []
-    val = Scorer(spec, theta0, init_trainable, task.val.xs)
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for step in range(config.steps):
             idx = batcher.next()
-            batch = Scorer(spec, theta0, init_trainable, task.train.xs[idx])
-            loss, g = batch_loss_and_grad(batch, flat, task.train.ys[idx])
+            loss, g = batch_loss_and_grad(val.on(task.train.xs[idx]), flat, task.train.ys[idx])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(step)
             flat = opt.step(flat, g)
             if not np.isfinite(flat).all():
                 raise TrainingDivergedError(step, f"parameters became non-finite at step {step}")
             history.append((step, loss, _accuracy_from_flat(val, flat, task.val.ys)))
-        final_train_loss, _ = batch_loss_and_grad(
-            Scorer(spec, theta0, init_trainable, task.train.xs), flat, task.train.ys
-        )
+        final_train_loss, _ = batch_loss_and_grad(val.on(task.train.xs), flat, task.train.ys)
         if not np.isfinite(final_train_loss):
             raise TrainingDivergedError(config.steps)
 

@@ -424,6 +424,33 @@ def test_an_out_path_that_cannot_be_a_directory_exits_one_naming_it(tmp_path, ca
     assert file_tree(tmp_path) == before
 
 
+@pytest.mark.parametrize("command, entry, make", [
+    ("gen-tasks", "resolved_config.json", "dir"),
+    ("gen-tasks", "tasks/task0.csv", "dir"),
+    ("finetune", "tasks/task0.csv", "dir"),
+    ("gen-tasks", "tasks", "file"),
+], ids=["gen_tasks_resolved_config", "gen_tasks_task_file", "finetune_task_file", "gen_tasks_task_dir"])
+def test_a_run_entry_of_the_wrong_kind_exits_one_naming_it(tmp_path, capsys, command, entry, make):
+    # read_bytes' and os.replace's IsADirectoryError, and mkdir's
+    # FileExistsError, used to end in a traceback.
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    if command == "finetune":
+        assert main(["gen-tasks", "--config", str(cfg), "--out", str(out)]) == 0
+        (out / entry).unlink()
+    if make == "dir":
+        (out / entry).mkdir(parents=True)
+    else:
+        out.mkdir()
+        (out / entry).write_text("")
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(out / entry) in err
+    assert [p for p in out.rglob("*") if p.name.endswith(".tmp")] == []
+    assert not (out / "checkpoints").exists()
+
+
 @pytest.mark.parametrize("section, leaf, value", [
     ("analysis", "resolution", 10**30),
     ("suite", "samples_per_split", 10**30),

@@ -228,7 +228,8 @@ def test_tangent_features_match_forward_linearized(mode, case):
     fast = scorer.candidates(flat[None], [directions], [weights])[0]
     oracle = forward_linearized(spec, theta0, LinearizedState(anchor, anchor.with_flat(flat)), x).array
     f0 = scorer.candidates(base[None], [[]], [[]])[0]
-    jds = [Network(spec, theta0, x, anchor).jvp(base, d)[1] for d in directions]
+    net = Network(spec, theta0, anchor)
+    jds = [net.jvp(base, d, net.activations(base, x))[1] for d in directions]
     scale = max([np.abs(f0).max(), 1.0] + [abs(w) * np.abs(j).max() for w, j in zip(weights, jds)])
     assert np.max(np.abs(fast - oracle)) <= 1e-12 * scale
     assert np.abs(fast - f0).max() > 1e-6  # the directions move the logits
@@ -328,10 +329,11 @@ def test_batched_candidates_equal_the_one_candidate_route_bit_for_bit(mode):
     single = Scorer(spec, theta0, anchor, x)
     alone = np.stack([single.candidates(f[None], [d], [w])[0] for f, d, w in zip(flats, directions, weights)])
     # The oracle: f(anchor) + Σ wᵢ·J·dᵢ through combine for a tangent model, the network otherwise.
-    net, base = Network(spec, theta0, x, anchor), anchor.flatten()
+    net, base = Network(spec, theta0, anchor), anchor.flatten()
+    acts = net.activations(base, x)
     oracle = np.stack([
-        combine(net.forward(base), [net.jvp(base, v)[1] for v in d], w) if mode.is_linearized
-        else net.forward(f) for f, d, w in zip(flats, directions, weights)])
+        combine(acts[0], [net.jvp(base, v, acts)[1] for v in d], w) if mode.is_linearized
+        else net.activations(f, x)[0] for f, d, w in zip(flats, directions, weights)])
     assert batched.shape == (len(flats), 64, 3)
     assert batched.tobytes() == alone.tobytes() == oracle.tobytes()
     assert len({row.tobytes() for row in batched}) == len(flats) - 1  # only the two () rows agree
@@ -405,3 +407,36 @@ def test_a_released_vector_is_recomputed_with_the_same_bits(mode, monkeypatch):
     scorer.release([b])
     scorer.candidates(flats[1:2], directions[1:2], weights[1:2])
     assert len(jvps) == 5
+
+
+# --- one kernel, many row sets ------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", list(ModeTag))
+def test_a_scorer_moved_to_other_rows_equals_one_built_on_them(mode, monkeypatch):
+    spec, theta0, anchor, x, flats, directions, weights = mixed_batch(mode)
+    rng = np.random.default_rng(33)
+    rows = rng.standard_normal((5, 16))
+    head = Scorer(spec, theta0, anchor, x)
+    before = head.candidates(flats, directions, weights)  # fills head's caches, which `on` must not share
+    fresh = Scorer(spec, theta0, anchor, rows)
+    built = []
+    init = Network.__init__
+    monkeypatch.setattr(Network, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+    moved = head.on(rows)
+    ct = rng.standard_normal((5, 3))
+    for flat in flats:
+        (got, got_pullback), (want, want_pullback) = moved.at(flat), fresh.at(flat)
+        assert got.tobytes() == want.tobytes()
+        assert got_pullback(ct).tobytes() == want_pullback(ct).tobytes()
+    got = moved.candidates(flats, directions, weights)
+    assert got.shape == (len(flats), 5, 3)
+    assert got.tobytes() == fresh.candidates(flats, directions, weights).tobytes()
+    assert moved.jacobian().tobytes() == fresh.jacobian().tobytes()
+    assert head.candidates(flats, directions, weights).tobytes() == before.tobytes()
+    assert built == []  # neither `on` nor `jacobian` builds a kernel
+    for bad in (rows[:, :-1], rows[0]):
+        with pytest.raises(ContractError, match=r"input batch must have shape \(batch, 16\)"):
+            head.on(bad)
+        with pytest.raises(ContractError, match=r"input batch must have shape \(batch, 16\)"):
+            Scorer(spec, theta0, anchor, bad)

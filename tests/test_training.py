@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from fuselab import models
 from fuselab.autodiff import Tensor
 from fuselab.checkpoints import Checkpoint, load_checkpoint, save_checkpoint
 from fuselab.errors import ContractError, TrainingDivergedError, ConfigError
@@ -231,18 +232,19 @@ def test_a_training_step_runs_one_forward_pass_and_keeps_the_gradient_bits(mode,
     flat = anchor + 0.1 * rng.standard_normal(anchor.size)
     xs, ys = rng.standard_normal((32, 16)), rng.integers(0, 3, 32)
     point = anchor if mode.is_linearized else flat
-    net = Network(spec, theta0, xs, init)
+    net = Network(spec, theta0, init)
+    acts = net.activations(point, xs)
     if mode.is_linearized:
-        f0, jd = net.jvp(anchor, flat - anchor)
+        f0, jd = net.jvp(anchor, flat - anchor, acts)
         logits = f0 + jd
     else:
-        logits = net.forward(flat)
-    want = net.vjp(point, ce_logit_gradient(logits, ys))
+        logits = acts[0]
+    want = net.vjp(point, ce_logit_gradient(logits, ys), acts)
 
     passes = []
     activations = Network.activations
     monkeypatch.setattr(Network, "activations",
-                        lambda self, at: passes.append(at) or activations(self, at))
+                        lambda self, at, x: passes.append(at) or activations(self, at, x))
     loss, grad = batch_loss_and_grad(Scorer(spec, theta0, init, xs), flat, ys)
     assert len(passes) == 1 and passes[0] is point
     assert loss == cross_entropy_loss(logits, ys)
@@ -251,16 +253,19 @@ def test_a_training_step_runs_one_forward_pass_and_keeps_the_gradient_bits(mode,
 
 @pytest.mark.parametrize("mode", list(ModeTag), ids=lambda m: m.value)
 def test_finetune_builds_the_validation_scorer_once(suite, mode, monkeypatch):
-    # One Network per training batch, one for the validation set (used by
-    # every step) and one for the final train loss.
-    built = []
-    init = Network.__init__
+    # One Network and one tree check for the whole run: the validation
+    # scorer's, which every training batch and the final train loss score
+    # through on their rows.
+    built, checked = [], []
+    init, require_trees = Network.__init__, models.require_trees
     monkeypatch.setattr(Network, "__init__",
-                        lambda self, spec, theta0, x, template: built.append(len(x))
-                        or init(self, spec, theta0, x, template))
+                        lambda self, spec, theta0, template: built.append(template.num_values)
+                        or init(self, spec, theta0, template))
+    monkeypatch.setattr(models, "require_trees", lambda *trees: checked.append(1) or require_trees(*trees))
     spec = default_spec(mode)
     theta0, phi0 = build_model(spec, seed=9)
     task = suite.tasks[0]
     cfg = TrainConfig(steps=7, shuffle_seed=2)
     finetune(spec, theta0, phi0, task, cfg, init_seed=9)
-    assert built == [len(task.val)] + [cfg.batch_size] * cfg.steps + [len(task.train)]
+    assert built == [phi0.num_values]
+    assert len(checked) == 1

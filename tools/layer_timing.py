@@ -5,6 +5,8 @@ For each paradigm at batch 32 and 256 (16→32→32→3), prints the best-of-N
 microseconds per call of forward, JVP and VJP for ``models.Network`` and
 for the same network traced by ``autodiff`` (the oracle in
 ``tests/test_network.py``), and checks that both return the same bytes.
+The kernel's JVP and VJP rows include the forward pass whose activations
+they take, as the traced transforms run one too.
 Then prints the microseconds per ``tasks.export_task`` of a default task
 file (1024 rows), and per ``tasks.import_task`` of that file and
 ``checkpoints.load_checkpoint`` of a full_ft checkpoint (1699 values each
@@ -12,7 +14,8 @@ tree): a cold parse, with the memo emptied before every call, and a memo
 hit. Last, the microseconds per
 ``ParamTree.flatten``, ``with_flat`` and ``digest`` of a full_ft (1699
 values) and a lora (294 values) trainable tree, and per ``Network(...)``
-construction on a 32-row batch. Then the microseconds per fusion candidate
+construction, which a scorer makes once per parameter layout. Then the
+microseconds per fusion candidate
 of a 21-point task-arithmetic grid on 256 rows, per paradigm, scored as 21
 one-row ``Scorer.candidates`` batches and as one 21-row batch, on a scorer
 that already holds the grid's one JVP. Then, for full_linear and l_lora,
@@ -66,12 +69,14 @@ def main(argv=None) -> int:
     for mode in ModeTag:
         for batch in (32, 256):
             spec, theta0, init, point, direction, x = setup(mode, batch)
-            net = Network(spec, theta0, x, init)
+            net = Network(spec, theta0, init)
             f = traced_program(spec, theta0, x, init)
             ct = np.random.default_rng(batch).standard_normal((batch, spec.num_classes))
-            ops = {"forward": (lambda: net.forward(point), lambda: f(point)),
-                   "jvp": (lambda: net.jvp(point, direction), lambda: ad.jvp(f, point, direction)),
-                   "vjp": (lambda: net.vjp(point, ct), lambda: ad.vjp(f, point, ct))}
+            ops = {"forward": (lambda: net.activations(point, x)[0], lambda: f(point)),
+                   "jvp": (lambda: net.jvp(point, direction, net.activations(point, x)),
+                           lambda: ad.jvp(f, point, direction)),
+                   "vjp": (lambda: net.vjp(point, ct, net.activations(point, x)),
+                           lambda: ad.vjp(f, point, ct))}
             for op, (kernel, traced) in ops.items():
                 kernel_us, traced_us = (
                     1e6 * min(timeit.repeat(fn, number=args.loops, repeat=args.repeats)) / args.loops
@@ -128,7 +133,6 @@ def read_timing(repeats: int, loops: int) -> int:
 
 
 def tree_timing(repeats: int, loops: int) -> None:
-    import numpy as np
     from fuselab.models import ModeTag, ModelSpec, Network, build_model
 
     print(f"\n{'tree op':<14}{'mode':<10}{'us':>8}")
@@ -136,9 +140,8 @@ def tree_timing(repeats: int, loops: int) -> None:
         spec = ModelSpec(16, (32, 32), 3, mode=mode)
         theta0, init = build_model(spec, 0)
         flat = init.flatten() + 0.5
-        x = np.zeros((32, spec.input_dim))
         ops = {"flatten": init.flatten, "with_flat": lambda: init.with_flat(flat),
-               "digest": init.digest, "Network(...)": lambda: Network(spec, theta0, x, init)}
+               "digest": init.digest, "Network(...)": lambda: Network(spec, theta0, init)}
         for op, fn in ops.items():
             print(f"{op:<14}{mode.value:<10}{us_per_call(fn, repeats, loops):>8.2f}")
 
