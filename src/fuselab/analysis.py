@@ -232,18 +232,17 @@ def ntk_one_step_check(
     ys,
     eta: float,
     max_jacobian_samples: int = 64,
-    optimizer: str = "sgd",
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Verify one-step tangent-model output dynamics against the kernel form.
 
-    The observed delta comes from an actual full-batch SGD step on the
-    tangent model; the predicted delta assembles explicit per-sample
+    The observed delta comes from an actual full-batch plain-SGD step on
+    the tangent model; the predicted delta assembles explicit per-sample
     output Jacobians at the anchor into the kernel K(x, x') and applies
     -eta * mean over the batch of K @ (loss gradient). Exact for tangent
-    models up to float arithmetic; only plain SGD satisfies the identity.
+    models up to float arithmetic; only plain SGD satisfies the identity,
+    so no other optimizer is offered. A batch above ``max_jacobian_samples``
+    (the default of ``analysis.ntk_max_samples``) raises ``ResourceLimitError``.
     """
-    if optimizer != "sgd":
-        raise ContractError("the one-step output-dynamics identity holds for sgd only")
     if not spec.mode.is_linearized:
         raise ContractError("ntk check applies to linearized paradigms only")
     ys = np.asarray(ys, dtype=np.int64)

@@ -6,6 +6,14 @@ rejected everywhere. Every run resolves to a fully defaulted dictionary
 whose canonical digest is stamped into each emitted artifact; later
 stages refuse inputs carrying a different digest.
 
+Each default is read from the signature of the code that uses it:
+``tasks.make_task_suite`` (suite), ``models.ModelSpec`` (lora_rank,
+lora_alpha), ``training.TrainConfig``, ``fusion.FusionConfig``,
+``analysis.disentanglement_grid`` (lambda_min, lambda_max, resolution) and
+``analysis.ntk_one_step_check`` (ntk_max_samples). Only master_seed,
+hidden_dims, fewshot_per_task and ntk_eta, which no signature defaults, are
+spelled here.
+
 One master seed fans out to per-stage sub-seeds through a labeled hash:
 seed(label...) = first 8 bytes, little-endian, of
 sha256("<master>|<label>|<label>|...").
@@ -14,48 +22,40 @@ sha256("<master>|<label>|<label>|...").
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
-from dataclasses import fields
 from pathlib import Path
 
-from .analysis import grid_axis
+from .analysis import disentanglement_grid, grid_axis, ntk_one_step_check
 from .errors import ConfigError, ContractError
 from .files import canonical_digest as config_digest
 from .fusion import ALGORITHMS, FusionConfig
 from .models import ModeTag, ModelSpec
-from .tasks import split_sizes
+from .tasks import make_task_suite, split_sizes
 from .training import TrainConfig
 
 SEED_SCHEME = "sha256(master|label...)[:8] little-endian"
 
 
-def _field_defaults(cls, skip: str) -> dict:
-    """The defaults of ``cls``'s fields but ``skip``, tuples as lists."""
-    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
-            for f in fields(cls) if f.name != skip}
+def _defaults(owner, *skip: str) -> dict:
+    """The defaulted parameters of ``owner``'s signature but ``skip``, tuples as lists."""
+    params = inspect.signature(owner).parameters.values()
+    return {p.name: list(p.default) if isinstance(p.default, tuple) else p.default
+            for p in params if p.default is not p.empty and p.name not in skip}
 
 
-SUITE_DEFAULTS = {
-    "n_tasks": 4,
-    "input_dim": 16,
-    "num_classes": 3,
-    "samples_per_split": 512,
-    "task_overlap": 0.3,
-}
-MODEL_DEFAULTS = {
-    "hidden_dims": [32, 32],
-    "lora_rank": 2,
-    "lora_alpha": 2.0,
-}
-TRAIN_DEFAULTS = _field_defaults(TrainConfig, skip="shuffle_seed")
-FUSION_DEFAULTS = {**_field_defaults(FusionConfig, skip="algorithm"), "fewshot_per_task": 32}
+SUITE_DEFAULTS = _defaults(make_task_suite, "seed")
+MODEL_DEFAULTS = {"hidden_dims": [32, 32], **_defaults(ModelSpec, "mode")}
+TRAIN_DEFAULTS = _defaults(TrainConfig, "shuffle_seed")
+FUSION_DEFAULTS = {**_defaults(FusionConfig, "algorithm"), "fewshot_per_task": 32}
+_GRID = _defaults(disentanglement_grid)
 ANALYSIS_DEFAULTS = {
-    "lambda_min": -1.0,
-    "lambda_max": 2.0,
-    "resolution": 21,
+    "lambda_min": _GRID["lambda_range"][0],
+    "lambda_max": _GRID["lambda_range"][1],
+    "resolution": _GRID["resolution"],
     "ntk_eta": 1e-3,
-    "ntk_max_samples": 64,
+    "ntk_max_samples": _defaults(ntk_one_step_check)["max_jacobian_samples"],
 }
 
 MODE_NAMES = [m.value for m in ModeTag]
@@ -158,7 +158,7 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("run configuration must be a JSON object")
     top_known = {"master_seed", "suite", "model", "train", "train_overrides",
-                 "fusion", "analysis", "out_dir"}
+                 "fusion", "analysis"}
     unknown = set(raw) - top_known
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")

@@ -236,8 +236,8 @@ def lorahub_optimize(
     initial: ParamTree,
     vectors: list[TaskVector],
     fewshot: Dataset,
-    alpha: float = 0.05,
-    max_steps: int = 40,
+    alpha: float = FusionConfig.lorahub_alpha,
+    max_steps: int = FusionConfig.lorahub_max_steps,
     seed: int = 0,
 ) -> tuple[list[float], MergedModel]:
     """Derivative-free search for per-task combination weights.

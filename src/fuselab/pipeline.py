@@ -205,13 +205,13 @@ def load_mode_checkpoints(resolved: dict, out: str | Path, mode: ModeTag):
     return cks
 
 
-def _fewshot_for_subset(resolved: dict, tasks: dict[str, Task], subset, algorithm: str) -> Dataset:
+def _fewshot_for_subset(resolved: dict, tasks: dict[str, Task], subset) -> Dataset:
     per_task = int(resolved["fusion"]["fewshot_per_task"])
     xs, ys = [], []
     for task_id in subset:
         val = tasks[task_id].val
         rng = np.random.default_rng(
-            derive_seed(resolved["master_seed"], "fewshot", algorithm, *subset, task_id)
+            derive_seed(resolved["master_seed"], "fewshot", "lorahub", *subset, task_id)
         )
         idx = rng.choice(len(val), size=min(per_task, len(val)), replace=False)
         idx = np.sort(idx)
@@ -261,7 +261,7 @@ def stage_fuse(
             sub_cks = [by_id[t] for t in subset]
             fewshot = None
             if algorithm == "lorahub":
-                fewshot = _fewshot_for_subset(resolved, tasks, subset, algorithm)
+                fewshot = _fewshot_for_subset(resolved, tasks, subset)
             merged = sweep_and_select(
                 fcfg, sub_cks, validation, fewshot=fewshot,
                 seed=derive_seed(resolved["master_seed"], "lorahub", *subset),

@@ -72,9 +72,6 @@ class TaskSuite:
     num_classes: int
     task_overlap: float
 
-    def task_ids(self) -> list[str]:
-        return [t.id for t in self.tasks]
-
     def by_id(self, task_id: str) -> Task:
         for t in self.tasks:
             if t.id == task_id:

@@ -256,11 +256,6 @@ class TestNtkOneStep:
         with pytest.raises(ResourceLimitError):
             ntk_one_step_check(spec, theta0, lin, xs, ys, eta=1e-3, max_jacobian_samples=4)
 
-    def test_adam_rejected(self):
-        spec, theta0, lin, xs, ys = self.linearized_setting()
-        with pytest.raises(ContractError):
-            ntk_one_step_check(spec, theta0, lin, xs, ys, eta=1e-3, optimizer="adam")
-
     def test_nonlinear_mode_rejected(self):
         spec, theta0, lin, xs, ys = self.linearized_setting()
         bad = spec.with_mode(ModeTag.LORA)

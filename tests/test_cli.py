@@ -2,6 +2,7 @@
 
 import base64
 import hashlib
+import inspect
 import json
 import math
 import shutil
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fuselab.analysis import read_grid_csv
+from fuselab.analysis import disentanglement_grid, ntk_one_step_check, read_grid_csv
 from fuselab.checkpoints import load_checkpoint
 from fuselab.cli import main
 from fuselab.config import config_digest, load_config, resolve_config
@@ -19,6 +20,7 @@ from fuselab.files import canonical_digest
 from fuselab.fusion import FusionConfig, replay_merge
 from fuselab.models import ModeTag, ModelSpec
 from fuselab.pipeline import load_mode_checkpoints, load_tasks
+from fuselab.tasks import make_task_suite
 from fuselab.training import TrainConfig, evaluate_checkpoint
 
 FAST_CONFIG = {
@@ -223,10 +225,31 @@ class TestReportCmd:
 
 
 class TestConfigHandling:
-    def test_unknown_keys_rejected(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps({"sweet": 1}))
-        assert main(["gen-tasks", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    def test_unknown_keys_rejected(self, tmp_path, capsys):
+        # out_dir used to be accepted with any value and ignored; --out names the run directory.
+        for key in ("sweet", "out_dir"):
+            p = tmp_path / "bad.json"
+            p.write_text(json.dumps({key: 1}))
+            assert main(["gen-tasks", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
+
+    def test_defaults_are_their_owners_signature_defaults(self):
+        def defaults(owner):
+            return {name: p.default for name, p in inspect.signature(owner).parameters.items()}
+
+        resolved = resolve_config({})
+        suite = defaults(make_task_suite)
+        del suite["seed"]
+        assert resolved["suite"] == suite
+        spec = defaults(ModelSpec)
+        for key in ("lora_rank", "lora_alpha"):
+            assert resolved["model"][key] == spec[key], key
+        grid = defaults(disentanglement_grid)
+        a = resolved["analysis"]
+        assert (a["lambda_min"], a["lambda_max"]) == grid["lambda_range"]
+        assert a["resolution"] == grid["resolution"]
+        assert a["ntk_max_samples"] == defaults(ntk_one_step_check)["max_jacobian_samples"]
 
     def test_unknown_section_keys_rejected(self):
         with pytest.raises(ConfigError):

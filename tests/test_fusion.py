@@ -1,5 +1,6 @@
 """Fusion algorithms against hand cases and independent step-by-step oracles."""
 
+import inspect
 import math
 
 import hypothesis.extra.numpy as hnp
@@ -260,6 +261,10 @@ class TestLorahub:
         cfg = FusionConfig(algorithm="lorahub")
         assert cfg.lorahub_alpha == 0.05
         assert cfg.lorahub_max_steps == 40
+        # a library call of lorahub_optimize runs the protocol a CLI run does
+        params = inspect.signature(lorahub_optimize).parameters
+        assert params["alpha"].default == cfg.lorahub_alpha
+        assert params["max_steps"].default == cfg.lorahub_max_steps
 
 
 class TestEnumerateSubsets:
