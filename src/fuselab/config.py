@@ -142,6 +142,8 @@ def _check_ranges(resolved: dict) -> None:
     for section, key in (("fusion", "fewshot_per_task"), ("analysis", "ntk_max_samples")):
         if resolved[section][key] < 1:
             raise ConfigError(f"{section}.{key} = {resolved[section][key]} must be at least 1")
+    if not analysis["ntk_eta"] > 0:  # a zero step would check nothing and report a perfect match
+        raise ConfigError(f"analysis.ntk_eta = {analysis['ntk_eta']} must be > 0")
 
 
 def resolve_config(raw: dict, seed_override: int | None = None) -> dict:
@@ -153,7 +155,8 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> dict:
     ``TrainConfig`` (each ``train`` and ``train_overrides`` section),
     ``FusionConfig``, ``ModelSpec`` in an adapter paradigm,
     ``tasks.split_sizes`` and ``analysis.grid_axis``.
-    ``fewshot_per_task`` and ``ntk_max_samples`` must be at least 1.
+    ``fewshot_per_task`` and ``ntk_max_samples`` must be at least 1 and
+    ``ntk_eta`` > 0.
     """
     if not isinstance(raw, dict):
         raise ConfigError("run configuration must be a JSON object")

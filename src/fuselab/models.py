@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -78,14 +78,7 @@ class ModelSpec:
         return [(dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
 
     def with_mode(self, mode: ModeTag) -> "ModelSpec":
-        return ModelSpec(
-            input_dim=self.input_dim,
-            hidden_dims=self.hidden_dims,
-            num_classes=self.num_classes,
-            lora_rank=self.lora_rank,
-            lora_alpha=self.lora_alpha,
-            mode=ModeTag(mode),
-        )
+        return replace(self, mode=mode)  # __post_init__ makes it a ModeTag
 
     def backbone_shapes(self) -> dict[str, tuple[int, ...]]:
         shapes = {}

@@ -1,10 +1,14 @@
-"""File-based pipeline stages over one output directory.
+"""File-based pipeline stages over one output directory, the run.
 
-Stages communicate only through emitted artifacts. Every artifact carries
-the resolved-config digest; a stage refuses inputs produced under a
-different configuration. All writes are deterministic functions of the
-resolved configuration, so two runs from the same master seed yield
-byte-identical output trees.
+Stages communicate only through emitted artifacts. gen-tasks alone creates
+a run and pins its resolved configuration in ``resolved_config.json``;
+every other stage opens the run once (``open_run``) before it reads
+anything, so a directory gen-tasks did not make is refused and left as it
+was. The loaders only read. Every artifact carries the resolved-config
+digest; a stage refuses inputs produced under a different configuration,
+and makes its output directory only once its inputs are read and checked.
+All writes are deterministic functions of the resolved configuration, so
+two runs from the same master seed yield byte-identical output trees.
 """
 
 from __future__ import annotations
@@ -82,22 +86,15 @@ class RunPaths:
         return self.root / "report"
 
 
-def ensure_run_dir(resolved: dict, out: str | Path) -> tuple[RunPaths, str]:
-    """Create the run directory and pin the resolved configuration."""
+def open_run(resolved: dict, out: str | Path) -> tuple[RunPaths, str]:
+    """The run gen-tasks made in ``out``, checked against ``resolved``; creates nothing."""
     paths = RunPaths(out)
     digest = config_digest(resolved)
-    try:
-        paths.root.mkdir(parents=True, exist_ok=True)
-    except OSError as e:  # --out names a file, or a path under one
-        raise ConfigError(f"cannot create run directory {paths.root}: {e.strerror}") from e
-    if paths.resolved_config.exists():
-        existing = read_json_object(paths.resolved_config, "resolved configuration")
-        if config_digest(existing) != digest:
-            raise ConfigError(
-                f"{paths.root} was produced under a different configuration"
-            )
-    else:
-        write_json(paths.resolved_config, resolved)
+    if not paths.resolved_config.exists():
+        raise ConfigError(f"{paths.root} holds no run; run gen-tasks first")
+    existing = read_json_object(paths.resolved_config, "resolved configuration")
+    if config_digest(existing) != digest:
+        raise ConfigError(f"{paths.root} was produced under a different configuration")
     return paths, digest
 
 
@@ -117,8 +114,16 @@ def _require_task_ids(resolved: dict, ids, what: str, least: int = 1) -> None:
 
 
 def stage_gen_tasks(resolved: dict, out: str | Path) -> list[Path]:
-    """Generate the suite and export one columnar file per task."""
-    paths, digest = ensure_run_dir(resolved, out)
+    """Create the run, or open it if it exists, and export one columnar file per task."""
+    paths, digest = RunPaths(out), config_digest(resolved)
+    try:
+        paths.root.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # --out names a file, or a path under one
+        raise ConfigError(f"cannot create run directory {paths.root}: {e.strerror}") from e
+    if paths.resolved_config.exists():
+        open_run(resolved, out)
+    else:
+        write_json(paths.resolved_config, resolved)
     s = resolved["suite"]
     suite = make_task_suite(
         n_tasks=int(s["n_tasks"]),
@@ -141,9 +146,9 @@ def load_tasks(resolved: dict, out: str | Path) -> list[Task]:
     """Read exported task files back, verifying the config digest.
 
     Each file's header must name the task the file is stored as and the
-    suite's ``num_classes`` and ``input_dim``.
+    suite's ``num_classes`` and ``input_dim``. Reads nothing else of the run.
     """
-    paths, digest = ensure_run_dir(resolved, out)
+    paths, digest = RunPaths(out), config_digest(resolved)
     suite = resolved["suite"]
     tasks = []
     for i in range(int(suite["n_tasks"])):
@@ -171,18 +176,18 @@ def stage_finetune(
     """Fine-tune every requested (mode, task) pair and write checkpoints."""
     if task_ids is not None:
         _require_task_ids(resolved, task_ids, "--task")
-    paths, digest = ensure_run_dir(resolved, out)
+    paths, digest = open_run(resolved, out)
     tasks = [t for t in load_tasks(resolved, out) if task_ids is None or t.id in task_ids]
     init_seed = derive_seed(resolved["master_seed"], "model_init")
     written = []
     for mode in modes or ALL_MODES:
         spec = model_spec(resolved, mode)
         theta0, trainable0 = build_model(spec, init_seed)
-        paths.checkpoint_dir(mode).mkdir(parents=True, exist_ok=True)
         for task in tasks:
             cfg = train_config(resolved, mode, task.id)
             ckpt, history = finetune(spec, theta0, trainable0, task, cfg, init_seed=init_seed)
             f = paths.checkpoint_file(mode, task.id)
+            f.parent.mkdir(parents=True, exist_ok=True)
             save_checkpoint(ckpt, f, config_digest=digest)
             write_metrics_csv(
                 history,
@@ -193,15 +198,22 @@ def stage_finetune(
     return written
 
 
-def load_mode_checkpoints(resolved: dict, out: str | Path, mode: ModeTag):
-    paths, digest = ensure_run_dir(resolved, out)
-    n = int(resolved["suite"]["n_tasks"])
+def load_mode_checkpoints(resolved: dict, out: str | Path, mode: ModeTag) -> list[Checkpoint]:
+    """Read a mode's checkpoints back; each must carry the config digest and hold
+    the task it is stored as and the config's ``model_spec`` for ``mode``."""
+    paths, digest = RunPaths(out), config_digest(resolved)
+    spec = model_spec(resolved, mode)
     cks = []
-    for i in range(n):
+    for i in range(int(resolved["suite"]["n_tasks"])):
         f = paths.checkpoint_file(mode, f"task{i}")
         if not f.exists():
             raise ConfigError(f"missing checkpoint {f}; run finetune first")
-        cks.append(load_checkpoint(f, expected_config_digest=digest))
+        ck = load_checkpoint(f, expected_config_digest=digest)
+        if ck.task_id != f"task{i}":
+            raise ContractError(f"checkpoint {f} has task_id {ck.task_id}, not task{i}")
+        if ck.spec != spec:
+            raise ContractError(f"checkpoint {f} has spec {ck.spec.to_dict()}, the config says {spec.to_dict()}")
+        cks.append(ck)
     return cks
 
 
@@ -239,7 +251,7 @@ def stage_fuse(
         raise ConfigError(f"unknown fusion algorithm {algorithm!r}")
     for subset in subsets or []:
         _require_task_ids(resolved, subset, "fusion subset", least=2)
-    paths, digest = ensure_run_dir(resolved, out)
+    paths, digest = open_run(resolved, out)
     tasks = {t.id: t for t in load_tasks(resolved, out)}
     validation = {tid: t.val for tid, t in tasks.items()}
     test = {tid: t.test for tid, t in tasks.items()}
@@ -255,7 +267,6 @@ def stage_fuse(
         single_test = {c.task_id: test_score(c.task_id, c.trained.flatten()) for c in cks}
         chosen = subsets if subsets is not None else enumerate_subsets(sorted(by_id))
         fcfg = fusion_config(resolved, algorithm)
-        paths.fusion_dir(algorithm, mode).mkdir(parents=True, exist_ok=True)
 
         def merge_one(subset):
             sub_cks = [by_id[t] for t in subset]
@@ -284,6 +295,7 @@ def stage_fuse(
             return merged, provenance
 
         results = [merge_one(s) for s in chosen]
+        paths.fusion_dir(algorithm, mode).mkdir(parents=True, exist_ok=True)
         for subset, (merged, provenance) in zip(chosen, results):
             merged_ckpt = Checkpoint(
                 spec=merged.spec,
@@ -305,13 +317,13 @@ def stage_fuse(
 
 
 def stage_analyze_similarity(resolved: dict, out: str | Path, modes=None) -> list[Path]:
-    paths, digest = ensure_run_dir(resolved, out)
-    paths.analysis_dir.mkdir(parents=True, exist_ok=True)
+    paths, digest = open_run(resolved, out)
     written = []
     for mode in modes or ALL_MODES:
         cks = load_mode_checkpoints(resolved, out, mode)
         vectors = [compute_task_vector(c) for c in cks]
         ids, matrix = similarity_matrix(vectors)
+        paths.analysis_dir.mkdir(parents=True, exist_ok=True)
         f = paths.analysis_dir / f"similarity_{mode.value}.csv"
         write_similarity_csv(ids, matrix, f, meta=f"mode={mode.value} config_digest={digest}")
         written.append(f)
@@ -323,8 +335,7 @@ def stage_analyze_disentangle(
 ) -> list[Path]:
     for pair in pairs or []:
         _require_task_ids(resolved, pair, "disentanglement pair", least=2)
-    paths, digest = ensure_run_dir(resolved, out)
-    paths.analysis_dir.mkdir(parents=True, exist_ok=True)
+    paths, digest = open_run(resolved, out)
     a = resolved["analysis"]
     tasks = {t.id: t for t in load_tasks(resolved, out)}
     written = []
@@ -345,6 +356,7 @@ def stage_analyze_disentangle(
                 resolution=int(a["resolution"]),
             )
             meta = f"mode={mode.value} pair={t1},{t2} config_digest={digest}"
+            paths.analysis_dir.mkdir(parents=True, exist_ok=True)
             f1 = paths.analysis_dir / f"disentangle_{mode.value}_{t1}+{t2}.csv"
             write_grid_csv(grid.lambda1_axis, grid.lambda2_axis, grid.xi, f1, meta=meta)
             f2 = paths.analysis_dir / f"disentangle_{mode.value}_{t1}+{t2}.raw.csv"
@@ -356,8 +368,7 @@ def stage_analyze_disentangle(
 def stage_analyze_landscape(resolved: dict, out: str | Path, pairs=None) -> list[Path]:
     for pair in pairs or []:
         _require_task_ids(resolved, pair, "landscape pair", least=2)
-    paths, digest = ensure_run_dir(resolved, out)
-    paths.analysis_dir.mkdir(parents=True, exist_ok=True)
+    paths, digest = open_run(resolved, out)
     a = resolved["analysis"]
     tasks = {t.id: t for t in load_tasks(resolved, out)}
     cks = load_mode_checkpoints(resolved, out, ModeTag.FULL_FT)
@@ -376,6 +387,7 @@ def stage_analyze_landscape(resolved: dict, out: str | Path, pairs=None) -> list
             axes,
             (tasks[t1].test, tasks[t2].test),
         )
+        paths.analysis_dir.mkdir(parents=True, exist_ok=True)
         f = paths.analysis_dir / f"landscape_{t1}+{t2}.csv"
         write_grid_csv(grid.lambda1_axis, grid.lambda2_axis, grid.loss, f,
                        meta=f"pair={t1},{t2} config_digest={digest}")
@@ -386,8 +398,7 @@ def stage_analyze_landscape(resolved: dict, out: str | Path, pairs=None) -> list
 def stage_analyze_ntk(resolved: dict, out: str | Path, modes=None, task_id=None) -> list[Path]:
     if task_id is not None:
         _require_task_ids(resolved, [task_id], "ntk task")
-    paths, digest = ensure_run_dir(resolved, out)
-    paths.analysis_dir.mkdir(parents=True, exist_ok=True)
+    paths, digest = open_run(resolved, out)
     a = resolved["analysis"]
     tasks = {t.id: t for t in load_tasks(resolved, out)}
     written = []
@@ -408,6 +419,7 @@ def stage_analyze_ntk(resolved: dict, out: str | Path, modes=None, task_id=None)
         predicted, observed, rel = ntk_one_step_check(
             ck.spec, ck.theta0(), lin, xs, ys, eta=eta, max_jacobian_samples=cap
         )
+        paths.analysis_dir.mkdir(parents=True, exist_ok=True)
         f = paths.analysis_dir / f"ntk_{mode.value}_{tid}.csv"
         write_csv(f, f"mode={mode.value} task={tid} config_digest={digest}",
                   ["eta", "batch", "relative_error", "predicted_norm", "observed_norm"],
@@ -418,7 +430,7 @@ def stage_analyze_ntk(resolved: dict, out: str | Path, modes=None, task_id=None)
 
 def stage_report(resolved: dict, out: str | Path) -> tuple:
     """Aggregate every provenance record into the fusion report."""
-    paths, digest = ensure_run_dir(resolved, out)
+    paths, digest = open_run(resolved, out)
     fusion_root = paths.root / "fusion"
     if not fusion_root.exists():
         raise ConfigError("no fusion outputs found; run fuse first")

@@ -13,6 +13,7 @@ import pytest
 
 from fuselab.analysis import disentanglement_grid, ntk_one_step_check, read_grid_csv
 from fuselab.checkpoints import load_checkpoint
+from fuselab import pipeline
 from fuselab.cli import main
 from fuselab.config import config_digest, load_config, resolve_config
 from fuselab.errors import ConfigError, ContractError
@@ -390,6 +391,8 @@ def test_wrong_leaf_kind_exits_one(tmp_path, raw):
     {"analysis": {"resolution": 10**30}},
     {"suite": {"samples_per_split": 10**30}},
     {"model": {"hidden_dims": [8, 2**63]}},
+    {"analysis": {"ntk_eta": 0.0}},
+    {"analysis": {"ntk_eta": -1.0}},
 ], ids=["empty_lambda_grid", "empty_ties_k_grid", "empty_ties_lambda_grid", "ties_k_above_one",
         "ties_k_zero", "ties_k_negative", "resolution_one", "lambda_range_empty",
         "lambda_range_reversed", "one_task", "learning_rate_1e400", "learning_rate_nan",
@@ -398,7 +401,7 @@ def test_wrong_leaf_kind_exits_one(tmp_path, raw):
         "lora_rank_above_num_classes", "task_overlap_above_one", "task_overlap_negative",
         "samples_per_split_below_num_classes", "learning_rate_integer_overflow",
         "lora_alpha_integer_overflow", "resolution_beyond_int64", "samples_per_split_beyond_int64",
-        "hidden_dim_beyond_int64"])
+        "hidden_dim_beyond_int64", "ntk_eta_zero", "ntk_eta_negative"])
 def test_out_of_range_leaf_exits_one_before_any_stage(tmp_path, raw):
     # Each of these used to resolve cleanly and fail only in a later stage
     # (or, for non-finite values, run on them), after the stages before it
@@ -674,6 +677,36 @@ def test_malformed_checkpoint_exits_one_naming_the_file(run_copy, capsys, corrup
     assert err.startswith("error: ") and str(path) in err
 
 
+def copy_over(source: str):
+    """A corruption that copies the checkpoint at ``source`` over the one at the path."""
+    def corrupt(path: Path) -> None:
+        shutil.copyfile(path.parents[1] / source, path)
+    return corrupt
+
+
+@pytest.mark.parametrize("slot, corrupt, argv", [
+    ("full_ft/task0.json", copy_over("full_ft/task1.json"), ["analyze", "similarity", "--mode", "full_ft"]),
+    ("full_ft/task0.json", copy_over("full_ft/task1.json"),
+     ["fuse", "--algorithm", "simple_average", "--all-subsets", "--mode", "full_ft"]),
+    ("l_lora/task0.json", lambda path: [shutil.copyfile(f, path.parent / f.name)
+                                        for f in path.parents[1].glob("lora/*.json")],
+     ["fuse", "--algorithm", "simple_average", "--all-subsets", "--mode", "l_lora"]),
+], ids=["other_task_similarity", "other_task_fuse", "other_mode_fuse"])
+def test_a_checkpoint_outside_its_slot_exits_one_naming_the_file(run_copy, capsys, slot, corrupt, argv):
+    # Each checkpoint of the run used to be accepted wherever it was stored:
+    # similarity wrote the header task_id,task1,task1,task2,task3, fuse merged
+    # 4 subsets instead of 11, and l_lora fusions recorded "mode": "lora".
+    cfg, out = run_copy
+    path = out / "checkpoints" / slot
+    corrupt(path)
+    before = file_tree(out)
+    capsys.readouterr()
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+    assert file_tree(out) == before
+
+
 def test_checkpoint_with_swapped_paths_fails_similarity_naming_the_file(run_copy, capsys):
     # Bias values read as weights used to give a similarity CSV and exit 0.
     cfg, out = run_copy
@@ -881,3 +914,72 @@ def test_single_value_flag_given_twice_exits_one(run_copy, capsys, argv, flag):
     err = capsys.readouterr().err
     assert f"error: {flag} given more than once" in err
     assert file_tree(out) == before
+
+
+# --- opening a run: only gen-tasks creates one, every other stage opens it once
+
+
+READING_COMMANDS = [
+    ["finetune"],
+    ["fuse", "--algorithm", "task_arithmetic", "--all-subsets"],
+    ["analyze", "similarity"],
+    ["analyze", "disentangle"],
+    ["analyze", "landscape"],
+    ["analyze", "ntk"],
+    ["report"],
+]
+READING_IDS = ["finetune", "fuse", "similarity", "disentangle", "landscape", "ntk", "report"]
+
+
+@pytest.mark.parametrize("argv", READING_COMMANDS, ids=READING_IDS)
+@pytest.mark.parametrize("made", [False, True], ids=["missing", "empty"])
+def test_a_reading_stage_outside_a_run_exits_one_changing_nothing(tmp_path, capsys, argv, made):
+    # Each of these used to create the directory and pin resolved_config.json
+    # to its config before failing, so a later gen-tasks under another seed
+    # exited 1 with "produced under a different configuration".
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    if made:
+        out.mkdir()
+    capsys.readouterr()
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"{out} holds no run" in err
+    assert (list(out.iterdir()) == []) if made else not out.exists()
+    assert main(["gen-tasks", "--config", str(cfg), "--out", str(out), "--seed", "5"]) == 0
+
+
+def count_resolved_config_parses(monkeypatch) -> list:
+    """Patch the pipeline's JSON reader; the returned list gains one entry per
+    parse of a resolved_config.json."""
+    parses, read = [], pipeline.read_json_object
+
+    def counted(path, what):
+        if Path(path).name == "resolved_config.json":
+            parses.append(path)
+        return read(path, what)
+
+    monkeypatch.setattr(pipeline, "read_json_object", counted)
+    return parses
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-tasks"],
+    ["finetune", "--mode", "full_ft", "--task", "task0"],
+    ["fuse", "--algorithm", "simple_average", "--all-subsets"],
+    *READING_COMMANDS[2:],
+], ids=["gen_tasks_existing", *READING_IDS])
+def test_each_stage_parses_the_resolved_config_once(run_copy, monkeypatch, argv):
+    # Every loader used to reopen the run: fuse parsed it 6 times,
+    # similarity 5, disentangle 4, landscape and ntk 3 and finetune 2.
+    cfg, out = run_copy
+    parses = count_resolved_config_parses(monkeypatch)
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 0
+    assert parses == [out / "resolved_config.json"]
+
+
+def test_gen_tasks_on_a_fresh_directory_parses_no_resolved_config(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path)
+    parses = count_resolved_config_parses(monkeypatch)
+    assert main(["gen-tasks", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert parses == []
