@@ -3,7 +3,8 @@
 Subcommands: gen-tasks, finetune, fuse, analyze, report. Exit codes:
 0 success, 1 contract or configuration error (an allocation too large
 for memory, such as an absurd resolution, or a run entry of the wrong
-kind included), 2 numeric failure (divergence or NaN).
+kind included), 2 numeric failure (a non-finite training loss or NTK
+check).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import argparse
 import sys
 
 from .config import load_config
-from .errors import ConfigError, FuselabError, TrainingDivergedError
+from .errors import ConfigError, FuselabError, NumericError
 from .fusion import ALGORITHMS
 from .models import ModeTag
 from . import pipeline
@@ -142,7 +143,7 @@ def run(argv=None) -> int:
 def main(argv=None) -> int:
     try:
         return run(argv)
-    except TrainingDivergedError as e:
+    except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 2
     except (FuselabError, MemoryError) as e:

@@ -12,7 +12,8 @@ lora_alpha), ``training.TrainConfig``, ``fusion.FusionConfig``,
 ``analysis.disentanglement_grid`` (lambda_min, lambda_max, resolution) and
 ``analysis.ntk_one_step_check`` (ntk_max_samples). Only master_seed,
 hidden_dims, fewshot_per_task and ntk_eta, which no signature defaults, are
-spelled here.
+spelled here. Only this module builds the first four owners, passing each
+leaf of a section to its owner by name, cast to its default's kind.
 
 One master seed fans out to per-stage sub-seeds through a labeled hash:
 seed(label...) = first 8 bytes, little-endian, of
@@ -32,7 +33,7 @@ from .errors import ConfigError, ContractError
 from .files import canonical_digest as config_digest
 from .fusion import ALGORITHMS, FusionConfig
 from .models import ModeTag, ModelSpec
-from .tasks import make_task_suite, split_sizes
+from .tasks import TaskSuite, make_task_suite, split_sizes
 from .training import TrainConfig
 
 SEED_SCHEME = "sha256(master|label...)[:8] little-endian"
@@ -127,9 +128,9 @@ def _built(section: str, owner, *args) -> None:
 def _check_ranges(resolved: dict) -> None:
     """Build once what the stages build, so a leaf outside its owner's range fails up front."""
     suite, analysis = resolved["suite"], resolved["analysis"]
-    _built("train", _train, resolved["train"], 0)
+    _built("train", _by_name, TrainConfig, resolved["train"], TRAIN_DEFAULTS)
     for mode, section in resolved["train_overrides"].items():
-        _built(f"train_overrides.{mode}", _train, section, 0)
+        _built(f"train_overrides.{mode}", _by_name, TrainConfig, section, TRAIN_DEFAULTS)
     _built("fusion", fusion_config, resolved, ALGORITHMS[0])  # no check reads the algorithm
     # the adapter paradigms check lora_rank against every layer
     _built("suite and model", model_spec, resolved, ModeTag.LORA)
@@ -211,38 +212,31 @@ def load_config(path: str | Path | None, seed_override: int | None = None) -> di
     return resolve_config(raw, seed_override)
 
 
+def _by_name(owner, section: dict, kinds: dict, **extra):
+    """``owner(**section, **extra)``, each leaf cast to its ``kinds`` entry's kind, a list to a tuple."""
+    leaves = {k: tuple(v) if isinstance(v, list) else type(kinds[k])(v) for k, v in section.items()}
+    return owner(**leaves, **extra)
+
+
+def task_suite(resolved: dict) -> TaskSuite:
+    return _by_name(make_task_suite, resolved["suite"], SUITE_DEFAULTS,
+                  seed=derive_seed(resolved["master_seed"], "suite"))
+
+
 def model_spec(resolved: dict, mode: ModeTag | str) -> ModelSpec:
-    m = resolved["model"]
     s = resolved["suite"]
-    return ModelSpec(
-        input_dim=int(s["input_dim"]),
-        hidden_dims=tuple(m["hidden_dims"]),
-        num_classes=int(s["num_classes"]),
-        lora_rank=int(m["lora_rank"]),
-        lora_alpha=float(m["lora_alpha"]),
-        mode=ModeTag(mode),
-    )
-
-
-def _train(section: dict, shuffle_seed: int) -> TrainConfig:
-    """The ``TrainConfig`` of a resolved train section, each leaf cast to its default's kind."""
-    return TrainConfig(**{k: type(TRAIN_DEFAULTS[k])(v) for k, v in section.items()},
-                       shuffle_seed=shuffle_seed)
+    return _by_name(ModelSpec, resolved["model"], MODEL_DEFAULTS,
+                  input_dim=s["input_dim"], num_classes=s["num_classes"], mode=ModeTag(mode))
 
 
 def train_config(resolved: dict, mode: ModeTag | str, task_id: str) -> TrainConfig:
     mode = ModeTag(mode)
     section = resolved["train_overrides"].get(mode.value, resolved["train"])
-    return _train(section, derive_seed(resolved["master_seed"], "shuffle", mode.value, task_id))
+    return _by_name(TrainConfig, section, TRAIN_DEFAULTS,
+                  shuffle_seed=derive_seed(resolved["master_seed"], "shuffle", mode.value, task_id))
 
 
 def fusion_config(resolved: dict, algorithm: str) -> FusionConfig:
-    f = resolved["fusion"]
-    return FusionConfig(
-        algorithm=algorithm,
-        lambda_grid=tuple(f["lambda_grid"]),
-        ties_k_grid=tuple(f["ties_k_grid"]),
-        ties_lambda_grid=tuple(f["ties_lambda_grid"]),
-        lorahub_alpha=float(f["lorahub_alpha"]),
-        lorahub_max_steps=int(f["lorahub_max_steps"]),
-    )
+    leaves = dict(resolved["fusion"])
+    del leaves["fewshot_per_task"]  # it sizes the pipeline's lorahub sample, not a FusionConfig field
+    return _by_name(FusionConfig, leaves, FUSION_DEFAULTS, algorithm=algorithm)

@@ -17,7 +17,11 @@ class ConfigError(FuselabError):
     """A run configuration is malformed, inconsistent, or mismatched."""
 
 
-class TrainingDivergedError(FuselabError):
+class NumericError(FuselabError):
+    """A computation produced a non-finite value."""
+
+
+class TrainingDivergedError(NumericError):
     """Training produced a non-finite loss."""
 
     def __init__(self, step: int, message: str | None = None):

@@ -191,15 +191,6 @@ def simple_average(initial: ParamTree, checkpoints: list[Checkpoint]) -> MergedM
     return _merge("simple_average", initial, ordered, [], trained, {}, (spec, seed, theta0))
 
 
-def summed_vector(vectors: list[TaskVector]) -> ParamTree:
-    """Canonically ordered sum of task-vector deltas."""
-    if not vectors:
-        raise ContractError("need at least one task vector")
-    head = vectors[0].delta
-    _, deltas = _ordered_flats(head, vectors)
-    return head.with_flat(_task_sum(deltas))
-
-
 def task_arithmetic(
     initial: ParamTree,
     vectors: list[TaskVector],

@@ -30,13 +30,13 @@ from .analysis import (
     write_report_csv,
 )
 from .checkpoints import Checkpoint, load_checkpoint, save_checkpoint
-from .config import config_digest, derive_seed, fusion_config, model_spec, train_config
-from .errors import ConfigError, ContractError
+from .config import config_digest, derive_seed, fusion_config, model_spec, task_suite, train_config
+from .errors import ConfigError, ContractError, NumericError
 from .files import read_json_object, write_atomic, write_csv, write_json
 from .fusion import ALGORITHMS, enumerate_subsets, scorers_for, sweep_and_select
 from .models import LinearizedState, ModeTag, build_model
 from .task_vectors import compute_task_vector, similarity_matrix, write_similarity_csv
-from .tasks import Dataset, Task, export_task, import_task, make_task_suite
+from .tasks import Dataset, Task, export_task, import_task
 from .training import finetune, scored_accuracy, write_metrics_csv
 
 ALL_MODES = [m for m in ModeTag]
@@ -124,15 +124,7 @@ def stage_gen_tasks(resolved: dict, out: str | Path) -> list[Path]:
         open_run(resolved, out)
     else:
         write_json(paths.resolved_config, resolved)
-    s = resolved["suite"]
-    suite = make_task_suite(
-        n_tasks=int(s["n_tasks"]),
-        input_dim=int(s["input_dim"]),
-        num_classes=int(s["num_classes"]),
-        samples_per_split=int(s["samples_per_split"]),
-        task_overlap=float(s["task_overlap"]),
-        seed=derive_seed(resolved["master_seed"], "suite"),
-    )
+    suite = task_suite(resolved)
     paths.tasks_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for task in suite.tasks:
@@ -419,11 +411,14 @@ def stage_analyze_ntk(resolved: dict, out: str | Path, modes=None, task_id=None)
         predicted, observed, rel = ntk_one_step_check(
             ck.spec, ck.theta0(), lin, xs, ys, eta=eta, max_jacobian_samples=cap
         )
+        row = [eta, n, rel, np.linalg.norm(predicted), np.linalg.norm(observed)]
+        if not np.isfinite(row).all():  # finite arrays can still overflow their norms
+            raise NumericError(f"ntk check of {mode.value} {tid} is not finite: relative_error {rel}, "
+                               f"predicted_norm {row[3]}, observed_norm {row[4]}")
         paths.analysis_dir.mkdir(parents=True, exist_ok=True)
         f = paths.analysis_dir / f"ntk_{mode.value}_{tid}.csv"
         write_csv(f, f"mode={mode.value} task={tid} config_digest={digest}",
-                  ["eta", "batch", "relative_error", "predicted_norm", "observed_norm"],
-                  [[eta, n, rel, np.linalg.norm(predicted), np.linalg.norm(observed)]])
+                  ["eta", "batch", "relative_error", "predicted_norm", "observed_norm"], [row])
         written.append(f)
     return written
 
@@ -441,11 +436,15 @@ def stage_report(resolved: dict, out: str | Path) -> tuple:
             raise ConfigError(f"{pf} was produced under a different configuration")
         fields = ("algorithm", "mode", "subset", "mean_normalized_score")
         algorithm, mode, subset, score = map(record.get, fields)
+        # the slot fusion/<algorithm>/<mode>/<subset joined by +>.provenance.json
+        slot = (pf.parent.parent.name, pf.parent.name, pf.name.removesuffix(".provenance.json").split("+"))
+        if (algorithm, mode, subset) != slot:
+            raise ContractError(f"{pf} holds the record of algorithm {algorithm!r}, mode {mode!r} "
+                                f"and subset {subset!r}, not of the slot it is stored as")
         # type() rejects a bool; the comparison is exact for any int and false for NaN.
-        if not (isinstance(subset, list) and all(isinstance(v, str) for v in (algorithm, mode, *subset))
-                and type(score) in (int, float) and abs(score) <= sys.float_info.max):
-            raise ContractError(f"{pf} is not a provenance record: algorithm, mode and subset's task ids "
-                                "must be strings and mean_normalized_score a finite number")
+        if not (type(score) in (int, float) and abs(score) <= sys.float_info.max):
+            raise ContractError(f"{pf} is not a provenance record: mean_normalized_score "
+                                "must be a finite number")
         rows.append(dict(zip(fields, (algorithm, mode, tuple(subset), score))))
     report = aggregate_report(rows)
     paths.report_dir.mkdir(parents=True, exist_ok=True)
@@ -456,11 +455,11 @@ def stage_report(resolved: dict, out: str | Path) -> tuple:
     return report, [csv_path, txt_path]
 
 
-def run_full_pipeline(resolved: dict, out: str | Path, algorithms=None):
+def run_full_pipeline(resolved: dict, out: str | Path):
     """gen-tasks, finetune all modes, fuse all subsets, analyze, report."""
     stage_gen_tasks(resolved, out)
     stage_finetune(resolved, out)
-    for algorithm in algorithms or ALGORITHMS:
+    for algorithm in ALGORITHMS:
         stage_fuse(resolved, out, algorithm)
     stage_analyze_similarity(resolved, out)
     stage_analyze_disentangle(resolved, out)

@@ -13,7 +13,7 @@ import pytest
 
 from fuselab.analysis import disentanglement_grid, ntk_one_step_check, read_grid_csv
 from fuselab.checkpoints import load_checkpoint
-from fuselab import pipeline
+from fuselab import config, pipeline
 from fuselab.cli import main
 from fuselab.config import config_digest, load_config, resolve_config
 from fuselab.errors import ConfigError, ContractError
@@ -252,6 +252,57 @@ class TestConfigHandling:
         assert a["resolution"] == grid["resolution"]
         assert a["ntk_max_samples"] == defaults(ntk_one_step_check)["max_jacobian_samples"]
 
+    def test_every_leaf_reaches_its_owner(self):
+        # A field added to an owner used to resolve and then be dropped by a
+        # field list in config or pipeline; each leaf is now passed by name.
+        given = {
+            "suite": {"n_tasks": 3, "input_dim": 5, "num_classes": 4, "samples_per_split": 24,
+                      "task_overlap": 0.5},
+            "model": {"hidden_dims": [6, 7], "lora_rank": 3, "lora_alpha": 1.5},
+            "train": {"steps": 9, "batch_size": 5, "learning_rate": 0.25, "optimizer": "sgd",
+                      "beta1": 0.5, "beta2": 0.75, "eps": 1e-6},
+            "fusion": {"lambda_grid": [0.5], "ties_k_grid": [0.25], "ties_lambda_grid": [1.5],
+                       "lorahub_alpha": 0.5, "lorahub_max_steps": 3, "fewshot_per_task": 5},
+        }
+        override = {"steps": 11, "batch_size": 3, "learning_rate": 0.125, "optimizer": "sgd",
+                    "beta1": 0.25, "beta2": 0.5, "eps": 1e-4}
+        defaults = resolve_config({})
+        for section, leaves in [*given.items(), ("train", override)]:
+            assert set(leaves) == set(defaults[section]), section
+            assert all(v != defaults[section][k] for k, v in leaves.items()), section
+        resolved = resolve_config({**given, "train_overrides": {"l_lora": override}})
+
+        def carried(built, leaves):
+            return all(getattr(built, k) == (tuple(v) if isinstance(v, list) else v)
+                       for k, v in leaves.items())
+
+        suite = config.task_suite(resolved)
+        assert (len(suite.tasks), suite.input_dim, suite.num_classes, len(suite.tasks[0].train),
+                suite.task_overlap) == tuple(given["suite"].values())
+        assert suite.seed == resolved["derived_seeds"]["suite"]
+        spec = config.model_spec(resolved, "lora")
+        assert carried(spec, given["model"]) and (spec.input_dim, spec.num_classes) == (5, 4)
+        assert carried(config.train_config(resolved, "lora", "task0"), given["train"])
+        assert carried(config.train_config(resolved, "l_lora", "task0"), override)
+        fusion = dict(given["fusion"])
+        del fusion["fewshot_per_task"]  # the pipeline's, not FusionConfig's
+        assert carried(config.fusion_config(resolved, "lorahub"), fusion)
+
+    def test_int_valued_float_leaves_keep_their_float_kind(self, tmp_path):
+        # Each leaf is cast to its default's kind on the way to its owner.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"suite": {"samples_per_split": 16, "task_overlap": 1},
+                                   "model": {"hidden_dims": [4], "lora_alpha": 3},
+                                   "train": {"steps": 4}}))
+        common = ["--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert main(["gen-tasks", *common]) == 0
+        assert main(["finetune", "--mode", "lora", "--task", "task0", *common]) == 0
+        header = (tmp_path / "out/tasks/task0.csv").read_text().splitlines()[1].split(" ")
+        assert "task_overlap=1.0" in header
+        assert '"lora_alpha": 3.0' in (tmp_path / "out/checkpoints/lora/task0.json").read_text()
+        alpha = config.fusion_config(resolve_config({"fusion": {"lorahub_alpha": 0}}), "lorahub").lorahub_alpha
+        assert type(alpha) is float and alpha == 0.0
+
     def test_unknown_section_keys_rejected(self):
         with pytest.raises(ConfigError):
             resolve_config({"train": {"lr": 0.1}})
@@ -306,6 +357,23 @@ def test_divergence_exits_with_code_two(tmp_path):
     code = main(["finetune", "--config", str(cfg), "--out", str(out),
                  "--mode", "full_ft", "--task", "task0"])
     assert code == 2
+
+
+def test_non_finite_ntk_check_exits_two_writing_no_csv(tmp_path, capsys):
+    # The arrays stay finite while their norms overflow; the check used to
+    # exit 0 and write relative_error nan with both norms inf.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"suite": {"samples_per_split": 16}, "model": {"hidden_dims": [4]},
+                               "train": {"steps": 4}, "analysis": {"ntk_eta": 1e300}}))
+    out = tmp_path / "out"
+    common = ["--config", str(cfg), "--out", str(out)]
+    assert main(["gen-tasks", *common]) == 0
+    assert main(["finetune", "--mode", "l_lora", *common]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "ntk", *common]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+    assert list(out.rglob("ntk_*.csv")) == []
 
 
 def test_seven_tasks_all_subsets_emit_120_merges(tmp_path):
@@ -623,6 +691,13 @@ def set_field(key, value):
     return corrupt
 
 
+def copy_from(relative: str):
+    """A corruption that overwrites a file with the run's file at ``relative`` to its directory."""
+    def corrupt(path: Path) -> None:
+        shutil.copy(path.parent / relative, path)
+    return corrupt
+
+
 def rewrite_trees(edit, trees=("initial", "trained")):
     """A corruption that applies ``edit`` to the named trees of a checkpoint."""
     def corrupt(path: Path) -> None:
@@ -801,17 +876,25 @@ def test_task_header_disagreeing_with_its_file_or_the_config_exits_one(run_copy,
     set_field("mean_normalized_score", None),
     set_field("mean_normalized_score", True),
     set_field("subset", "task0+task1"),
-], ids=["truncated", "not_an_object", "score_null", "score_a_bool", "subset_a_string"])
+    copy_from("../l_lora/task0+task1.provenance.json"),
+    copy_from("task2+task3.provenance.json"),
+    set_field("mode", "l_lora"),
+    set_field("algorithm", "simple_average"),
+    set_field("subset", ["task0", "task2"]),
+], ids=["truncated", "not_an_object", "score_null", "score_a_bool", "subset_a_string",
+        "copy_of_another_modes_record", "copy_of_another_subsets_record", "mode_of_another_slot",
+        "algorithm_of_another_slot", "subset_of_another_slot"])
 def test_malformed_provenance_exits_one_naming_the_file(run_copy, capsys, corrupt):
     # A null score used to raise a raw TypeError; a true score counted as 1.0
-    # and a string subset as an 11-task subset, and report exited 0.
+    # and a string subset as an 11-task subset, and report exited 0. A record
+    # copied into another slot was counted under the mode and subset inside it.
     cfg, out = run_copy
     path = out / "fusion/task_arithmetic/lora/task0+task1.provenance.json"
     corrupt(path)
     capsys.readouterr()
     assert main(["report", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(path) in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
 
 
 def test_truncated_resolved_config_exits_one_naming_the_file(run_copy, capsys):

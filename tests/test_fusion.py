@@ -22,7 +22,6 @@ from fuselab.fusion import (
     lorahub_optimize,
     replay_merge,
     simple_average,
-    summed_vector,
     sweep_and_select,
     task_arithmetic,
     ties_merge,
@@ -371,14 +370,6 @@ class TestReplay:
         _, model = lorahub_optimize(spec, theta0, phi0, vectors, fewshot, max_steps=10)
         replayed = replay_merge(model.provenance, cks)
         assert replayed.equal_bits(model.trainable)
-
-
-def test_summed_vector_canonical_order():
-    rng = np.random.default_rng(21)
-    vs = [vec(rng.standard_normal(6), f"t{i}") for i in range(3)]
-    a = summed_vector(vs).flatten()
-    b = summed_vector(list(reversed(vs))).flatten()
-    assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)

@@ -280,3 +280,26 @@ def test_no_stage_loads_numpy_ma(tmp_path):
     run = subprocess.run([sys.executable, "-c", script, str(config), str(tmp_path / "out")],
                          env={**os.environ, "PYTHONPATH": str(SOURCE.parent)}, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+SECTION_OWNERS = {"make_task_suite", "TrainConfig", "FusionConfig", "ModelSpec"}
+
+
+def test_only_config_builds_a_section_owner():
+    # A call of an owner, or a call handed one (config's by-name build),
+    # builds it. pipeline.stage_gen_tasks used to list the suite's fields
+    # itself; ModelSpec.from_dict (cls(...)) rebuilds a checkpoint's spec.
+    builders = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = parse(path.name)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            named = {getattr(n, "id", None) for n in (node.func, *node.args)}
+            if getattr(node.func, "id", None) == "cls" and "ModelSpec" in enclosing_classes(tree, node):
+                named.add("ModelSpec")
+            for owner in named & SECTION_OWNERS:
+                builders.add((path.name, owner, innermost_function(tree, node)))
+    assert {(f, o) for f, o, _ in builders} == {("config.py", o) for o in SECTION_OWNERS} | {
+        ("models.py", "ModelSpec")}
+    assert {fn for f, _, fn in builders if f == "models.py"} == {"from_dict"}
