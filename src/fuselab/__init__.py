@@ -9,6 +9,13 @@ task families. A self-contained tensor and autodiff core is the public
 differentiation API and the kernel's test oracle.
 """
 
+import os
+
+# One OpenBLAS thread unless the user chose a count: at this lab's sizes a second one
+# doubles fine-tuning's CPU time without cutting its wall time. Too late once numpy is loaded.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .autodiff import Tensor, grad, jvp, matmul, vjp
 from .checkpoints import Checkpoint, load_checkpoint, save_checkpoint
 from .errors import (

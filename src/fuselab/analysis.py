@@ -31,6 +31,26 @@ GRID_BLOCK = 32
 
 
 @dataclass(frozen=True)
+class AnalysisConfig:
+    """The ``analysis`` section: the scaling-factor grid and the NTK check's step and batch cap."""
+
+    lambda_min: float = -1.0
+    lambda_max: float = 2.0
+    resolution: int = 21
+    ntk_eta: float = 1e-3
+    ntk_max_samples: int = 64
+
+    def __post_init__(self):
+        # A 2-point axis passes exactly when the configured one does, and a
+        # huge resolution allocates nothing here.
+        grid_axis((self.lambda_min, self.lambda_max), min(self.resolution, 2))
+        if self.ntk_max_samples < 1:
+            raise ContractError(f"ntk_max_samples = {self.ntk_max_samples} must be at least 1")
+        if not self.ntk_eta > 0:  # a zero step would check nothing and report a perfect match
+            raise ContractError(f"ntk_eta = {self.ntk_eta} must be > 0")
+
+
+@dataclass(frozen=True)
 class DisentanglementGrid:
     lambda1_axis: np.ndarray
     lambda2_axis: np.ndarray
@@ -155,8 +175,8 @@ def disentanglement_grid(
     nu1: TaskVector,
     nu2: TaskVector,
     eval_sets: tuple[Dataset, Dataset],
-    lambda_range: tuple[float, float] = (-1.0, 2.0),
-    resolution: int = 21,
+    lambda_range: tuple[float, float] = (AnalysisConfig.lambda_min, AnalysisConfig.lambda_max),
+    resolution: int = AnalysisConfig.resolution,
 ) -> DisentanglementGrid:
     """Disentanglement error over the Cartesian grid of scaling factors.
 
@@ -231,7 +251,7 @@ def ntk_one_step_check(
     xs,
     ys,
     eta: float,
-    max_jacobian_samples: int = 64,
+    max_jacobian_samples: int = AnalysisConfig.ntk_max_samples,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Verify one-step tangent-model output dynamics against the kernel form.
 
@@ -241,7 +261,7 @@ def ntk_one_step_check(
     -eta * mean over the batch of K @ (loss gradient). Exact for tangent
     models up to float arithmetic; only plain SGD satisfies the identity,
     so no other optimizer is offered. A batch above ``max_jacobian_samples``
-    (the default of ``analysis.ntk_max_samples``) raises ``ResourceLimitError``.
+    raises ``ResourceLimitError``.
     """
     if not spec.mode.is_linearized:
         raise ContractError("ntk check applies to linearized paradigms only")

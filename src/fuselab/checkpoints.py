@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .files import canonical_digest, json_object, read_memoized, write_json
+from .files import canonical_digest, json_object, kind_matches, read_memoized, write_json
 from .models import ModelSpec, build_model
 from .params import ParamTree
 
@@ -115,10 +115,12 @@ def _parse_checkpoint(path, data: bytes) -> tuple[Checkpoint, object]:
         raise ContractError(f"checkpoint {path} is corrupted (digest mismatch)")
     try:
         spec = ModelSpec.from_dict(payload["spec"])
+        if not (kind_matches(payload["seed"], 0) and payload["seed"] >= 0):
+            raise ContractError(f"seed = {payload['seed']!r} is not a non-negative int")
         ckpt = Checkpoint(
             spec=spec,
             task_id=payload["task_id"],
-            init_seed=int(payload["seed"]),
+            init_seed=payload["seed"],
             initial=_decode_tree(payload["initial"], spec),
             trained=_decode_tree(payload["trained"], spec),
             metrics=dict(payload["metrics"]),

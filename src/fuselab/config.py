@@ -8,12 +8,11 @@ stages refuse inputs carrying a different digest.
 
 Each default is read from the signature of the code that uses it:
 ``tasks.make_task_suite`` (suite), ``models.ModelSpec`` (lora_rank,
-lora_alpha), ``training.TrainConfig``, ``fusion.FusionConfig``,
-``analysis.disentanglement_grid`` (lambda_min, lambda_max, resolution) and
-``analysis.ntk_one_step_check`` (ntk_max_samples). Only master_seed,
-hidden_dims, fewshot_per_task and ntk_eta, which no signature defaults, are
-spelled here. Only this module builds the first four owners, passing each
-leaf of a section to its owner by name, cast to its default's kind.
+lora_alpha), ``training.TrainConfig``, ``fusion.FusionConfig`` and
+``analysis.AnalysisConfig``. Only master_seed, hidden_dims and
+fewshot_per_task, which no signature defaults, are spelled here. Only this
+module builds the five owners, passing each leaf of a section to its owner
+by name, cast to its default's kind.
 
 One master seed fans out to per-stage sub-seeds through a labeled hash:
 seed(label...) = first 8 bytes, little-endian, of
@@ -25,12 +24,12 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
-import math
 from pathlib import Path
 
-from .analysis import disentanglement_grid, grid_axis, ntk_one_step_check
+from .analysis import AnalysisConfig
 from .errors import ConfigError, ContractError
 from .files import canonical_digest as config_digest
+from .files import kind_matches, leaf_problem
 from .fusion import ALGORITHMS, FusionConfig
 from .models import ModeTag, ModelSpec
 from .tasks import TaskSuite, make_task_suite, split_sizes
@@ -50,14 +49,7 @@ SUITE_DEFAULTS = _defaults(make_task_suite, "seed")
 MODEL_DEFAULTS = {"hidden_dims": [32, 32], **_defaults(ModelSpec, "mode")}
 TRAIN_DEFAULTS = _defaults(TrainConfig, "shuffle_seed")
 FUSION_DEFAULTS = {**_defaults(FusionConfig, "algorithm"), "fewshot_per_task": 32}
-_GRID = _defaults(disentanglement_grid)
-ANALYSIS_DEFAULTS = {
-    "lambda_min": _GRID["lambda_range"][0],
-    "lambda_max": _GRID["lambda_range"][1],
-    "resolution": _GRID["resolution"],
-    "ntk_eta": 1e-3,
-    "ntk_max_samples": _defaults(ntk_one_step_check)["max_jacobian_samples"],
-}
+ANALYSIS_DEFAULTS = _defaults(AnalysisConfig)
 
 MODE_NAMES = [m.value for m in ModeTag]
 
@@ -67,33 +59,6 @@ def derive_seed(master: int, *labels) -> int:
     return int.from_bytes(hashlib.sha256(data).digest()[:8], "little")
 
 
-def _kind_matches(value, default) -> bool:
-    """True when ``value`` has the kind of ``default``: int, float, str or list of those.
-
-    Booleans are never numbers here, and an int is a valid float.
-    """
-    if isinstance(value, bool):
-        return False
-    if isinstance(default, int):
-        return isinstance(value, int)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    if isinstance(default, str):
-        return isinstance(value, str)
-    return isinstance(value, list) and all(_kind_matches(v, default[0]) for v in value)
-
-
-def _finite(v) -> bool:
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
-def _int64(v) -> bool:
-    return -2**63 <= v < 2**63
-
-
 def _merge_strict(section: str, given: dict, defaults: dict) -> dict:
     if not isinstance(given, dict):
         raise ConfigError(f"section {section!r} must be a JSON object")
@@ -101,17 +66,9 @@ def _merge_strict(section: str, given: dict, defaults: dict) -> dict:
     if unknown:
         raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
     for key, value in given.items():
-        default = defaults[key]
-        if not _kind_matches(value, default):
-            raise ConfigError(
-                f"{section}.{key} = {value!r} does not have the kind of its default {default!r}"
-            )
-        kind = default[0] if isinstance(default, list) else default
-        items = value if isinstance(value, list) else [value]
-        if isinstance(kind, float) and not all(map(_finite, items)):
-            raise ConfigError(f"{section}.{key} = {value!r} is not a finite float")
-        if isinstance(kind, int) and not all(map(_int64, items)):
-            raise ConfigError(f"{section}.{key} = {value!r} does not fit a 64-bit integer")
+        problem = leaf_problem(value, defaults[key])
+        if problem:
+            raise ConfigError(f"{section}.{key} = {value!r} {problem}")
     out = dict(defaults)
     out.update(given)
     return out
@@ -127,7 +84,7 @@ def _built(section: str, owner, *args) -> None:
 
 def _check_ranges(resolved: dict) -> None:
     """Build once what the stages build, so a leaf outside its owner's range fails up front."""
-    suite, analysis = resolved["suite"], resolved["analysis"]
+    suite = resolved["suite"]
     _built("train", _by_name, TrainConfig, resolved["train"], TRAIN_DEFAULTS)
     for mode, section in resolved["train_overrides"].items():
         _built(f"train_overrides.{mode}", _by_name, TrainConfig, section, TRAIN_DEFAULTS)
@@ -136,28 +93,20 @@ def _check_ranges(resolved: dict) -> None:
     _built("suite and model", model_spec, resolved, ModeTag.LORA)
     _built("suite", split_sizes, suite["n_tasks"], suite["num_classes"],
            suite["samples_per_split"], suite["task_overlap"])
-    # A 2-point axis passes exactly when the configured one does, and a huge
-    # resolution allocates nothing here.
-    _built("analysis", grid_axis, (analysis["lambda_min"], analysis["lambda_max"]),
-           min(analysis["resolution"], 2))
-    for section, key in (("fusion", "fewshot_per_task"), ("analysis", "ntk_max_samples")):
-        if resolved[section][key] < 1:
-            raise ConfigError(f"{section}.{key} = {resolved[section][key]} must be at least 1")
-    if not analysis["ntk_eta"] > 0:  # a zero step would check nothing and report a perfect match
-        raise ConfigError(f"analysis.ntk_eta = {analysis['ntk_eta']} must be > 0")
+    _built("analysis", analysis_config, resolved)
+    fewshot = resolved["fusion"]["fewshot_per_task"]
+    if fewshot < 1:
+        raise ConfigError(f"fusion.fewshot_per_task = {fewshot} must be at least 1")
 
 
 def resolve_config(raw: dict, seed_override: int | None = None) -> dict:
     """Fill every default in; returns the resolved configuration dict.
 
-    Leaves are checked for their default's kind, float leaves and list
-    items for finiteness, integer ones for the int64 range, and every leaf
-    for range, up front, by the type or function a stage hands it to:
+    Leaves are checked against their defaults by ``files.leaf_problem``,
+    and for range, up front, by the type or function a stage hands them to:
     ``TrainConfig`` (each ``train`` and ``train_overrides`` section),
     ``FusionConfig``, ``ModelSpec`` in an adapter paradigm,
-    ``tasks.split_sizes`` and ``analysis.grid_axis``.
-    ``fewshot_per_task`` and ``ntk_max_samples`` must be at least 1 and
-    ``ntk_eta`` > 0.
+    ``tasks.split_sizes`` and ``AnalysisConfig``; ``fewshot_per_task`` must be at least 1.
     """
     if not isinstance(raw, dict):
         raise ConfigError("run configuration must be a JSON object")
@@ -167,7 +116,7 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> dict:
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
     master = raw.get("master_seed", 42)
-    if not _kind_matches(master, 42):
+    if not kind_matches(master, 42):
         raise ConfigError(f"master_seed = {master!r} is not an int")
     if seed_override is not None:
         master = int(seed_override)
@@ -240,3 +189,7 @@ def fusion_config(resolved: dict, algorithm: str) -> FusionConfig:
     leaves = dict(resolved["fusion"])
     del leaves["fewshot_per_task"]  # it sizes the pipeline's lorahub sample, not a FusionConfig field
     return _by_name(FusionConfig, leaves, FUSION_DEFAULTS, algorithm=algorithm)
+
+
+def analysis_config(resolved: dict) -> AnalysisConfig:
+    return _by_name(AnalysisConfig, resolved["analysis"], ANALYSIS_DEFAULTS)

@@ -1,5 +1,5 @@
 """Crash-safe artifact writes, the artifact JSON and CSV formats, the JSON
-digest, and checked, memoised artifact reads.
+digest, the kind rule for JSON leaves, and checked, memoised artifact reads.
 
 An artifact CSV is an optional ``# comment`` line, a header line and one line
 per row, each newline-terminated, cells joined by commas. A string cell is
@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from collections import OrderedDict
 from numbers import Integral
 from pathlib import Path
@@ -74,6 +75,37 @@ def canonical_digest(value) -> str:
     """``"sha256:"`` and the hex sha256 of ``value``'s compact, key-sorted JSON."""
     canonical = json.dumps(value, sort_keys=True, separators=(",", ":"))
     return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def kind_matches(value, default) -> bool:
+    """True when ``value`` has the kind of ``default``: int, float, str or list of those.
+
+    Booleans are never numbers here, and an int is a valid float.
+    """
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, int):
+        return isinstance(value, int)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, str):
+        return isinstance(value, str)
+    return isinstance(value, list) and all(kind_matches(v, default[0]) for v in value)
+
+
+def leaf_problem(value, default) -> str | None:
+    """Why ``value`` may not stand for ``default`` in a JSON file, or None: it must have
+    its kind (``kind_matches``), each float in it be finite and each int fit 64 bits."""
+    if not kind_matches(value, default):
+        return f"does not have the kind of {default!r}"
+    kind = default[0] if isinstance(default, list) else default
+    items = value if isinstance(value, list) else [value]
+    # abs(v) <= max is exact for any int, and false for NaN and the infinities
+    if isinstance(kind, float) and not all(abs(v) <= sys.float_info.max for v in items):
+        return "is not a finite float"
+    if isinstance(kind, int) and not all(-2**63 <= v < 2**63 for v in items):
+        return "does not fit a 64-bit integer"
+    return None
 
 
 def read_memoized(path, parse):

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .autodiff import Tensor
 from .errors import ContractError, DimensionError
+from .files import leaf_problem
 from .params import ParamTree, combine
 
 
@@ -57,7 +58,7 @@ class ModelSpec:
     mode: ModeTag = ModeTag.LORA
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
+        object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
         object.__setattr__(self, "mode", ModeTag(self.mode))
         if self.input_dim < 1 or any(d < 1 for d in self.hidden_dims):
             raise ContractError("layer dimensions must be positive")
@@ -99,25 +100,25 @@ class ModelSpec:
         return self.adapter_shapes() if self.mode.is_peft else self.backbone_shapes()
 
     def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden_dims": list(self.hidden_dims),
-            "num_classes": self.num_classes,
-            "lora_rank": self.lora_rank,
-            "lora_alpha": self.lora_alpha,
-            "mode": self.mode.value,
-        }
+        """Each field by name, as JSON: a tuple as a list and the mode as its value."""
+        return {k: list(v) if isinstance(v, tuple) else v.value if isinstance(v, Enum) else v
+                for k, v in asdict(self).items()}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ModelSpec":
-        return cls(
-            input_dim=int(d["input_dim"]),
-            hidden_dims=tuple(d["hidden_dims"]),
-            num_classes=int(d["num_classes"]),
-            lora_rank=int(d["lora_rank"]),
-            lora_alpha=float(d["lora_alpha"]),
-            mode=ModeTag(d["mode"]),
-        )
+    def from_dict(cls, d) -> "ModelSpec":
+        """The spec whose ``to_dict`` is ``d``; ``ContractError`` names the field unless ``d`` holds
+        exactly the fields, each of a valid spec's kind (``files.leaf_problem``), mode a ``ModeTag``."""
+        example = cls(1, (1,), 2, mode=ModeTag.FULL_FT).to_dict()
+        if not isinstance(d, dict):
+            raise ContractError(f"spec {d!r} is not a JSON object")
+        wrong = sorted(set(d) ^ set(example))
+        if wrong:
+            raise ContractError(f"spec fields {wrong} are missing or unknown")
+        for key, value in d.items():
+            problem = leaf_problem(value, example[key])
+            if problem:
+                raise ContractError(f"spec.{key} = {value!r} {problem}")
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ two runs from the same master seed yield byte-identical output trees.
 
 from __future__ import annotations
 
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +29,10 @@ from .analysis import (
     write_report_csv,
 )
 from .checkpoints import Checkpoint, load_checkpoint, save_checkpoint
-from .config import config_digest, derive_seed, fusion_config, model_spec, task_suite, train_config
+from .config import (analysis_config, config_digest, derive_seed, fusion_config, model_spec, task_suite,
+                     train_config)
 from .errors import ConfigError, ContractError, NumericError
-from .files import read_json_object, write_atomic, write_csv, write_json
+from .files import leaf_problem, read_json_object, write_atomic, write_csv, write_json
 from .fusion import ALGORITHMS, enumerate_subsets, scorers_for, sweep_and_select
 from .models import LinearizedState, ModeTag, build_model
 from .task_vectors import compute_task_vector, similarity_matrix, write_similarity_csv
@@ -328,7 +328,7 @@ def stage_analyze_disentangle(
     for pair in pairs or []:
         _require_task_ids(resolved, pair, "disentanglement pair", least=2)
     paths, digest = open_run(resolved, out)
-    a = resolved["analysis"]
+    a = analysis_config(resolved)
     tasks = {t.id: t for t in load_tasks(resolved, out)}
     written = []
     for mode in modes or [ModeTag.LORA, ModeTag.LLORA]:
@@ -344,8 +344,8 @@ def stage_analyze_disentangle(
                 vectors[t1],
                 vectors[t2],
                 (tasks[t1].test, tasks[t2].test),
-                lambda_range=(float(a["lambda_min"]), float(a["lambda_max"])),
-                resolution=int(a["resolution"]),
+                lambda_range=(a.lambda_min, a.lambda_max),
+                resolution=a.resolution,
             )
             meta = f"mode={mode.value} pair={t1},{t2} config_digest={digest}"
             paths.analysis_dir.mkdir(parents=True, exist_ok=True)
@@ -361,13 +361,13 @@ def stage_analyze_landscape(resolved: dict, out: str | Path, pairs=None) -> list
     for pair in pairs or []:
         _require_task_ids(resolved, pair, "landscape pair", least=2)
     paths, digest = open_run(resolved, out)
-    a = resolved["analysis"]
+    a = analysis_config(resolved)
     tasks = {t.id: t for t in load_tasks(resolved, out)}
     cks = load_mode_checkpoints(resolved, out, ModeTag.FULL_FT)
     by_id = {c.task_id: c for c in cks}
     ids = sorted(by_id)
     chosen = pairs if pairs is not None else [(ids[0], ids[1])]
-    axes = grid_axis((a["lambda_min"], a["lambda_max"]), a["resolution"])
+    axes = grid_axis((a.lambda_min, a.lambda_max), a.resolution)
     written = []
     for t1, t2 in chosen:
         grid = loss_landscape_grid(
@@ -391,7 +391,7 @@ def stage_analyze_ntk(resolved: dict, out: str | Path, modes=None, task_id=None)
     if task_id is not None:
         _require_task_ids(resolved, [task_id], "ntk task")
     paths, digest = open_run(resolved, out)
-    a = resolved["analysis"]
+    a = analysis_config(resolved)
     tasks = {t.id: t for t in load_tasks(resolved, out)}
     written = []
     for mode in modes or [ModeTag.LLORA]:
@@ -403,15 +403,13 @@ def stage_analyze_ntk(resolved: dict, out: str | Path, modes=None, task_id=None)
         tid = task_id or sorted(by_id)[0]
         ck = by_id[tid]
         task = tasks[tid]
-        cap = int(a["ntk_max_samples"])
-        n = min(cap, len(task.train))
+        n = min(a.ntk_max_samples, len(task.train))
         xs, ys = task.train.xs[:n], task.train.ys[:n]
         lin = LinearizedState(ck.initial, ck.trained)
-        eta = float(a["ntk_eta"])
-        predicted, observed, rel = ntk_one_step_check(
-            ck.spec, ck.theta0(), lin, xs, ys, eta=eta, max_jacobian_samples=cap
-        )
-        row = [eta, n, rel, np.linalg.norm(predicted), np.linalg.norm(observed)]
+        with np.errstate(all="ignore"):  # a non-finite result is reported once, below
+            predicted, observed, rel = ntk_one_step_check(ck.spec, ck.theta0(), lin, xs, ys, eta=a.ntk_eta,
+                                                          max_jacobian_samples=a.ntk_max_samples)
+            row = [a.ntk_eta, n, rel, np.linalg.norm(predicted), np.linalg.norm(observed)]
         if not np.isfinite(row).all():  # finite arrays can still overflow their norms
             raise NumericError(f"ntk check of {mode.value} {tid} is not finite: relative_error {rel}, "
                                f"predicted_norm {row[3]}, observed_norm {row[4]}")
@@ -441,8 +439,7 @@ def stage_report(resolved: dict, out: str | Path) -> tuple:
         if (algorithm, mode, subset) != slot:
             raise ContractError(f"{pf} holds the record of algorithm {algorithm!r}, mode {mode!r} "
                                 f"and subset {subset!r}, not of the slot it is stored as")
-        # type() rejects a bool; the comparison is exact for any int and false for NaN.
-        if not (type(score) in (int, float) and abs(score) <= sys.float_info.max):
+        if leaf_problem(score, 0.0):
             raise ContractError(f"{pf} is not a provenance record: mean_normalized_score "
                                 "must be a finite number")
         rows.append(dict(zip(fields, (algorithm, mode, tuple(subset), score))))

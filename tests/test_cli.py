@@ -5,13 +5,17 @@ import hashlib
 import inspect
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fuselab.analysis import disentanglement_grid, ntk_one_step_check, read_grid_csv
+import fuselab
+from fuselab.analysis import AnalysisConfig, read_grid_csv
 from fuselab.checkpoints import load_checkpoint
 from fuselab import config, pipeline
 from fuselab.cli import main
@@ -246,11 +250,7 @@ class TestConfigHandling:
         spec = defaults(ModelSpec)
         for key in ("lora_rank", "lora_alpha"):
             assert resolved["model"][key] == spec[key], key
-        grid = defaults(disentanglement_grid)
-        a = resolved["analysis"]
-        assert (a["lambda_min"], a["lambda_max"]) == grid["lambda_range"]
-        assert a["resolution"] == grid["resolution"]
-        assert a["ntk_max_samples"] == defaults(ntk_one_step_check)["max_jacobian_samples"]
+        assert resolved["analysis"] == defaults(AnalysisConfig)
 
     def test_every_leaf_reaches_its_owner(self):
         # A field added to an owner used to resolve and then be dropped by a
@@ -263,6 +263,8 @@ class TestConfigHandling:
                       "beta1": 0.5, "beta2": 0.75, "eps": 1e-6},
             "fusion": {"lambda_grid": [0.5], "ties_k_grid": [0.25], "ties_lambda_grid": [1.5],
                        "lorahub_alpha": 0.5, "lorahub_max_steps": 3, "fewshot_per_task": 5},
+            "analysis": {"lambda_min": 0.5, "lambda_max": 1.5, "resolution": 3, "ntk_eta": 0.25,
+                         "ntk_max_samples": 7},
         }
         override = {"steps": 11, "batch_size": 3, "learning_rate": 0.125, "optimizer": "sgd",
                     "beta1": 0.25, "beta2": 0.5, "eps": 1e-4}
@@ -287,6 +289,7 @@ class TestConfigHandling:
         fusion = dict(given["fusion"])
         del fusion["fewshot_per_task"]  # the pipeline's, not FusionConfig's
         assert carried(config.fusion_config(resolved, "lorahub"), fusion)
+        assert carried(config.analysis_config(resolved), given["analysis"])
 
     def test_int_valued_float_leaves_keep_their_float_kind(self, tmp_path):
         # Each leaf is cast to its default's kind on the way to its owner.
@@ -359,9 +362,11 @@ def test_divergence_exits_with_code_two(tmp_path):
     assert code == 2
 
 
-def test_non_finite_ntk_check_exits_two_writing_no_csv(tmp_path, capsys):
+def test_non_finite_ntk_check_exits_two_writing_no_csv(tmp_path):
     # The arrays stay finite while their norms overflow; the check used to
-    # exit 0 and write relative_error nan with both norms inf.
+    # exit 0 and write relative_error nan with both norms inf, and then to
+    # print numpy's overflow warnings before its one line. A subprocess,
+    # since pytest captures warnings.
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"suite": {"samples_per_split": 16}, "model": {"hidden_dims": [4]},
                                "train": {"steps": 4}, "analysis": {"ntk_eta": 1e300}}))
@@ -369,10 +374,10 @@ def test_non_finite_ntk_check_exits_two_writing_no_csv(tmp_path, capsys):
     common = ["--config", str(cfg), "--out", str(out)]
     assert main(["gen-tasks", *common]) == 0
     assert main(["finetune", "--mode", "l_lora", *common]) == 0
-    capsys.readouterr()
-    assert main(["analyze", "ntk", *common]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+    run = subprocess.run([sys.executable, "-m", "fuselab.cli", "analyze", "ntk", *common], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(Path(fuselab.__file__).parents[1])})
+    assert run.returncode == 2
+    assert run.stderr.startswith("numeric failure: ") and run.stderr.count("\n") == 1, run.stderr
     assert list(out.rglob("ntk_*.csv")) == []
 
 
@@ -750,6 +755,39 @@ def test_malformed_checkpoint_exits_one_naming_the_file(run_copy, capsys, corrup
     assert fuse_one_pair(cfg, out) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
+
+
+def set_spec(key, value):
+    """A checkpoint edit setting its spec's ``key`` to ``value(old)``, or removing it on None."""
+    def edit(payload: dict) -> None:
+        new = value(payload["spec"].pop(key, None))
+        if new is not None:
+            payload["spec"][key] = new
+    return edit
+
+
+@pytest.mark.parametrize("edit, field", [
+    (set_spec("lora_rank", lambda rank: rank + 0.9), "lora_rank"),
+    (set_spec("lora_alpha", str), "lora_alpha"),
+    (set_spec("hidden_dims", lambda dims: [d + 0.5 for d in dims]), "hidden_dims"),
+    (set_spec("input_dim", lambda dim: True), "input_dim"),
+    (set_spec("lora_rank", lambda rank: None), "lora_rank"),
+    (set_spec("sigma_b", lambda missing: 0.04), "sigma_b"),
+    (set_spec("mode", lambda mode: "tangent"), "ModeTag"),
+    (lambda payload: payload.update(seed=float(payload["seed"])), "seed"),
+    (lambda payload: payload.update(seed=-1), "seed"),
+], ids=["lora_rank_float", "lora_alpha_string", "hidden_dim_float", "input_dim_bool", "key_missing",
+        "key_extra", "mode_unknown", "seed_float", "seed_negative"])
+def test_a_checkpoint_field_of_the_wrong_kind_exits_one_naming_the_file_and_field(run_copy, capsys, edit, field):
+    # The spec used to be cast field by field, so the first three loaded,
+    # equalled the config's spec and exited 0; a negative seed raised a traceback.
+    cfg, out = run_copy
+    path = out / "checkpoints/lora/task0.json"
+    rewrite_checkpoint(path, edit)
+    capsys.readouterr()
+    assert main(["analyze", "similarity", "--mode", "lora", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err and field in err
 
 
 def copy_over(source: str):

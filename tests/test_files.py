@@ -2,6 +2,8 @@
 
 import json
 import shutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -165,6 +167,72 @@ def test_two_runs_in_one_process_are_byte_identical_and_the_second_parses_nothin
                       for f in sorted(out.rglob("*")) if f.is_file()})
     assert trees[0] == trees[1]
     assert parses == [{"task": 4, "checkpoint": 16}, {"task": 0, "checkpoint": 0}]
+
+
+class Crash(BaseException):
+    """A process dying at a write: no handler of the program catches it."""
+
+
+def crash_stage(path) -> str:
+    """The stage that writes the run file at ``path``, relative to the run."""
+    top = path.parts[0]
+    if top == "fusion":
+        return f"fuse {path.parts[1]}"
+    if top == "analysis":
+        return "analyze " + path.name.split("_")[0]
+    return {"resolved_config.json": "gen-tasks", "tasks": "gen-tasks", "checkpoints": "finetune"}.get(top, top)
+
+
+def test_a_crash_at_any_stage_leaves_nothing_a_rerun_trusts(tmp_path, monkeypatch):
+    # A run that crashes at one write and is run again in the same directory
+    # gives the clean run's tree and leaves no temp file. The crash comes at
+    # the middle write of each stage, before anything of that write reaches disk.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"master_seed": 7, "suite": {"n_tasks": 2, "samples_per_split": 16},
+                                  "model": {"hidden_dims": [4]}, "train": {"steps": 4},
+                                  "fusion": {"lambda_grid": [0.5, 1.0], "lorahub_max_steps": 4,
+                                             "fewshot_per_task": 4},
+                                  "analysis": {"resolution": 3, "ntk_max_samples": 4}}))
+    commands = [["gen-tasks"], ["finetune"]]
+    commands += [["fuse", "--algorithm", a, "--all-subsets"]
+                 for a in ("simple_average", "task_arithmetic", "ties_merging", "lorahub")]
+    commands += [["analyze", kind] for kind in ("similarity", "disentangle", "landscape", "ntk")]
+    commands.append(["report"])
+    real, written, crash_at = files.write_atomic, [], [None]
+
+    def write_atomic(path, text):
+        if len(written) == crash_at[0]:
+            raise Crash(path)
+        written.append(path)
+        real(path, text)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("fuselab")]:
+        if getattr(module, "write_atomic", None) is real:
+            monkeypatch.setattr(module, "write_atomic", write_atomic)
+
+    def run(out):
+        for argv in commands:
+            assert main(argv + ["--config", str(config), "--out", str(out)]) == 0
+
+    def tree(out):
+        return {str(f.relative_to(out)): f.read_bytes() for f in sorted(out.rglob("*")) if f.is_file()}
+
+    run(tmp_path / "clean")
+    clean = tree(tmp_path / "clean")
+    stages = {}
+    for k, path in enumerate(written):
+        stages.setdefault(crash_stage(Path(path).relative_to(tmp_path / "clean")), []).append(k)
+    assert len(stages) == 11 and len(written) == len(clean)
+    for stage, ks in stages.items():
+        out = tmp_path / stage.replace(" ", "_")
+        written.clear()
+        crash_at[0] = ks[len(ks) // 2]
+        with pytest.raises(Crash):
+            run(out)
+        crash_at[0] = None
+        run(out)
+        assert tree(out) == clean, stage
+        assert not list(out.rglob("*.tmp")), stage
 
 
 # --- the indented JSON writer -----------------------------------------------------

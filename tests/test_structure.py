@@ -3,9 +3,12 @@
 import ast
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import fuselab
 
@@ -282,7 +285,46 @@ def test_no_stage_loads_numpy_ma(tmp_path):
     assert run.returncode == 0, run.stderr
 
 
-SECTION_OWNERS = {"make_task_suite", "TrainConfig", "FusionConfig", "ModelSpec"}
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("given", [{}, {"OPENBLAS_NUM_THREADS": "2"}, {"GOTO_NUM_THREADS": "2"},
+                                   {"OMP_NUM_THREADS": "2"}], ids=["unset", "openblas", "goto", "omp"])
+def test_importing_fuselab_picks_one_blas_thread_unless_the_user_chose(given):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    probe = "import os, fuselab; print([os.environ.get(k) for k in %r])" % (BLAS_THREAD_VARIABLES,)
+    run = subprocess.run([sys.executable, "-c", probe], env={**env, **given, "PYTHONPATH": str(SOURCE.parent)},
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    expected = [given.get(k) for k in BLAS_THREAD_VARIABLES]
+    assert run.stdout.strip() == str(["1", None, None] if not given else expected)
+
+
+def test_a_field_added_to_model_spec_round_trips_through_a_checkpoint(tmp_path):
+    # to_dict and from_dict used to spell the fields one by one, so a new
+    # field reached the spec from the config and was then dropped by every checkpoint.
+    shutil.copytree(SOURCE, tmp_path / "fuselab", ignore=shutil.ignore_patterns("__pycache__"))
+    models = tmp_path / "fuselab" / "models.py"
+    line = "    mode: ModeTag = ModeTag.LORA\n"
+    assert models.read_text().count(line) == 1
+    models.write_text(models.read_text().replace(line, line + "    sigma_b: float = 0.0\n"))
+    script = (
+        "import sys\n"
+        "from fuselab import Checkpoint, build_model, load_checkpoint, save_checkpoint\n"
+        "from fuselab.config import model_spec, resolve_config\n"
+        "spec = model_spec(resolve_config({'model': {'sigma_b': 0.25}}), 'l_lora')\n"
+        "_, initial = build_model(spec, 3)\n"
+        "save_checkpoint(Checkpoint(spec, 'task0', 3, initial, initial), sys.argv[1])\n"
+        "loaded = load_checkpoint(sys.argv[1]).spec\n"
+        "assert loaded == spec and loaded.sigma_b == 0.25, loaded\n")
+    path = tmp_path / "task0.json"
+    run = subprocess.run([sys.executable, "-c", script, str(path)],
+                         env={**os.environ, "PYTHONPATH": str(tmp_path)}, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert '"sigma_b": 0.25' in path.read_text()
+
+
+SECTION_OWNERS = {"make_task_suite", "TrainConfig", "FusionConfig", "ModelSpec", "AnalysisConfig"}
 
 
 def test_only_config_builds_a_section_owner():
