@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .files import canonical_digest, json_object, kind_matches, read_memoized, write_json
+from .files import canonical_digest, json_object, kind_matches, leaf_problem, read_memoized, write_json
 from .models import ModelSpec, build_model
 from .params import ParamTree
 
@@ -117,13 +117,20 @@ def _parse_checkpoint(path, data: bytes) -> tuple[Checkpoint, object]:
         spec = ModelSpec.from_dict(payload["spec"])
         if not (kind_matches(payload["seed"], 0) and payload["seed"] >= 0):
             raise ContractError(f"seed = {payload['seed']!r} is not a non-negative int")
+        metrics = payload["metrics"]
+        if not isinstance(metrics, dict):
+            raise ContractError(f"metrics = {metrics!r} is not a JSON object")
+        for key, value in metrics.items():
+            problem = leaf_problem(value, 0.0)
+            if problem:
+                raise ContractError(f"metrics.{key} = {value!r} {problem}")
         ckpt = Checkpoint(
             spec=spec,
             task_id=payload["task_id"],
             init_seed=payload["seed"],
             initial=_decode_tree(payload["initial"], spec),
             trained=_decode_tree(payload["trained"], spec),
-            metrics=dict(payload["metrics"]),
+            metrics=metrics,
         )
     except (KeyError, TypeError, ValueError, ContractError) as e:
         raise ContractError(f"checkpoint {path} is malformed: {e!r}") from e

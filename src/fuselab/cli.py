@@ -10,6 +10,7 @@ check).
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from .config import load_config
@@ -19,9 +20,6 @@ from .models import ModeTag
 from . import pipeline
 
 MODE_CHOICES = [m.value for m in ModeTag]
-# The optional flags each analysis kind reads; any other one is an error.
-ANALYZE_FLAGS = {"disentangle": ("mode", "pair"), "landscape": ("pair",),
-                 "similarity": ("mode",), "ntk": ("mode", "task")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="emit geometry and dynamics CSV artifacts")
     _add_common(p)
-    p.add_argument("kind", choices=list(ANALYZE_FLAGS))
+    p.add_argument("kind", choices=pipeline.ANALYSES)
     p.add_argument("--mode", choices=MODE_CHOICES, action="append")
     p.add_argument("--pair", action=_Once, help="comma-separated task id pair")
     p.add_argument("--task", action=_Once, help="task id (ntk analysis)")
@@ -80,22 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _modes(args) -> list[ModeTag] | None:
-    if not getattr(args, "mode", None):
-        return None
-    for i, m in enumerate(args.mode):
-        if m in args.mode[:i]:
-            raise ConfigError(f"mode {m!r} appears twice in --mode")
-    return [ModeTag(m) for m in args.mode]
-
-
-def _pairs(args):
-    if getattr(args, "pair", None):
-        parts = args.pair.split(",")
-        if len(parts) != 2:
-            raise ConfigError("--pair needs exactly two comma-separated task ids")
-        return [tuple(parts)]
-    return None
+def _groups(ids: str | None) -> list[tuple[str, ...]] | None:
+    """The one group of task ids a comma-separated flag names; None when it is not given."""
+    return None if ids is None else [tuple(ids.split(","))]
 
 
 def run(argv=None) -> int:
@@ -106,30 +91,22 @@ def run(argv=None) -> int:
         written = pipeline.stage_gen_tasks(resolved, args.out)
         print(f"wrote {len(written)} task files to {args.out}")
     elif args.command == "finetune":
-        written = pipeline.stage_finetune(resolved, args.out, modes=_modes(args),
-                                          task_ids=args.task)
+        written = pipeline.stage_finetune(resolved, args.out, modes=args.mode, task_ids=args.task)
         print(f"wrote {len(written)} checkpoints to {args.out}")
     elif args.command == "fuse":
-        subsets = None
-        if args.subset:
-            subsets = [tuple(sorted(args.subset.split(",")))]
         written = pipeline.stage_fuse(resolved, args.out, args.algorithm,
-                                      modes=_modes(args), subsets=subsets)
+                                      modes=args.mode, subsets=_groups(args.subset))
         print(f"wrote {len(written)} fusion artifacts to {args.out}")
     elif args.command == "analyze":
-        for flag in ("mode", "pair", "task"):
-            if getattr(args, flag) is not None and flag not in ANALYZE_FLAGS[args.kind]:
-                raise ConfigError(f"analyze {args.kind} does not read --{flag}")
-        if args.kind == "similarity":
-            written = pipeline.stage_analyze_similarity(resolved, args.out, modes=_modes(args))
-        elif args.kind == "disentangle":
-            written = pipeline.stage_analyze_disentangle(resolved, args.out,
-                                                         modes=_modes(args), pairs=_pairs(args))
-        elif args.kind == "landscape":
-            written = pipeline.stage_analyze_landscape(resolved, args.out, pairs=_pairs(args))
-        else:
-            written = pipeline.stage_analyze_ntk(resolved, args.out, modes=_modes(args),
-                                                 task_id=args.task)
+        stage = getattr(pipeline, f"stage_analyze_{args.kind}")  # at call time, so a wrapper is seen
+        reads, kwargs = inspect.signature(stage).parameters, {}
+        for flag, name, value in (("mode", "modes", args.mode), ("pair", "pairs", _groups(args.pair)),
+                                  ("task", "task_id", args.task)):
+            if value is not None:
+                if name not in reads:
+                    raise ConfigError(f"analyze {args.kind} does not read --{flag}")
+                kwargs[name] = value
+        written = stage(resolved, args.out, **kwargs)
         print(f"wrote {len(written)} analysis artifacts to {args.out}")
     elif args.command == "report":
         report, files = pipeline.stage_report(resolved, args.out)

@@ -28,6 +28,7 @@ import numpy as np
 
 from .checkpoints import Checkpoint
 from .errors import ContractError
+from .files import leaf_problem
 from .models import ModelSpec, Scorer, predict_logits
 from .params import ParamTree, combine
 from .task_vectors import TaskVector, compute_task_vector
@@ -37,6 +38,8 @@ from .training import check_labels, cross_entropy_loss, evaluate
 ALGORITHMS = ("simple_average", "task_arithmetic", "ties_merging", "lorahub")
 DEFAULT_LAMBDA_GRID = tuple(round(0.05 * i, 2) for i in range(21))
 DEFAULT_TIES_GRID = (0.25, 0.5, 0.75, 1.0)
+# The hyperparameters ``replay_merge`` reads from a record beside lorahub's weights.
+_REPLAYED = {"task_arithmetic": ("lambda",), "ties_merging": ("k", "lambda")}
 
 
 @dataclass(frozen=True)
@@ -511,11 +514,22 @@ def sweep_and_select(
     return MergedModel(spec, theta0, initial, initial.with_flat(flats[best]), provenance)
 
 
+def _recorded(record, key: str, what: str):
+    """``record[key]``, a finite number (``files.leaf_problem``), else ``ContractError`` naming the key."""
+    if not isinstance(record, dict) or key not in record:
+        raise ContractError(f"provenance {what} has no {key!r}")
+    problem = leaf_problem(record[key], 0.0)
+    if problem:
+        raise ContractError(f"provenance {what} {key!r} = {record[key]!r} {problem}")
+    return record[key]
+
+
 def replay_merge(provenance: dict, checkpoints: list[Checkpoint]) -> ParamTree:
     """Rebuild merged parameters from a provenance record, bit-for-bit.
 
     Builds the one candidate at the recorded hyperparameters; no sweep or
-    search is re-run.
+    search is re-run. Each hyperparameter the algorithm reads (lorahub: a
+    weight per task) must be recorded as a finite number, else ``ContractError``.
     """
     _, _, _, initial = _common_context(checkpoints)
     wanted = provenance["task_ids"]
@@ -526,8 +540,11 @@ def replay_merge(provenance: dict, checkpoints: list[Checkpoint]) -> ParamTree:
     subset = sorted((by_id[t] for t in wanted), key=lambda c: c.task_id)
     ordered, deltas = _ordered_flats(initial, [compute_task_vector(c) for c in subset])
     trained = [c.trained.flatten() for c in subset]
-    hp = dict(provenance.get("hyperparameters", {}))
-    if provenance["algorithm"] == "lorahub":
-        hp["weights"] = [hp["weights"][v.task_id] for v in ordered]
-    flat = next(_candidates(provenance["algorithm"], initial.flatten(), deltas, trained, [hp]))[2]
+    algorithm, recorded = provenance.get("algorithm"), provenance.get("hyperparameters")
+    if algorithm == "lorahub":
+        weights = recorded.get("weights") if isinstance(recorded, dict) else None
+        hp = {"weights": [_recorded(weights, v.task_id, "lorahub weights") for v in ordered]}
+    else:
+        hp = {key: _recorded(recorded, key, "hyperparameters") for key in _REPLAYED.get(algorithm, ())}
+    flat = next(_candidates(algorithm, initial.flatten(), deltas, trained, [hp]))[2]
     return initial.with_flat(flat)

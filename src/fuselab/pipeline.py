@@ -9,6 +9,10 @@ digest; a stage refuses inputs produced under a different configuration,
 and makes its output directory only once its inputs are read and checked.
 All writes are deterministic functions of the resolved configuration, so
 two runs from the same master seed yield byte-identical output trees.
+
+Each stage checks and canonicalizes the modes, task ids, subsets and pairs
+it is given before it opens the run, so a direct call and the CLI, which
+only splits strings, meet the same rules.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .tasks import Dataset, Task, export_task, import_task
 from .training import finetune, scored_accuracy, write_metrics_csv
 
 ALL_MODES = [m for m in ModeTag]
+ANALYSES = ("similarity", "disentangle", "landscape", "ntk")  # each run by stage_analyze_<kind>
 
 
 class RunPaths:
@@ -113,6 +118,38 @@ def _require_task_ids(resolved: dict, ids, what: str, least: int = 1) -> None:
         raise ConfigError(f"{what} {','.join(ids)!r} needs at least {least} distinct task ids")
 
 
+def _require_modes(modes, default: list[ModeTag]) -> list[ModeTag]:
+    """``modes`` as ``ModeTag``s (``default`` when none are given); each may be a
+    ``ModeTag`` or its value, and an unknown or repeated mode is a ``ConfigError``."""
+    tags = []
+    for m in modes or default:
+        if m not in ALL_MODES:  # ModeTag is a str enum: its values compare equal to its members
+            raise ConfigError(f"unknown mode {m!r} in --mode; choose from {', '.join(ALL_MODES)}")
+        if m in tags:
+            raise ConfigError(f"mode {ModeTag(m).value!r} appears twice in --mode")
+        tags.append(ModeTag(m))
+    return tags
+
+
+def _require_groups(resolved: dict, groups, what: str, pair: bool):
+    """``groups`` of task ids, each at least two distinct ids of this run and none given
+    twice, else ``ConfigError``; None stays None. A pair holds exactly two ids and keeps
+    their order (λ₁ belongs to the first); any other group is sorted, since it names
+    files and seeds samples."""
+    if groups is None:
+        return None
+    checked = []
+    for group in groups:
+        group = tuple(group) if pair else tuple(sorted(group, key=str))
+        if pair and len(group) != 2:
+            raise ConfigError(f"{what} {','.join(map(str, group))!r} needs exactly two task ids")
+        _require_task_ids(resolved, group, what, least=2)
+        if group in checked:
+            raise ConfigError(f"{what} {','.join(group)!r} appears twice")
+        checked.append(group)
+    return checked
+
+
 def stage_gen_tasks(resolved: dict, out: str | Path) -> list[Path]:
     """Create the run, or open it if it exists, and export one columnar file per task."""
     paths, digest = RunPaths(out), config_digest(resolved)
@@ -162,17 +199,18 @@ def load_tasks(resolved: dict, out: str | Path) -> list[Task]:
 def stage_finetune(
     resolved: dict,
     out: str | Path,
-    modes: list[ModeTag] | None = None,
+    modes: list[ModeTag | str] | None = None,
     task_ids: list[str] | None = None,
 ) -> list[Path]:
     """Fine-tune every requested (mode, task) pair and write checkpoints."""
+    modes = _require_modes(modes, ALL_MODES)
     if task_ids is not None:
         _require_task_ids(resolved, task_ids, "--task")
     paths, digest = open_run(resolved, out)
     tasks = [t for t in load_tasks(resolved, out) if task_ids is None or t.id in task_ids]
     init_seed = derive_seed(resolved["master_seed"], "model_init")
     written = []
-    for mode in modes or ALL_MODES:
+    for mode in modes:
         spec = model_spec(resolved, mode)
         theta0, trainable0 = build_model(spec, init_seed)
         for task in tasks:
@@ -228,7 +266,7 @@ def stage_fuse(
     resolved: dict,
     out: str | Path,
     algorithm: str,
-    modes: list[ModeTag] | None = None,
+    modes: list[ModeTag | str] | None = None,
     subsets: list[tuple[str, ...]] | None = None,
 ) -> list[Path]:
     """Merge checkpoint subsets and write merged models plus provenance.
@@ -241,14 +279,14 @@ def stage_fuse(
     """
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown fusion algorithm {algorithm!r}")
-    for subset in subsets or []:
-        _require_task_ids(resolved, subset, "fusion subset", least=2)
+    modes = _require_modes(modes, ALL_MODES)
+    subsets = _require_groups(resolved, subsets, "fusion subset", pair=False)
     paths, digest = open_run(resolved, out)
     tasks = {t.id: t for t in load_tasks(resolved, out)}
     validation = {tid: t.val for tid, t in tasks.items()}
     test = {tid: t.test for tid, t in tasks.items()}
     written = []
-    for mode in modes or ALL_MODES:
+    for mode in modes:
         cks = load_mode_checkpoints(resolved, out, mode)
         by_id = {c.task_id: c for c in cks}
         val_scorers, test_scorers = scorers_for(cks, validation), scorers_for(cks, test)
@@ -309,9 +347,10 @@ def stage_fuse(
 
 
 def stage_analyze_similarity(resolved: dict, out: str | Path, modes=None) -> list[Path]:
+    modes = _require_modes(modes, ALL_MODES)
     paths, digest = open_run(resolved, out)
     written = []
-    for mode in modes or ALL_MODES:
+    for mode in modes:
         cks = load_mode_checkpoints(resolved, out, mode)
         vectors = [compute_task_vector(c) for c in cks]
         ids, matrix = similarity_matrix(vectors)
@@ -325,13 +364,13 @@ def stage_analyze_similarity(resolved: dict, out: str | Path, modes=None) -> lis
 def stage_analyze_disentangle(
     resolved: dict, out: str | Path, modes=None, pairs=None
 ) -> list[Path]:
-    for pair in pairs or []:
-        _require_task_ids(resolved, pair, "disentanglement pair", least=2)
+    modes = _require_modes(modes, [ModeTag.LORA, ModeTag.LLORA])
+    pairs = _require_groups(resolved, pairs, "disentanglement pair", pair=True)
     paths, digest = open_run(resolved, out)
     a = analysis_config(resolved)
     tasks = {t.id: t for t in load_tasks(resolved, out)}
     written = []
-    for mode in modes or [ModeTag.LORA, ModeTag.LLORA]:
+    for mode in modes:
         cks = load_mode_checkpoints(resolved, out, mode)
         vectors = {c.task_id: compute_task_vector(c) for c in cks}
         ids = sorted(vectors)
@@ -358,8 +397,7 @@ def stage_analyze_disentangle(
 
 
 def stage_analyze_landscape(resolved: dict, out: str | Path, pairs=None) -> list[Path]:
-    for pair in pairs or []:
-        _require_task_ids(resolved, pair, "landscape pair", least=2)
+    pairs = _require_groups(resolved, pairs, "landscape pair", pair=True)
     paths, digest = open_run(resolved, out)
     a = analysis_config(resolved)
     tasks = {t.id: t for t in load_tasks(resolved, out)}
@@ -388,16 +426,17 @@ def stage_analyze_landscape(resolved: dict, out: str | Path, pairs=None) -> list
 
 
 def stage_analyze_ntk(resolved: dict, out: str | Path, modes=None, task_id=None) -> list[Path]:
+    modes = _require_modes(modes, [ModeTag.LLORA])
     if task_id is not None:
         _require_task_ids(resolved, [task_id], "ntk task")
+    for mode in modes:
+        if not mode.is_linearized:
+            raise ConfigError(f"ntk analysis applies to linearized modes, not {mode.value}")
     paths, digest = open_run(resolved, out)
     a = analysis_config(resolved)
     tasks = {t.id: t for t in load_tasks(resolved, out)}
     written = []
-    for mode in modes or [ModeTag.LLORA]:
-        mode = ModeTag(mode)
-        if not mode.is_linearized:
-            raise ConfigError(f"ntk analysis applies to linearized modes, not {mode.value}")
+    for mode in modes:
         cks = load_mode_checkpoints(resolved, out, mode)
         by_id = {c.task_id: c for c in cks}
         tid = task_id or sorted(by_id)[0]
@@ -458,8 +497,6 @@ def run_full_pipeline(resolved: dict, out: str | Path):
     stage_finetune(resolved, out)
     for algorithm in ALGORITHMS:
         stage_fuse(resolved, out, algorithm)
-    stage_analyze_similarity(resolved, out)
-    stage_analyze_disentangle(resolved, out)
-    stage_analyze_landscape(resolved, out)
-    stage_analyze_ntk(resolved, out)
+    for kind in ANALYSES:
+        globals()[f"stage_analyze_{kind}"](resolved, out)
     return stage_report(resolved, out)

@@ -1,6 +1,7 @@
 """CLI subcommands, file flows, digests, and end-to-end determinism."""
 
 import base64
+import functools
 import hashlib
 import inspect
 import json
@@ -169,6 +170,24 @@ class TestFuseCmd:
                                  expected_config_digest=digest)
         assert replayed.equal_bits(merged.trained)
         assert replayed.digest() == record["merged_digest"]
+
+
+@pytest.mark.parametrize("algorithm, hyperparameters, named", [
+    ("task_arithmetic", {}, "lambda"),
+    ("task_arithmetic", {"lambda": "0.5"}, "lambda"),
+    ("ties_merging", {"lambda": 0.5}, "k"),
+    ("lorahub", {"weights": {"task0": 0.5}}, "task1"),
+    ("lorahub", {"weights": {"task0": 0.5, "task1": "0.5"}}, "task1"),
+], ids=["lambda_missing", "lambda_string", "k_missing", "weight_missing", "weight_string"])
+def test_replay_reads_each_recorded_hyperparameter_by_exact_kind(run_dir, algorithm, hyperparameters, named):
+    # A missing lambda or lorahub weight used to raise a raw KeyError, and a
+    # string one was coerced and replayed.
+    cfg, out = run_dir
+    resolved = load_config(cfg)
+    record = json.loads((out / "fusion/task_arithmetic/lora/task0+task1.provenance.json").read_text())
+    record.update(algorithm=algorithm, hyperparameters=hyperparameters)
+    with pytest.raises(ContractError, match=repr(named)):
+        replay_merge(record, load_mode_checkpoints(resolved, out, ModeTag.LORA))
 
 
 class TestAnalyzeCmd:
@@ -776,8 +795,10 @@ def set_spec(key, value):
     (set_spec("mode", lambda mode: "tangent"), "ModeTag"),
     (lambda payload: payload.update(seed=float(payload["seed"])), "seed"),
     (lambda payload: payload.update(seed=-1), "seed"),
+    (lambda payload: payload["metrics"].update(final_val_accuracy="high"), "metrics.final_val_accuracy"),
+    (lambda payload: payload.update(metrics=[["a", 1]]), "metrics"),
 ], ids=["lora_rank_float", "lora_alpha_string", "hidden_dim_float", "input_dim_bool", "key_missing",
-        "key_extra", "mode_unknown", "seed_float", "seed_negative"])
+        "key_extra", "mode_unknown", "seed_float", "seed_negative", "metric_string", "metrics_a_list"])
 def test_a_checkpoint_field_of_the_wrong_kind_exits_one_naming_the_file_and_field(run_copy, capsys, edit, field):
     # The spec used to be cast field by field, so the first three loaded,
     # equalled the config's spec and exited 0; a negative seed raised a traceback.
@@ -982,12 +1003,17 @@ def test_a_grid_too_large_to_allocate_exits_one_writing_nothing(tmp_path, capsys
     (["fuse", "--algorithm", "simple_average", "--all-subsets", "--mode", "full_ft", "--mode", "full_ft"],
      "full_ft"),
     (["analyze", "similarity", "--mode", "full_ft", "--mode", "full_ft"], "full_ft"),
+    (["analyze", "disentangle", "--pair", "task0,task1,task2"], "task0,task1,task2"),
+    (["fuse", "--algorithm", "simple_average", "--subset", ""], ""),
+    (["analyze", "landscape", "--pair", ""], ""),
 ], ids=["fuse_unknown", "fuse_repeated", "fuse_single", "disentangle_unknown",
         "landscape_repeated", "ntk_unknown", "finetune_repeated", "finetune_unknown",
-        "finetune_mode_repeated", "fuse_mode_repeated", "similarity_mode_repeated"])
+        "finetune_mode_repeated", "fuse_mode_repeated", "similarity_mode_repeated",
+        "disentangle_pair_of_three", "fuse_subset_empty", "landscape_pair_empty"])
 def test_malformed_task_ids_exit_one_before_any_artifact(run_copy, capsys, argv, named):
     # Unknown ids used to raise a KeyError; a repeated or single id merged or
-    # analysed a degenerate set and wrote it.
+    # analysed a degenerate set and wrote it. An empty --subset merged every
+    # subset and an empty --pair analysed the default pair.
     cfg, out = run_copy
     before = file_tree(out)
     capsys.readouterr()
@@ -1035,6 +1061,102 @@ def test_single_value_flag_given_twice_exits_one(run_copy, capsys, argv, flag):
     err = capsys.readouterr().err
     assert f"error: {flag} given more than once" in err
     assert file_tree(out) == before
+
+
+# --- stage arguments: each stage checks and canonicalizes what it is given -----
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda r, out: pipeline.stage_finetune(r, out, modes=["lora", "bogus"]), "'bogus'"),
+    (lambda r, out: pipeline.stage_finetune(r, out, modes=["lora", ModeTag.LORA]), "'lora'"),
+    (lambda r, out: pipeline.stage_fuse(r, out, "simple_average", modes=[ModeTag.LORA, ModeTag.LORA]),
+     "'lora'"),
+    (lambda r, out: pipeline.stage_fuse(r, out, "simple_average",
+                                        subsets=[("task0", "task1"), ("task1", "task0")]), "'task0,task1'"),
+    (lambda r, out: pipeline.stage_fuse(r, out, "simple_average", subsets=[("task1", "task9")]), "'task9'"),
+    (lambda r, out: pipeline.stage_analyze_similarity(r, out, modes=["tangent"]), "'tangent'"),
+    (lambda r, out: pipeline.stage_analyze_disentangle(r, out, pairs=[("task0", "task1", "task2")]),
+     "'task0,task1,task2'"),
+    (lambda r, out: pipeline.stage_analyze_disentangle(r, out, pairs=[("task1", "task0")] * 2),
+     "'task1,task0'"),
+    (lambda r, out: pipeline.stage_analyze_landscape(r, out, pairs=[("task0",)]), "'task0'"),
+    (lambda r, out: pipeline.stage_analyze_ntk(r, out, modes=["bogus"]), "'bogus'"),
+    (lambda r, out: pipeline.stage_analyze_ntk(r, out, modes=[ModeTag.LLORA, ModeTag.FULL_FT], task_id="task1"),
+     "not full_ft"),
+], ids=["finetune_mode_unknown", "finetune_mode_repeated_as_its_value", "fuse_mode_repeated",
+        "fuse_subset_repeated_in_another_order", "fuse_subset_unknown", "similarity_mode_unknown",
+        "disentangle_pair_of_three", "disentangle_pair_repeated", "landscape_pair_of_one",
+        "ntk_mode_unknown", "ntk_mode_not_linearized"])
+def test_a_malformed_stage_argument_raises_config_error_changing_nothing(run_copy, call, named):
+    # Called directly, mode strings raised AttributeError (finetune only after
+    # training its first model), an unknown ntk mode a raw ValueError and a
+    # pair of three an unpacking ValueError; a repeated mode or subset was
+    # merged twice, and ntk wrote l_lora's task1 file before refusing full_ft.
+    cfg, out = run_copy
+    before = file_tree(out)
+    with pytest.raises(ConfigError) as raised:
+        call(load_config(cfg), out)
+    assert named in str(raised.value)
+    assert file_tree(out) == before
+
+
+@pytest.mark.parametrize("stage", [
+    lambda resolved, out, modes: pipeline.stage_finetune(resolved, out, modes=modes, task_ids=["task0"]),
+    lambda resolved, out, modes: pipeline.stage_fuse(resolved, out, "lorahub", modes=modes,
+                                                     subsets=[("task0", "task1")]),
+    lambda resolved, out, modes: pipeline.stage_analyze_similarity(resolved, out, modes=modes),
+    lambda resolved, out, modes: pipeline.stage_analyze_disentangle(resolved, out, modes=modes),
+], ids=["finetune", "fuse", "similarity", "disentangle"])
+def test_a_mode_given_by_its_value_writes_the_same_bytes(run_dir, tmp_path, stage):
+    cfg, out = run_dir
+    resolved = load_config(cfg)
+    trees = []
+    for modes in (["lora"], [ModeTag.LORA]):
+        copy = tmp_path / str(len(trees))
+        shutil.copytree(out, copy)
+        assert stage(resolved, copy, modes)
+        trees.append(file_tree(copy))
+    assert trees[0] == trees[1]
+
+
+def test_an_unsorted_subset_merges_as_the_sorted_one_and_counts_once(run_copy):
+    # stage_fuse used to write task1+task0.* beside the CLI's task0+task1.*,
+    # from few-shot seeds that depend on the order, and the report counted
+    # that one merge twice.
+    cfg, out = run_copy
+    resolved = load_config(cfg)
+    written = pipeline.stage_fuse(resolved, out, "lorahub", modes=["lora"], subsets=[("task1", "task0")])
+    assert [f.name for f in written] == ["task0+task1.json", "task0+task1.provenance.json"]
+    unsorted = file_tree(out)
+    pipeline.stage_fuse(resolved, out, "lorahub", modes=[ModeTag.LORA], subsets=[("task0", "task1")])
+    assert file_tree(out) == unsorted
+    report, _ = pipeline.stage_report(resolved, out)
+    counted = [r.n_subsets for r in report.rows if (r.algorithm, r.mode) == ("lorahub", "lora")]
+    assert counted == [1, 1]  # all sizes, and size 2
+
+
+def test_analyze_passes_each_flag_to_the_parameter_its_stage_declares(run_copy, monkeypatch, capsys):
+    # cli.py used to keep its own table of the flags each kind reads, so a
+    # parameter added to a stage stayed out of reach until that table changed.
+    cfg, out = run_copy
+    calls = []
+
+    def landscape(resolved, out, pairs=None, modes=None):
+        calls.append((pairs, modes))
+        return []
+
+    @functools.wraps(landscape)
+    def traced(*args, **kwargs):  # as perfbench's tracer wraps a stage
+        return landscape(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "stage_analyze_landscape", traced)
+    common = ["--config", str(cfg), "--out", str(out)]
+    assert main(["analyze", "landscape", "--mode", "lora", "--pair", "task1,task0", *common]) == 0
+    assert calls == [([("task1", "task0")], ["lora"])]
+    capsys.readouterr()
+    assert main(["analyze", "landscape", "--task", "task0", *common]) == 1
+    assert capsys.readouterr().err == "error: analyze landscape does not read --task\n"
+    assert len(calls) == 1
 
 
 # --- opening a run: only gen-tasks creates one, every other stage opens it once

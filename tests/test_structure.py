@@ -345,3 +345,19 @@ def test_only_config_builds_a_section_owner():
     assert {(f, o) for f, o, _ in builders} == {("config.py", o) for o in SECTION_OWNERS} | {
         ("models.py", "ModelSpec")}
     assert {fn for f, _, fn in builders if f == "models.py"} == {"from_dict"}
+
+
+def test_only_the_pipeline_names_the_analysis_kinds():
+    # cli.py used to map each kind to the flags it reads and branch four
+    # ways on it, and tools/tree_digest.py kept its own list of the kinds.
+    from fuselab.pipeline import ANALYSES
+
+    tools = SOURCE.parents[1] / "tools"
+    naming = set()
+    for path in [*sorted(SOURCE.glob("*.py")), *sorted(tools.glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):
+            name = node.value if isinstance(node, ast.Constant) else getattr(
+                node, "attr", getattr(node, "id", getattr(node, "name", None)))
+            if isinstance(name, str) and name.removeprefix("stage_analyze_") in ANALYSES:
+                naming.add(path.name)
+    assert naming == {"pipeline.py"}

@@ -22,13 +22,13 @@ import tempfile
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src"
-ANALYSES = ("similarity", "disentangle", "landscape", "ntk")
 
 
 def run_pipeline(out: Path, config: str | None, seed: int) -> None:
     sys.path.insert(0, str(SOURCE))
     from fuselab import cli
     from fuselab.fusion import ALGORITHMS
+    from fuselab.pipeline import ANALYSES
 
     if Path(cli.__file__).resolve().parent != SOURCE / "fuselab":
         sys.exit(f"tree_digest: imported fuselab from {cli.__file__}, not {SOURCE}")
