@@ -5,8 +5,8 @@ linearization, low-rank adapters, and partially linearized low-rank
 adapters trained in tangent space) on one hand-written network kernel,
 four multi-task fusion algorithms with their hyperparameter sweeps, and a
 weight-disentanglement analysis suite, all on deterministic synthetic
-task families. A self-contained tensor and autodiff core is the public
-differentiation API and the kernel's test oracle.
+task families. A self-contained tensor and autodiff core is the kernel's
+test oracle; no runtime module imports it, and this module re-exports it.
 """
 
 import os
@@ -33,8 +33,6 @@ from .task_vectors import (
     TaskVector,
     compute_task_vector,
     cosine_similarity,
-    embed_in_joint_space,
-    linear_combine,
     similarity_matrix,
 )
 from .tasks import Dataset, Task, TaskSuite, make_task_suite

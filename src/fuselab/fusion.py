@@ -33,7 +33,7 @@ from .models import ModelSpec, Scorer, predict_logits
 from .params import ParamTree, combine
 from .task_vectors import TaskVector, compute_task_vector
 from .tasks import Dataset
-from .training import check_labels, cross_entropy_loss, evaluate
+from .training import check_labels, cross_entropy_loss
 
 ALGORITHMS = ("simple_average", "task_arithmetic", "ties_merging", "lorahub")
 DEFAULT_LAMBDA_GRID = tuple(round(0.05 * i, 2) for i in range(21))
@@ -74,11 +74,6 @@ class MergedModel:
     initial: ParamTree
     trainable: ParamTree
     provenance: dict = field(default_factory=dict)
-
-    def evaluate_on(self, dataset: Dataset) -> float:
-        return evaluate(
-            self.spec, self.theta0, self.trainable, dataset, anchor=self.initial
-        )
 
 
 def _common_context(checkpoints: list[Checkpoint]) -> tuple[ModelSpec, int, ParamTree, ParamTree]:
@@ -528,15 +523,19 @@ def replay_merge(provenance: dict, checkpoints: list[Checkpoint]) -> ParamTree:
     """Rebuild merged parameters from a provenance record, bit-for-bit.
 
     Builds the one candidate at the recorded hyperparameters; no sweep or
-    search is re-run. Each hyperparameter the algorithm reads (lorahub: a
-    weight per task) must be recorded as a finite number, else ``ContractError``.
+    search is re-run. ``task_ids`` must be a non-empty list of distinct ids
+    of given checkpoints, and each hyperparameter the algorithm reads
+    (lorahub: a weight per task) a finite number, else ``ContractError``.
     """
     _, _, _, initial = _common_context(checkpoints)
-    wanted = provenance["task_ids"]
+    wanted = provenance.get("task_ids") if isinstance(provenance, dict) else None
+    if not (isinstance(wanted, list) and wanted and all(isinstance(t, str) for t in wanted)
+            and len(set(wanted)) == len(wanted)):
+        raise ContractError(f"provenance 'task_ids' = {wanted!r} is not a non-empty list of distinct ids")
     by_id = {c.task_id: c for c in checkpoints}
     missing = [t for t in wanted if t not in by_id]
     if missing:
-        raise ContractError(f"provenance references unknown tasks {missing}")
+        raise ContractError(f"provenance 'task_ids' names unknown tasks {missing}")
     subset = sorted((by_id[t] for t in wanted), key=lambda c: c.task_id)
     ordered, deltas = _ordered_flats(initial, [compute_task_vector(c) for c in subset])
     trained = [c.trained.flatten() for c in subset]

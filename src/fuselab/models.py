@@ -23,7 +23,6 @@ from enum import Enum
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import ContractError, DimensionError
 from .files import leaf_problem
 from .params import ParamTree, combine
@@ -401,14 +400,13 @@ class Scorer:
         return jac
 
 
-def predict_logits(spec: ModelSpec, theta0: ParamTree, anchor: ParamTree, trainable: ParamTree, x) -> Tensor:
+def predict_logits(spec: ModelSpec, theta0: ParamTree, anchor: ParamTree, trainable: ParamTree, x) -> np.ndarray:
     """The paradigm's logits at ``trainable`` expanded about ``anchor`` (``Scorer.at``)."""
     require_trees(spec, theta0, trainable)
-    x = x.array if isinstance(x, Tensor) else x
-    return Tensor(Scorer(spec, theta0, anchor, x).at(trainable.flatten())[0])
+    return Scorer(spec, theta0, anchor, x).at(trainable.flatten())[0]
 
 
-def forward(spec: ModelSpec, theta0: ParamTree, trainable: ParamTree, x) -> Tensor:
+def forward(spec: ModelSpec, theta0: ParamTree, trainable: ParamTree, x) -> np.ndarray:
     """The network's logits at ``trainable`` under the spec's paradigm.
 
     Expanded about itself, a tangent model is the network, so this is
@@ -417,7 +415,7 @@ def forward(spec: ModelSpec, theta0: ParamTree, trainable: ParamTree, x) -> Tens
     return predict_logits(spec, theta0, trainable, trainable, x)
 
 
-def forward_linearized(spec: ModelSpec, theta0: ParamTree, lin: LinearizedState, x) -> Tensor:
+def forward_linearized(spec: ModelSpec, theta0: ParamTree, lin: LinearizedState, x) -> np.ndarray:
     """Tangent-model forward: f(x; phi0) plus the JVP in direction phi - phi0.
 
     For the adapter paradigm the Taylor expansion covers adapter parameters

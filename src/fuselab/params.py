@@ -1,4 +1,4 @@
-"""Ordered path-to-tensor containers stored as one flat vector, and their arithmetic."""
+"""Ordered path-to-array containers stored as one flat vector, and their arithmetic."""
 
 from __future__ import annotations
 
@@ -8,12 +8,11 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import ContractError
 
 
-class ParamTree(Mapping[str, Tensor]):
-    """Immutable ordered mapping from parameter path to Tensor, stored flat.
+class ParamTree(Mapping[str, np.ndarray]):
+    """Immutable ordered mapping from parameter path to array, stored flat.
 
     One read-only float64 vector holds the paths in lexicographic order,
     each row-major, which fixes the flattening used for gradients,
@@ -21,15 +20,15 @@ class ParamTree(Mapping[str, Tensor]):
     share one ``(path, start, stop, shape)`` layout. Two trees are
     congruent when they share the same paths with the same per-path shapes;
     all arithmetic requires congruence. Every construction checks once that
-    all values are finite.
+    all values are finite. ``tree[path]`` is a read-only view of the flat
+    vector, shaped as the path's array.
     """
 
     __slots__ = ("_flat", "_layout", "_spans")
 
-    def __init__(self, entries: Mapping[str, Tensor | np.ndarray]):
-        # ascontiguousarray makes a 0-d value shape (1,), as a Tensor does
-        arrays = {path: np.ascontiguousarray(v.array if isinstance(v, Tensor) else v, dtype=np.float64)
-                  for path, v in sorted(entries.items())}
+    def __init__(self, entries: Mapping[str, np.ndarray]):
+        # ascontiguousarray makes a 0-d value shape (1,)
+        arrays = {path: np.ascontiguousarray(v, dtype=np.float64) for path, v in sorted(entries.items())}
         flat = np.concatenate([a.reshape(-1) for a in arrays.values()]) if arrays else np.zeros(0)
         self._set(flat, *_layout_of({p: a.shape for p, a in arrays.items()}))
 
@@ -52,9 +51,9 @@ class ParamTree(Mapping[str, Tensor]):
         """The tree laid out as ``shapes`` over ``flat``, kept uncopied: pass a vector nothing else writes."""
         return cls.__new__(cls)._set(flat, *_layout_of(shapes))
 
-    def __getitem__(self, path: str) -> Tensor:
+    def __getitem__(self, path: str) -> np.ndarray:
         start, stop, shape = self._spans[path]
-        return Tensor(self._flat[start:stop].reshape(shape))
+        return self._flat[start:stop].reshape(shape)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._spans)
@@ -88,16 +87,9 @@ class ParamTree(Mapping[str, Tensor]):
         """A congruent tree holding a copy of the flat vector ``flat``."""
         return self._like(np.array(flat, dtype=np.float64))
 
-    def add(self, other: "ParamTree") -> "ParamTree":
-        self.require_congruent(other)
-        return self._like(self._flat + other._flat)
-
     def sub(self, other: "ParamTree") -> "ParamTree":
         self.require_congruent(other)
         return self._like(self._flat - other._flat)
-
-    def scale(self, factor: float) -> "ParamTree":
-        return self._like(self._flat * float(factor))
 
     def equal_bits(self, other: "ParamTree") -> bool:
         """True when both trees hold bit-identical values."""
@@ -105,7 +97,7 @@ class ParamTree(Mapping[str, Tensor]):
 
     def __eq__(self, other) -> bool:
         """Equal layouts and equal values; ``Mapping``'s per-path comparison
-        would compare the fresh ``Tensor`` views by identity."""
+        would compare arrays, whose ``==`` is elementwise."""
         if not isinstance(other, ParamTree):
             return NotImplemented
         return self.equal_bits(other)
@@ -135,10 +127,6 @@ def _layout_of(shapes: Mapping[str, tuple[int, ...]]):
         layout.append((path, offset, offset + size, shape))
         offset += size
     return tuple(layout), {path: (start, stop, shape) for path, start, stop, shape in layout}
-
-
-def zeros_like(tree: ParamTree) -> ParamTree:
-    return tree._like(np.zeros(tree.num_values))
 
 
 def combine(base: np.ndarray, deltas: Sequence[np.ndarray], weights: Sequence[float]) -> np.ndarray:

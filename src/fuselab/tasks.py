@@ -48,10 +48,6 @@ class Dataset:
     def __len__(self) -> int:
         return int(self.ys.shape[0])
 
-    def take(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.xs[idx], self.ys[idx])
-
 
 @dataclass(frozen=True)
 class Task:
@@ -71,12 +67,6 @@ class TaskSuite:
     input_dim: int
     num_classes: int
     task_overlap: float
-
-    def by_id(self, task_id: str) -> Task:
-        for t in self.tasks:
-            if t.id == task_id:
-                return t
-        raise ContractError(f"unknown task id {task_id!r}")
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -166,7 +156,7 @@ def teacher_agreement(suite: TaskSuite, n_points: int = 10000, probe_seed: int =
     for t in suite.tasks:
         if t.teacher is None:
             raise ContractError("suite tasks carry no teachers")
-        labels.append(_teacher_labels(t.teacher["teacher.w"].array, t.teacher["teacher.v"].array, xs))
+        labels.append(_teacher_labels(t.teacher["teacher.w"], t.teacher["teacher.v"], xs))
     pairs = list(itertools.combinations(range(len(labels)), 2))
     return float(np.mean([np.mean(labels[a] == labels[b]) for a, b in pairs]))
 

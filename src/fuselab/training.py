@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
 from .checkpoints import Checkpoint, backbone_for
 from .errors import ContractError, TrainingDivergedError
 from .files import write_csv
@@ -73,7 +72,7 @@ def cross_entropy_loss(logits, labels, check: bool = True) -> float:
     and label checks, for a caller that has run ``check_labels`` once on an
     integer label array it reuses.
     """
-    arr = logits.array if isinstance(logits, Tensor) else np.asarray(logits, dtype=np.float64)
+    arr = np.asarray(logits, dtype=np.float64)
     if check:
         labels = np.asarray(labels, dtype=np.int64)
         if arr.ndim != 2 or arr.shape[0] != labels.shape[0]:
@@ -262,12 +261,6 @@ def scored_accuracy(scorer: Scorer, flat: np.ndarray, labels: np.ndarray) -> flo
     if not np.isfinite(logits).all():
         raise ContractError("logits must be finite")
     return accuracy(logits, labels)
-
-
-def evaluate_checkpoint(ckpt: Checkpoint, dataset: Dataset) -> float:
-    return evaluate(
-        ckpt.spec, ckpt.theta0(), ckpt.trained, dataset, anchor=ckpt.initial
-    )
 
 
 def write_metrics_csv(history, path, meta: str = "") -> None:

@@ -102,7 +102,7 @@ def test_01_exact_affinity_of_tangent_adapters():
 
         def logits(a):
             phi = phi0.with_flat(base + a * delta)
-            return forward_linearized(spec, theta0, LinearizedState(phi0, phi), x).array
+            return forward_linearized(spec, theta0, LinearizedState(phi0, phi), x)
 
         y0, y1, y2 = logits(0.0), logits(1.0), logits(2.0)
         resid = float(np.max(np.abs(y2 - 2 * y1 + y0)))
@@ -121,15 +121,15 @@ def test_02_tangency_and_first_order_agreement():
         spec = default_spec(ModeTag.LLORA)
         theta0, phi0 = build_model(spec, seed=int(rng.integers(0, 2**31)))
         x = rng.standard_normal((4, 16))
-        at_anchor = forward_linearized(spec, theta0, LinearizedState(phi0, phi0), x).array
-        nonlin_anchor = forward(spec.with_mode(ModeTag.LORA), theta0, phi0, x).array
+        at_anchor = forward_linearized(spec, theta0, LinearizedState(phi0, phi0), x)
+        nonlin_anchor = forward(spec.with_mode(ModeTag.LORA), theta0, phi0, x)
         worst_tangency = max(worst_tangency, float(np.max(np.abs(at_anchor - nonlin_anchor))))
         d = rng.standard_normal(phi0.num_values)
 
         def gap(eps):
             phi = phi0.with_flat(phi0.flatten() + eps * d)
-            lin = forward_linearized(spec, theta0, LinearizedState(phi0, phi), x).array
-            non = forward(spec.with_mode(ModeTag.LORA), theta0, phi, x).array
+            lin = forward_linearized(spec, theta0, LinearizedState(phi0, phi), x)
+            non = forward(spec.with_mode(ModeTag.LORA), theta0, phi, x)
             return float(np.linalg.norm(non - lin))
 
         ratios.append(gap(1e-3) / gap(5e-4))
@@ -261,8 +261,8 @@ def test_06_task_arithmetic_identities():
     vectors = [compute_task_vector(c) for c in cks]
     x = rng.standard_normal((12, 16))
     zero_lam = task_arithmetic(phi0, vectors, 0.0)
-    pretrained_logits = forward(spec, theta0, phi0, x).array
-    zero_logits = forward(spec, theta0, zero_lam.trainable, x).array
+    pretrained_logits = forward(spec, theta0, phi0, x)
+    zero_logits = forward(spec, theta0, zero_lam.trainable, x)
     ok_zero = zero_logits.tobytes() == pretrained_logits.tobytes()
     avg = simple_average(phi0, cks).trainable.flatten()
     ta = task_arithmetic(phi0, vectors, 1.0 / 3.0).trainable.flatten()

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from fuselab.autodiff import Tensor
 from fuselab.analysis import (
     aggregate_report,
     disentanglement_error,
@@ -18,7 +17,7 @@ from fuselab.analysis import (
 )
 from fuselab.errors import ContractError, ResourceLimitError
 from fuselab.models import LinearizedState, ModeTag, ModelSpec, build_model, forward
-from fuselab.params import ParamTree, zeros_like
+from fuselab.params import ParamTree
 from fuselab.task_vectors import TaskVector
 from fuselab.tasks import Dataset
 from fuselab.training import cross_entropy_loss
@@ -45,15 +44,15 @@ class TestDisentanglementError:
         # with nu2 = 0 the combined model is phi0 + l1*nu1: the first task's
         # term vanishes and the second term no longer depends on l2
         spec, theta0, phi0, nu1, _, d1, d2 = lora_setting()
-        zero = TaskVector(zeros_like(phi0), spec.mode, "z")
+        zero = TaskVector(phi0.with_flat(np.zeros(phi0.num_values)), spec.mode, "z")
         assert disentanglement_error(spec, theta0, phi0, nu1, zero, 0.0, 1.3, (d1, d2)) == 0.0
         base = disentanglement_error(spec, theta0, phi0, nu1, zero, 0.5, 0.0, (d1, d2))
         for l2 in (-1.0, 0.7, 2.0):
             xi = disentanglement_error(spec, theta0, phi0, nu1, zero, 0.5, l2, (d1, d2))
             assert xi == base
-        combined = phi0.add(nu1.delta.scale(0.5))
-        p0 = np.argmax(forward(spec, theta0, phi0, d2.xs).array, axis=1)
-        pc = np.argmax(forward(spec, theta0, combined, d2.xs).array, axis=1)
+        combined = phi0.with_flat(phi0.flatten() + nu1.delta.flatten() * 0.5)
+        p0 = np.argmax(forward(spec, theta0, phi0, d2.xs), axis=1)
+        pc = np.argmax(forward(spec, theta0, combined, d2.xs), axis=1)
         assert base == pytest.approx(float(np.mean(p0 != pc)), abs=0)
 
     def test_hand_counted_disagreement(self):
@@ -61,21 +60,21 @@ class TestDisentanglementError:
         spec = ModelSpec(input_dim=1, hidden_dims=(), num_classes=2,
                          lora_rank=1, lora_alpha=1.0, mode=ModeTag.LORA)
         theta0 = ParamTree({
-            "layers.0.weight": Tensor([[1.0], [-1.0]]),
-            "layers.0.bias": Tensor([0.0, 0.0]),
+            "layers.0.weight": np.array([[1.0], [-1.0]]),
+            "layers.0.bias": np.array([0.0, 0.0]),
         })
         phi0 = ParamTree({
-            "layers.0.lora_a": Tensor([[1.0]]),
-            "layers.0.lora_b": Tensor([[0.0], [0.0]]),
+            "layers.0.lora_a": np.array([[1.0]]),
+            "layers.0.lora_b": np.array([[0.0], [0.0]]),
         })
         # nu1 pushes class-0 logit up strongly, nu2 pushes class-1 logit up
         nu1 = TaskVector(ParamTree({
-            "layers.0.lora_a": Tensor([[0.0]]),
-            "layers.0.lora_b": Tensor([[10.0], [0.0]]),
+            "layers.0.lora_a": np.array([[0.0]]),
+            "layers.0.lora_b": np.array([[10.0], [0.0]]),
         }), spec.mode, "a")
         nu2 = TaskVector(ParamTree({
-            "layers.0.lora_a": Tensor([[0.0]]),
-            "layers.0.lora_b": Tensor([[0.0], [30.0]]),
+            "layers.0.lora_a": np.array([[0.0]]),
+            "layers.0.lora_b": np.array([[0.0], [30.0]]),
         }), spec.mode, "b")
         xs = np.array([[1.0], [2.0], [3.0]])
         d = Dataset(xs, np.zeros(3, dtype=int))
@@ -104,8 +103,8 @@ class TestDisentanglementError:
 class TestDisentanglementGrid:
     def test_zero_vectors_zero_grid(self):
         spec, theta0, phi0, _, _, d1, d2 = lora_setting(seed=5)
-        zero1 = TaskVector(zeros_like(phi0), spec.mode, "z1")
-        zero2 = TaskVector(zeros_like(phi0), spec.mode, "z2")
+        zero1 = TaskVector(phi0.with_flat(np.zeros(phi0.num_values)), spec.mode, "z1")
+        zero2 = TaskVector(phi0.with_flat(np.zeros(phi0.num_values)), spec.mode, "z2")
         grid = disentanglement_grid(spec, theta0, phi0, zero1, zero2, (d1, d2),
                                     resolution=5)
         assert np.all(grid.xi == 0.0)
@@ -128,22 +127,22 @@ class TestDisentanglementGrid:
         spec = ModelSpec(input_dim=4, hidden_dims=(), num_classes=2,
                          lora_rank=2, lora_alpha=2.0, mode=ModeTag.LLORA)
         theta0 = ParamTree({
-            "layers.0.weight": Tensor(0.1 * np.array([[1.0, -1.0, 2.0, 0.5],
-                                                      [0.3, 0.7, -1.2, 1.1]])),
-            "layers.0.bias": Tensor([0.0, 0.0]),
+            "layers.0.weight": 0.1 * np.array([[1.0, -1.0, 2.0, 0.5],
+                                               [0.3, 0.7, -1.2, 1.1]]),
+            "layers.0.bias": np.array([0.0, 0.0]),
         })
         a0 = np.array([[1.0, 2.0, 0.0, 0.0],
                        [0.0, 0.0, 1.5, -1.0]])
         b0 = np.array([[0.5, -0.3], [0.2, 0.4]])
-        phi0 = ParamTree({"layers.0.lora_a": Tensor(a0), "layers.0.lora_b": Tensor(b0)})
+        phi0 = ParamTree({"layers.0.lora_a": a0, "layers.0.lora_b": b0})
         # nu1: touch A row 0 (block-1 inputs) and B column 0 only
         nu1 = TaskVector(ParamTree({
-            "layers.0.lora_a": Tensor(np.array([[0.8, -0.6, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])),
-            "layers.0.lora_b": Tensor(np.array([[0.9, 0.0], [-0.7, 0.0]])),
+            "layers.0.lora_a": np.array([[0.8, -0.6, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]),
+            "layers.0.lora_b": np.array([[0.9, 0.0], [-0.7, 0.0]]),
         }), spec.mode, "a")
         nu2 = TaskVector(ParamTree({
-            "layers.0.lora_a": Tensor(np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.1, 0.4]])),
-            "layers.0.lora_b": Tensor(np.array([[0.0, -0.5], [0.0, 0.6]])),
+            "layers.0.lora_a": np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.1, 0.4]]),
+            "layers.0.lora_b": np.array([[0.0, -0.5], [0.0, 0.6]]),
         }), spec.mode, "b")
         rng = np.random.default_rng(7)
         x1 = np.zeros((30, 4))
@@ -193,11 +192,11 @@ class TestLossLandscape:
         spec, theta0, theta1, theta2, d1, d2 = self.setting()
         axes = np.array([-0.5, 0.5, 1.5])
         grid = loss_landscape_grid(spec, theta0, theta1, theta2, axes, axes, (d1, d2))
-        v1 = theta1.sub(theta0)
-        v2 = theta2.sub(theta0)
+        v1 = theta1.sub(theta0).flatten()
+        v2 = theta2.sub(theta0).flatten()
         for i, l1 in enumerate(axes):
             for j, l2 in enumerate(axes):
-                theta = theta0.add(v1.scale(float(l1))).add(v2.scale(float(l2)))
+                theta = theta0.with_flat(theta0.flatten() + v1 * float(l1) + v2 * float(l2))
                 want = sum(
                     cross_entropy_loss(forward(spec, theta0, theta, d.xs), d.ys)
                     for d in (d1, d2)

@@ -27,7 +27,8 @@ from fuselab.fusion import FusionConfig, replay_merge
 from fuselab.models import ModeTag, ModelSpec
 from fuselab.pipeline import load_mode_checkpoints, load_tasks
 from fuselab.tasks import make_task_suite
-from fuselab.training import TrainConfig, evaluate_checkpoint
+from fuselab.training import TrainConfig
+from test_training import checkpoint_accuracy
 
 FAST_CONFIG = {
     "master_seed": 7,
@@ -97,10 +98,11 @@ class TestGenTasks:
             seed=derive_seed(resolved["master_seed"], "suite"),
         )
         tasks = {t.id: t for t in load_tasks(resolved, out)}
+        fresh_tasks = {t.id: t for t in fresh.tasks}
         cks = load_mode_checkpoints(resolved, out, ModeTag.LORA)
         for ck in cks:
-            from_file = evaluate_checkpoint(ck, tasks[ck.task_id].val)
-            in_memory = evaluate_checkpoint(ck, fresh.by_id(ck.task_id).val)
+            from_file = checkpoint_accuracy(ck, tasks[ck.task_id].val)
+            in_memory = checkpoint_accuracy(ck, fresh_tasks[ck.task_id].val)
             assert from_file == in_memory
             assert from_file == ck.metrics["final_val_accuracy"]
 
@@ -127,7 +129,7 @@ class TestFinetuneCmd:
         resolved = load_config(cfg)
         tasks = {t.id: t for t in load_tasks(resolved, out)}
         for ck in load_mode_checkpoints(resolved, out, ModeTag.LLORA):
-            acc = evaluate_checkpoint(ck, tasks[ck.task_id].val)
+            acc = checkpoint_accuracy(ck, tasks[ck.task_id].val)
             assert acc > 1.0 / 3.0
 
     def test_metrics_sidecars_written(self, run_dir):
@@ -172,20 +174,41 @@ class TestFuseCmd:
         assert replayed.digest() == record["merged_digest"]
 
 
-@pytest.mark.parametrize("algorithm, hyperparameters, named", [
-    ("task_arithmetic", {}, "lambda"),
-    ("task_arithmetic", {"lambda": "0.5"}, "lambda"),
-    ("ties_merging", {"lambda": 0.5}, "k"),
-    ("lorahub", {"weights": {"task0": 0.5}}, "task1"),
-    ("lorahub", {"weights": {"task0": 0.5, "task1": "0.5"}}, "task1"),
-], ids=["lambda_missing", "lambda_string", "k_missing", "weight_missing", "weight_string"])
-def test_replay_reads_each_recorded_hyperparameter_by_exact_kind(run_dir, algorithm, hyperparameters, named):
-    # A missing lambda or lorahub weight used to raise a raw KeyError, and a
-    # string one was coerced and replayed.
+KEPT, NOT_AN_OBJECT = object(), object()
+
+
+@pytest.mark.parametrize("algorithm, hyperparameters, task_ids, named", [
+    ("task_arithmetic", {}, KEPT, "lambda"),
+    ("task_arithmetic", {"lambda": "0.5"}, KEPT, "lambda"),
+    ("ties_merging", {"lambda": 0.5}, KEPT, "k"),
+    ("lorahub", {"weights": {"task0": 0.5}}, KEPT, "task1"),
+    ("lorahub", {"weights": {"task0": 0.5, "task1": "0.5"}}, KEPT, "task1"),
+    ("task_arithmetic", {"lambda": 0.5}, ["task0", "task0"], "task_ids"),
+    ("task_arithmetic", {"lambda": 0.5}, None, "task_ids"),
+    ("task_arithmetic", {"lambda": 0.5}, [["task0"]], "task_ids"),
+    ("task_arithmetic", {"lambda": 0.5}, "task0", "task_ids"),
+    ("task_arithmetic", {"lambda": 0.5}, [], "task_ids"),
+    ("task_arithmetic", {"lambda": 0.5}, ["task0", "task9"], "task_ids"),
+    ("task_arithmetic", {"lambda": 0.5}, NOT_AN_OBJECT, "task_ids"),
+], ids=["lambda_missing", "lambda_string", "k_missing", "weight_missing", "weight_string",
+        "task_ids_repeated", "task_ids_missing", "task_ids_nested", "task_ids_string",
+        "task_ids_empty", "task_ids_unknown", "record_a_list"])
+def test_replay_reads_each_recorded_hyperparameter_by_exact_kind(run_dir, algorithm, hyperparameters,
+                                                                 task_ids, named):
+    # Each field the replay reads must be recorded with its exact kind, or the
+    # error names it: a coerced string lambda, a repeated task id (which
+    # counts its vector twice) or a string task_ids (read character by
+    # character) would replay a merge that was never made.
     cfg, out = run_dir
     resolved = load_config(cfg)
     record = json.loads((out / "fusion/task_arithmetic/lora/task0+task1.provenance.json").read_text())
     record.update(algorithm=algorithm, hyperparameters=hyperparameters)
+    if task_ids is None:
+        del record["task_ids"]
+    elif task_ids is NOT_AN_OBJECT:
+        record = [record]
+    elif task_ids is not KEPT:
+        record["task_ids"] = task_ids
     with pytest.raises(ContractError, match=repr(named)):
         replay_merge(record, load_mode_checkpoints(resolved, out, ModeTag.LORA))
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuselab import autodiff as ad
-from fuselab.autodiff import Tensor, jvp
+from fuselab.autodiff import jvp
 from fuselab.errors import ContractError
 from fuselab.fusion import ties_trim
 from fuselab.models import (
@@ -36,7 +36,7 @@ class TestBuildModel:
         lora_logits = forward(spec, theta0, phi0, x)
         full = spec.with_mode(ModeTag.FULL_FT)
         full_logits = forward(full, theta0, theta0, x)
-        assert np.array_equal(lora_logits.array, full_logits.array)
+        assert np.array_equal(lora_logits, full_logits)
 
     def test_same_seed_bit_identical(self):
         spec = small_spec(ModeTag.LLORA)
@@ -64,18 +64,18 @@ class TestForward:
     def test_one_layer_hand_weights(self):
         spec = ModelSpec(input_dim=2, hidden_dims=(), num_classes=2, mode=ModeTag.FULL_FT)
         theta = ParamTree({
-            "layers.0.weight": Tensor([[1.0, 2.0], [3.0, 4.0]]),
-            "layers.0.bias": Tensor([0.5, -0.5]),
+            "layers.0.weight": np.array([[1.0, 2.0], [3.0, 4.0]]),
+            "layers.0.bias": np.array([0.5, -0.5]),
         })
         logits = forward(spec, theta, theta, np.array([[1.0, 1.0]]))
-        assert np.array_equal(logits.array, [[3.5, 6.5]])
+        assert np.array_equal(logits, [[3.5, 6.5]])
 
     def test_identical_rows_identical_logits(self):
         spec = small_spec(ModeTag.LORA)
         theta0, phi0 = build_model(spec, seed=3)
         row = np.random.default_rng(1).standard_normal(4)
         logits = forward(spec, theta0, phi0, np.stack([row, row]))
-        assert np.array_equal(logits.array[0], logits.array[1])
+        assert np.array_equal(logits[0], logits[1])
 
     def test_incongruent_tree_rejected(self):
         spec = small_spec(ModeTag.LORA)
@@ -91,7 +91,7 @@ class TestForwardLinearized:
         x = np.random.default_rng(2).standard_normal((5, 4))
         lin = forward_linearized(spec, theta0, LinearizedState(phi0, phi0), x)
         base = forward(spec, theta0, phi0, x)
-        assert np.max(np.abs(lin.array - base.array)) <= 1e-12
+        assert np.max(np.abs(lin - base)) <= 1e-12
 
     def test_scalar_taylor_hand_case(self):
         # f(phi) = phi^2 * x at phi0=1, phi=2, x=1: value 1, tangent 2 -> 3
@@ -109,7 +109,7 @@ class TestForwardLinearized:
         phi = theta0.with_flat(theta0.flatten() + rng.standard_normal(theta0.num_values))
         lin = forward_linearized(spec, theta0, LinearizedState(theta0, phi), x)
         nonlin = forward(spec.with_mode(ModeTag.FULL_FT), theta0, phi, x)
-        assert np.max(np.abs(lin.array - nonlin.array)) <= 1e-12
+        assert np.max(np.abs(lin - nonlin)) <= 1e-12
 
     def test_nonlinearized_mode_rejected(self):
         spec = small_spec(ModeTag.LORA)
@@ -128,7 +128,7 @@ class TestTangentModelProperties:
 
         def at(a):
             phi = phi0.with_flat(phi0.flatten() + a * delta.flatten())
-            return forward_linearized(spec, theta0, LinearizedState(phi0, phi), x).array
+            return forward_linearized(spec, theta0, LinearizedState(phi0, phi), x)
 
         y0, y1, y2 = at(0.0), at(1.0), at(2.0)
         resid = np.max(np.abs(y2 - 2 * y1 + y0))
@@ -144,8 +144,8 @@ class TestTangentModelProperties:
 
         def gap(eps):
             phi = phi0.with_flat(phi0.flatten() + eps * d)
-            lin = forward_linearized(spec, theta0, LinearizedState(phi0, phi), x).array
-            nonlin = forward(spec.with_mode(ModeTag.LORA), theta0, phi, x).array
+            lin = forward_linearized(spec, theta0, LinearizedState(phi0, phi), x)
+            nonlin = forward(spec.with_mode(ModeTag.LORA), theta0, phi, x)
             return float(np.linalg.norm(nonlin - lin))
 
         ratio = gap(1e-3) / gap(5e-4)
@@ -154,9 +154,9 @@ class TestTangentModelProperties:
     def test_backbone_never_mutated_by_forward(self):
         spec = small_spec(ModeTag.LORA)
         theta0, phi0 = build_model(spec, seed=12)
-        before = {p: t.array.tobytes() for p, t in theta0.items()}
+        before = {p: t.tobytes() for p, t in theta0.items()}
         forward(spec, theta0, phi0, np.random.default_rng(1).standard_normal((8, 4)))
-        assert {p: t.array.tobytes() for p, t in theta0.items()} == before
+        assert {p: t.tobytes() for p, t in theta0.items()} == before
 
 
 # --- exact affinity of tangent models -----------------------------------------
@@ -190,10 +190,10 @@ def test_tangent_logits_are_affine_in_the_parameters(case, a, b):
     d1, d2 = rng.standard_normal((2, base.size))
 
     def offset(flat):
-        logits = predict_logits(spec, theta0, anchor, anchor.with_flat(flat), x).array
+        logits = predict_logits(spec, theta0, anchor, anchor.with_flat(flat), x)
         return logits - f0
 
-    f0 = predict_logits(spec, theta0, anchor, anchor, x).array
+    f0 = predict_logits(spec, theta0, anchor, anchor, x)
     o1, o2 = offset(base + d1), offset(base + d2)
     combined = offset(base + a * d1 + b * d2)
     scale = max(np.abs(a * o1).max(), np.abs(b * o2).max(), np.abs(f0).max(), 1.0)
@@ -226,7 +226,7 @@ def test_tangent_features_match_forward_linearized(mode, case):
     scorer = Scorer(spec, theta0, anchor, x)
     flat = combine(base, directions, weights)
     fast = scorer.candidates(flat[None], [directions], [weights])[0]
-    oracle = forward_linearized(spec, theta0, LinearizedState(anchor, anchor.with_flat(flat)), x).array
+    oracle = forward_linearized(spec, theta0, LinearizedState(anchor, anchor.with_flat(flat)), x)
     f0 = scorer.candidates(base[None], [[]], [[]])[0]
     net = Network(spec, theta0, anchor)
     jds = [net.jvp(base, d, net.activations(base, x))[1] for d in directions]
@@ -239,7 +239,7 @@ def test_tangent_features_without_directions_is_the_anchor_forward(monkeypatch):
     spec = small_spec(ModeTag.LLORA)
     theta0, anchor = build_model(spec, seed=3)
     x = np.random.default_rng(4).standard_normal((5, 4))
-    want = forward_linearized(spec, theta0, LinearizedState(anchor, anchor), x).array
+    want = forward_linearized(spec, theta0, LinearizedState(anchor, anchor), x)
     jvps = []
     monkeypatch.setattr(Network, "jvp", lambda *args: jvps.append(args))
     f0 = Scorer(spec, theta0, anchor, x).candidates(anchor.flatten()[None], [[]], [[]])[0]
@@ -267,14 +267,14 @@ def test_candidate_logits_match_predict_logits(mode):
     for weights in ([0.7, -1.3], [1.5, 0.25]):
         flat = combine(base, directions, weights)
         got = scorer.candidates(flat[None], [directions], [weights])[0]
-        want = predict_logits(spec, theta0, anchor, anchor.with_flat(flat), x).array
+        want = predict_logits(spec, theta0, anchor, anchor.with_flat(flat), x)
         if mode.is_linearized:
-            f0 = predict_logits(spec, theta0, anchor, anchor, x).array
+            f0 = predict_logits(spec, theta0, anchor, anchor, x)
             scale = max(np.abs(f0).max(), np.abs(want - f0).max(), 1.0)
             assert np.max(np.abs(got - want)) <= 1e-12 * scale
         else:
             assert np.array_equal(got, want)
-        assert np.abs(got - predict_logits(spec, theta0, anchor, anchor, x).array).max() > 1e-6
+        assert np.abs(got - predict_logits(spec, theta0, anchor, anchor, x)).max() > 1e-6
 
 
 @pytest.mark.parametrize("mode", list(ModeTag))

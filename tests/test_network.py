@@ -25,7 +25,6 @@ def traced_program(spec: ModelSpec, theta0: ParamTree, x: np.ndarray, template: 
     peft = spec.mode.is_peft
     scale = spec.lora_alpha / spec.lora_rank
     layer_dims = spec.layer_dims()
-    theta_arrays = {p: t.array for p, t in theta0.items()}
 
     def f(flat):
         parts = {
@@ -36,8 +35,8 @@ def traced_program(spec: ModelSpec, theta0: ParamTree, x: np.ndarray, template: 
         last = len(layer_dims) - 1
         for i in range(len(layer_dims)):
             if peft:
-                w0 = theta_arrays[f"layers.{i}.weight"]
-                b0 = theta_arrays[f"layers.{i}.bias"]
+                w0 = theta0[f"layers.{i}.weight"]
+                b0 = theta0[f"layers.{i}.bias"]
                 delta = ad.mul(ad.matmul(parts[f"layers.{i}.lora_b"], parts[f"layers.{i}.lora_a"]), scale)
                 w_eff = ad.add(w0, delta)
                 z = ad.add(ad.matmul(h, ad.transpose2d(w_eff)), b0)

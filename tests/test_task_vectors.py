@@ -1,9 +1,8 @@
-"""Task-vector deltas, combination, and cosine geometry."""
+"""Task-vector deltas and cosine geometry."""
 
 import numpy as np
 import pytest
 
-from fuselab.autodiff import Tensor
 from fuselab.checkpoints import Checkpoint, load_checkpoint, save_checkpoint
 from fuselab.errors import ContractError, UndefinedSimilarityError
 from fuselab.models import ModeTag, ModelSpec, build_model
@@ -12,16 +11,18 @@ from fuselab.task_vectors import (
     TaskVector,
     compute_task_vector,
     cosine_similarity,
-    embed_in_joint_space,
-    linear_combine,
     similarity_matrix,
     write_similarity_csv,
 )
 
 
 def vec(values, mode=ModeTag.LORA, task_id="t"):
-    return TaskVector(ParamTree({"p": Tensor(np.asarray(values, dtype=float))}),
+    return TaskVector(ParamTree({"p": np.asarray(values, dtype=float)}),
                       ModeTag(mode), task_id)
+
+
+def scaled(v, factor):
+    return TaskVector(v.delta.with_flat(v.delta.flatten() * factor), v.mode, v.task_id)
 
 
 class TestComputeTaskVector:
@@ -34,13 +35,13 @@ class TestComputeTaskVector:
 
     def test_hand_arithmetic(self):
         spec = ModelSpec(input_dim=2, hidden_dims=(), num_classes=2, mode=ModeTag.FULL_FT)
-        init = ParamTree({"layers.0.weight": Tensor([[1.0, 2.0]] * 2),
-                          "layers.0.bias": Tensor([0.0, 0.0])})
-        trained = ParamTree({"layers.0.weight": Tensor([[3.0, 1.0]] * 2),
-                             "layers.0.bias": Tensor([0.5, -0.5])})
+        init = ParamTree({"layers.0.weight": np.array([[1.0, 2.0]] * 2),
+                          "layers.0.bias": np.array([0.0, 0.0])})
+        trained = ParamTree({"layers.0.weight": np.array([[3.0, 1.0]] * 2),
+                             "layers.0.bias": np.array([0.5, -0.5])})
         tv = compute_task_vector(Checkpoint(spec, "t0", 0, init, trained))
-        assert np.array_equal(tv.delta["layers.0.weight"].array, [[2.0, -1.0]] * 2)
-        assert np.array_equal(tv.delta["layers.0.bias"].array, [0.5, -0.5])
+        assert np.array_equal(tv.delta["layers.0.weight"], [[2.0, -1.0]] * 2)
+        assert np.array_equal(tv.delta["layers.0.bias"], [0.5, -0.5])
 
     def test_round_tripped_checkpoint_bit_identical(self, tmp_path):
         spec = ModelSpec(input_dim=4, hidden_dims=(8,), num_classes=3, mode=ModeTag.LORA)
@@ -56,32 +57,6 @@ class TestComputeTaskVector:
         assert tv1.delta.equal_bits(tv2.delta)
 
 
-class TestLinearCombine:
-    def test_uniform_weights_equal_mean(self):
-        vs = [vec([1.0, 2.0], task_id="a"), vec([3.0, 4.0], task_id="b")]
-        combo = linear_combine(vs, [0.5, 0.5])
-        assert np.array_equal(combo.delta["p"].array, [2.0, 3.0])
-
-    def test_selector_weights(self):
-        vs = [vec([1.0, -1.0], task_id="a"), vec([9.0, 9.0], task_id="b")]
-        combo = linear_combine(vs, [1.0, 0.0])
-        assert np.array_equal(combo.delta["p"].array, [1.0, -1.0])
-
-    def test_algebraic_cancellation(self):
-        v = vec([0.5, -2.5], task_id="a")
-        combo = linear_combine([v, v], [2.0, -1.0])
-        assert np.array_equal(combo.delta["p"].array, v.delta["p"].array)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ContractError):
-            linear_combine([], [])
-
-    def test_mode_mismatch_rejected(self):
-        with pytest.raises(ContractError):
-            linear_combine([vec([1.0], mode=ModeTag.LORA), vec([1.0], mode=ModeTag.LLORA)],
-                           [1.0, 1.0])
-
-
 class TestCosine:
     def test_self_similarity_is_one(self):
         v = vec([0.3, -0.7, 2.0])
@@ -92,7 +67,7 @@ class TestCosine:
 
     def test_antiparallel_scaled(self):
         v = vec([0.4, -1.2, 3.3])
-        w = v.scale(-2.0)
+        w = scaled(v, -2.0)
         assert cosine_similarity(v, w) == pytest.approx(-1.0, abs=1e-12)
 
     def test_scale_invariance(self):
@@ -101,7 +76,7 @@ class TestCosine:
         v2 = vec(rng.standard_normal(20), task_id="b")
         base = cosine_similarity(v1, v2)
         for a, b in [(2.5, 0.1), (-3.0, 7.0), (-1e-3, -4.0)]:
-            got = cosine_similarity(v1.scale(a), v2.scale(b))
+            got = cosine_similarity(scaled(v1, a), scaled(v2, b))
             assert got == pytest.approx(np.sign(a * b) * base, abs=1e-12)
 
     def test_zero_vector_undefined(self):
@@ -141,36 +116,6 @@ class TestSimilarityMatrix:
                 assert m[i, j] == cosine_similarity(vs[i], vs[j])
         assert np.max(np.abs(m - m.T)) <= 1e-12
         assert np.array_equal(np.diag(m), np.ones(4))
-
-
-class TestJointSpace:
-    def test_padding_preserves_cosines_exactly(self):
-        spec = ModelSpec(input_dim=6, hidden_dims=(5,), num_classes=3,
-                         lora_rank=2, mode=ModeTag.LORA)
-        _, phi0 = build_model(spec, seed=8)
-        rng = np.random.default_rng(9)
-        vs = [TaskVector(phi0.with_flat(rng.standard_normal(phi0.num_values)),
-                         ModeTag.LORA, f"t{i}") for i in range(3)]
-        embedded = [embed_in_joint_space(v, spec) for v in vs]
-        for i in range(3):
-            for j in range(3):
-                assert cosine_similarity(vs[i], vs[j]) == cosine_similarity(
-                    embedded[i], embedded[j]
-                )
-
-    def test_embedded_cross_mode_comparable(self):
-        spec = ModelSpec(input_dim=6, hidden_dims=(5,), num_classes=3,
-                         lora_rank=2, mode=ModeTag.LORA)
-        theta0, phi0 = build_model(spec, seed=10)
-        rng = np.random.default_rng(11)
-        peft = TaskVector(phi0.with_flat(rng.standard_normal(phi0.num_values)),
-                          ModeTag.LORA, "a")
-        full = TaskVector(theta0.with_flat(rng.standard_normal(theta0.num_values)),
-                          ModeTag.FULL_FT, "b")
-        ej = embed_in_joint_space(peft, spec)
-        ef = embed_in_joint_space(full, spec)
-        # disjoint supports: dot is exactly zero
-        assert cosine_similarity(ej, ef) == pytest.approx(0.0, abs=0)
 
 
 def test_similarity_csv_round_number_format(tmp_path):

@@ -95,7 +95,7 @@ def per_value_rows(task) -> list[str]:
 def test_each_data_row_is_the_per_value_format(tmp_path, xs):
     xs = np.array(xs)
     ds = Dataset(xs, np.arange(len(xs)) % 2)
-    task = Task("task0", ds, ds.take([2, 0]), ds.take([1]))
+    task = Task("task0", ds, Dataset(ds.xs[[2, 0]], ds.ys[[2, 0]]), Dataset(ds.xs[[1]], ds.ys[[1]]))
     suite = TaskSuite((task,), seed=0, input_dim=xs.shape[1], num_classes=2, task_overlap=0.5)
     path = tmp_path / "task0.csv"
     export_task(task, path, suite)

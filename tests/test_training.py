@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from fuselab import models
-from fuselab.autodiff import Tensor
 from fuselab.checkpoints import Checkpoint, load_checkpoint, save_checkpoint
 from fuselab.errors import ContractError, TrainingDivergedError, ConfigError
 from fuselab.models import ModeTag, ModelSpec, Network, Scorer, build_model
@@ -19,9 +18,12 @@ from fuselab.training import (
     ce_logit_gradient,
     cross_entropy_loss,
     evaluate,
-    evaluate_checkpoint,
     finetune,
 )
+
+
+def checkpoint_accuracy(ckpt, dataset):
+    return evaluate(ckpt.spec, ckpt.theta0(), ckpt.trained, dataset, anchor=ckpt.initial)
 
 
 def default_spec(mode):
@@ -72,7 +74,7 @@ class TestFinetune:
         theta0, phi0 = build_model(spec, seed=1)
         cfg = TrainConfig(steps=300, shuffle_seed=3)
         ckpt, _ = finetune(spec, theta0, phi0, suite.tasks[0], cfg, init_seed=1)
-        acc = evaluate_checkpoint(ckpt, suite.tasks[0].val)
+        acc = checkpoint_accuracy(ckpt, suite.tasks[0].val)
         assert acc > 1.0 / 3.0
 
     def test_llora_learns_above_chance(self, suite):
@@ -80,7 +82,7 @@ class TestFinetune:
         theta0, phi0 = build_model(spec, seed=1)
         cfg = TrainConfig(steps=300, shuffle_seed=3)
         ckpt, _ = finetune(spec, theta0, phi0, suite.tasks[0], cfg, init_seed=1)
-        acc = evaluate_checkpoint(ckpt, suite.tasks[0].val)
+        acc = checkpoint_accuracy(ckpt, suite.tasks[0].val)
         assert acc > 1.0 / 3.0
 
     def test_determinism_bit_identical(self, suite):
@@ -95,10 +97,10 @@ class TestFinetune:
     def test_backbone_untouched_in_peft(self, suite):
         spec = default_spec(ModeTag.LORA)
         theta0, phi0 = build_model(spec, seed=5)
-        before = {p: t.array.tobytes() for p, t in theta0.items()}
+        before = {p: t.tobytes() for p, t in theta0.items()}
         finetune(spec, theta0, phi0, suite.tasks[0],
                  TrainConfig(steps=30, shuffle_seed=1), init_seed=5)
-        assert {p: t.array.tobytes() for p, t in theta0.items()} == before
+        assert {p: t.tobytes() for p, t in theta0.items()} == before
 
     def test_divergence_reports_step(self, suite):
         spec = default_spec(ModeTag.FULL_FT)
@@ -137,8 +139,8 @@ class TestEvaluate:
     def test_all_correct(self):
         spec = ModelSpec(input_dim=2, hidden_dims=(), num_classes=2, mode=ModeTag.FULL_FT)
         theta = ParamTree({
-            "layers.0.weight": Tensor([[1.0, 0.0], [0.0, 1.0]]),
-            "layers.0.bias": Tensor([0.0, 0.0]),
+            "layers.0.weight": np.array([[1.0, 0.0], [0.0, 1.0]]),
+            "layers.0.bias": np.array([0.0, 0.0]),
         })
         ds = Dataset(np.array([[2.0, 0.0], [0.0, 2.0]]), np.array([0, 1]))
         assert evaluate(spec, theta, theta, ds) == 1.0
@@ -153,8 +155,8 @@ class TestEvaluate:
     def test_tie_resolves_to_class_zero(self):
         spec = ModelSpec(input_dim=2, hidden_dims=(), num_classes=3, mode=ModeTag.FULL_FT)
         theta = ParamTree({
-            "layers.0.weight": Tensor(np.zeros((3, 2))),
-            "layers.0.bias": Tensor(np.zeros(3)),
+            "layers.0.weight": np.zeros((3, 2)),
+            "layers.0.bias": np.zeros(3),
         })
         ds = Dataset(np.ones((4, 2)), np.array([0, 0, 1, 2]))
         assert evaluate(spec, theta, theta, ds) == pytest.approx(0.5)
@@ -183,7 +185,7 @@ class TestCheckpointFiles:
         assert loaded.initial.equal_bits(ckpt.initial)
         assert loaded.spec == ckpt.spec
         assert loaded.task_id == ckpt.task_id
-        assert evaluate_checkpoint(loaded, suite.tasks[0].val) == evaluate_checkpoint(
+        assert checkpoint_accuracy(loaded, suite.tasks[0].val) == checkpoint_accuracy(
             ckpt, suite.tasks[0].val
         )
 
