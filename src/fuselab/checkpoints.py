@@ -3,14 +3,14 @@
 A checkpoint file is JSON holding the architecture spec, paradigm, init
 seed, backbone digest, and the initial plus trained trainable trees as
 base64-wrapped little-endian float64 payloads. The trailing digest covers
-every other field, so any corruption is detectable; the backbone digest
-pins the (spec, seed) pair the trainable trees belong to.
+every other field, so any corruption is detectable. The seed pins the
+initial point: a file loads only when its backbone digest and its initial
+tree are those ``models.build_model`` makes from its spec and seed.
 """
 
 from __future__ import annotations
 
 import base64
-import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,12 +22,6 @@ from .params import ParamTree
 
 FORMAT = "fuselab-checkpoint"
 VERSION = 1
-
-
-@functools.lru_cache(maxsize=128)
-def backbone_for(spec: ModelSpec, seed: int) -> ParamTree:
-    """Deterministic backbone rebuild, cached per (spec, seed)."""
-    return build_model(spec, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -46,7 +40,7 @@ class Checkpoint:
         return self.spec.mode
 
     def theta0(self) -> ParamTree:
-        return backbone_for(self.spec, self.init_seed)
+        return build_model(self.spec, self.init_seed)[0]
 
 
 def _encode_tree(tree: ParamTree) -> dict:
@@ -106,17 +100,29 @@ def load_checkpoint(path, expected_config_digest: str | None = None) -> Checkpoi
 
 
 def _parse_checkpoint(path, data: bytes) -> tuple[Checkpoint, object]:
-    """The verified checkpoint in ``data`` and the config digest it records."""
+    """The verified checkpoint in ``data`` and the config digest it records.
+
+    Every field it copies must have its exact kind and agree with the spec:
+    each failure is one ``ContractError`` naming the file and the field.
+    """
     payload = json_object(path, data, "checkpoint")
-    if payload.get("format") != FORMAT or payload.get("version") != VERSION:
-        raise ContractError(f"{path} is not a version-{VERSION} checkpoint file")
+    version = payload.get("version")
+    if payload.get("format") != FORMAT or not (kind_matches(version, VERSION) and version == VERSION):
+        raise ContractError(f"{path} is not a version-{VERSION} checkpoint file (version = {version!r})")
     stored = payload.pop("digest", None)
     if stored != canonical_digest(payload):
         raise ContractError(f"checkpoint {path} is corrupted (digest mismatch)")
     try:
         spec = ModelSpec.from_dict(payload["spec"])
+        if payload["mode"] != spec.mode.value:
+            raise ContractError(f"mode = {payload['mode']!r} contradicts the spec's {spec.mode.value!r}")
+        if not isinstance(payload["task_id"], str):
+            raise ContractError(f"task_id = {payload['task_id']!r} is not a string")
         if not (kind_matches(payload["seed"], 0) and payload["seed"] >= 0):
             raise ContractError(f"seed = {payload['seed']!r} is not a non-negative int")
+        initial = build_model(spec, payload["seed"])[1]
+        if not _decode_tree(payload["initial"], spec).equal_bits(initial):
+            raise ContractError("initial is not the tree build_model makes from the spec and seed")
         metrics = payload["metrics"]
         if not isinstance(metrics, dict):
             raise ContractError(f"metrics = {metrics!r} is not a JSON object")
@@ -128,7 +134,7 @@ def _parse_checkpoint(path, data: bytes) -> tuple[Checkpoint, object]:
             spec=spec,
             task_id=payload["task_id"],
             init_seed=payload["seed"],
-            initial=_decode_tree(payload["initial"], spec),
+            initial=initial,
             trained=_decode_tree(payload["trained"], spec),
             metrics=metrics,
         )

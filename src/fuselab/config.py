@@ -9,10 +9,10 @@ stages refuse inputs carrying a different digest.
 Each default is read from the signature of the code that uses it:
 ``tasks.make_task_suite`` (suite), ``models.ModelSpec`` (lora_rank,
 lora_alpha), ``training.TrainConfig``, ``fusion.FusionConfig`` and
-``analysis.AnalysisConfig``. Only master_seed, hidden_dims and
-fewshot_per_task, which no signature defaults, are spelled here. Only this
-module builds the five owners, passing each leaf of a section to its owner
-by name, cast to its default's kind.
+``analysis.AnalysisConfig``. Only master_seed and hidden_dims, which no
+signature defaults, are spelled here. Only this module builds the five
+owners, passing each leaf of a section to its owner by name, cast to its
+default's kind.
 
 One master seed fans out to per-stage sub-seeds through a labeled hash:
 seed(label...) = first 8 bytes, little-endian, of
@@ -48,7 +48,7 @@ def _defaults(owner, *skip: str) -> dict:
 SUITE_DEFAULTS = _defaults(make_task_suite, "seed")
 MODEL_DEFAULTS = {"hidden_dims": [32, 32], **_defaults(ModelSpec, "mode")}
 TRAIN_DEFAULTS = _defaults(TrainConfig, "shuffle_seed")
-FUSION_DEFAULTS = {**_defaults(FusionConfig, "algorithm"), "fewshot_per_task": 32}
+FUSION_DEFAULTS = _defaults(FusionConfig, "algorithm")
 ANALYSIS_DEFAULTS = _defaults(AnalysisConfig)
 
 MODE_NAMES = [m.value for m in ModeTag]
@@ -94,9 +94,6 @@ def _check_ranges(resolved: dict) -> None:
     _built("suite", split_sizes, suite["n_tasks"], suite["num_classes"],
            suite["samples_per_split"], suite["task_overlap"])
     _built("analysis", analysis_config, resolved)
-    fewshot = resolved["fusion"]["fewshot_per_task"]
-    if fewshot < 1:
-        raise ConfigError(f"fusion.fewshot_per_task = {fewshot} must be at least 1")
 
 
 def resolve_config(raw: dict, seed_override: int | None = None) -> dict:
@@ -106,7 +103,7 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> dict:
     and for range, up front, by the type or function a stage hands them to:
     ``TrainConfig`` (each ``train`` and ``train_overrides`` section),
     ``FusionConfig``, ``ModelSpec`` in an adapter paradigm,
-    ``tasks.split_sizes`` and ``AnalysisConfig``; ``fewshot_per_task`` must be at least 1.
+    ``tasks.split_sizes`` and ``AnalysisConfig``.
     """
     if not isinstance(raw, dict):
         raise ConfigError("run configuration must be a JSON object")
@@ -186,9 +183,7 @@ def train_config(resolved: dict, mode: ModeTag | str, task_id: str) -> TrainConf
 
 
 def fusion_config(resolved: dict, algorithm: str) -> FusionConfig:
-    leaves = dict(resolved["fusion"])
-    del leaves["fewshot_per_task"]  # it sizes the pipeline's lorahub sample, not a FusionConfig field
-    return _by_name(FusionConfig, leaves, FUSION_DEFAULTS, algorithm=algorithm)
+    return _by_name(FusionConfig, resolved["fusion"], FUSION_DEFAULTS, algorithm=algorithm)
 
 
 def analysis_config(resolved: dict) -> AnalysisConfig:

@@ -50,6 +50,7 @@ class FusionConfig:
     ties_lambda_grid: tuple[float, ...] = DEFAULT_TIES_GRID
     lorahub_alpha: float = 0.05
     lorahub_max_steps: int = 40
+    fewshot_per_task: int = 32  # validation rows per task in the pipeline's lorahub sample
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -63,6 +64,8 @@ class FusionConfig:
             raise ContractError(f"lorahub_alpha = {self.lorahub_alpha} must be finite and non-negative")
         if self.lorahub_max_steps < 0:
             raise ContractError(f"lorahub_max_steps = {self.lorahub_max_steps} is negative")
+        if self.fewshot_per_task < 1:
+            raise ContractError(f"fewshot_per_task = {self.fewshot_per_task} must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,6 @@ class MergedModel:
     """A fused multi-task model plus the record of how it was built."""
 
     spec: ModelSpec
-    theta0: ParamTree
     initial: ParamTree
     trainable: ParamTree
     provenance: dict = field(default_factory=dict)
@@ -172,41 +174,29 @@ def _candidates(algorithm: str, initial_flat: np.ndarray, deltas: list[np.ndarra
 
 
 def _merge(algorithm: str, initial: ParamTree, ordered: list, deltas, trained, hp: dict,
-           context: tuple[ModelSpec, int, ParamTree] | None) -> MergedModel:
+           spec: ModelSpec | None = None, seed: int | None = None) -> MergedModel:
     """The model ``algorithm`` builds at ``hp``: a one-point grid."""
     flat = next(_candidates(algorithm, initial.flatten(), deltas, trained, [hp]))[2]
-    spec, seed, theta0 = context if context is not None else (None, None, None)
-    return MergedModel(spec, theta0, initial, initial.with_flat(flat),
+    return MergedModel(spec, initial, initial.with_flat(flat),
                        _provenance(algorithm, ordered, hp, init_seed=seed))
 
 
 def simple_average(initial: ParamTree, checkpoints: list[Checkpoint]) -> MergedModel:
     """Elementwise mean of the trained trainable trees."""
-    spec, seed, theta0, shared_initial = _common_context(checkpoints)
+    spec, seed, _, shared_initial = _common_context(checkpoints)
     initial.require_congruent(shared_initial, "initial trees")
     ordered = sorted(checkpoints, key=lambda c: c.task_id)
     trained = [c.trained.flatten() for c in ordered]
-    return _merge("simple_average", initial, ordered, [], trained, {}, (spec, seed, theta0))
+    return _merge("simple_average", initial, ordered, [], trained, {}, spec, seed)
 
 
-def task_arithmetic(
-    initial: ParamTree,
-    vectors: list[TaskVector],
-    lam: float,
-    context: tuple[ModelSpec, int, ParamTree] | None = None,
-) -> MergedModel:
+def task_arithmetic(initial: ParamTree, vectors: list[TaskVector], lam: float) -> MergedModel:
     """initial + lam * (sum of task vectors), one coefficient for the sum."""
     ordered, deltas = _ordered_flats(initial, vectors)
-    return _merge("task_arithmetic", initial, ordered, deltas, None, {"lambda": float(lam)}, context)
+    return _merge("task_arithmetic", initial, ordered, deltas, None, {"lambda": float(lam)})
 
 
-def ties_merge(
-    initial: ParamTree,
-    vectors: list[TaskVector],
-    k: float,
-    lam: float,
-    context: tuple[ModelSpec, int, ParamTree] | None = None,
-) -> MergedModel:
+def ties_merge(initial: ParamTree, vectors: list[TaskVector], k: float, lam: float) -> MergedModel:
     """Trim by magnitude, elect per-coordinate signs, then disjoint-merge.
 
     Per coordinate the elected sign is the sign of the summed trimmed
@@ -216,7 +206,7 @@ def ties_merge(
     """
     ordered, deltas = _ordered_flats(initial, vectors)
     hp = {"k": float(k), "lambda": float(lam)}
-    return _merge("ties_merging", initial, ordered, deltas, None, hp, context)
+    return _merge("ties_merging", initial, ordered, deltas, None, hp)
 
 
 def lorahub_optimize(
@@ -271,7 +261,7 @@ def lorahub_optimize(
     }
     provenance = _provenance("lorahub", ordered, hyperparameters, objective=float(best["obj"]))
     flat = next(_candidates("lorahub", initial.flatten(), deltas, None, [{"weights": weights}]))[2]
-    return weights, MergedModel(spec, theta0, initial, initial.with_flat(flat), provenance)
+    return weights, MergedModel(spec, initial, initial.with_flat(flat), provenance)
 
 
 def _lorahub_objective(spec, theta0, initial: ParamTree, deltas: list[np.ndarray],
@@ -506,7 +496,7 @@ def sweep_and_select(
                              validation_scores=scores, mean_validation_score=float(means[best]),
                              candidates_evaluated=len(keys))
     provenance.update(recorded)
-    return MergedModel(spec, theta0, initial, initial.with_flat(flats[best]), provenance)
+    return MergedModel(spec, initial, initial.with_flat(flats[best]), provenance)
 
 
 def _recorded(record, key: str, what: str):

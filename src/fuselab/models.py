@@ -17,6 +17,7 @@ between the tangent model and the network.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
@@ -143,9 +144,16 @@ def build_model(spec: ModelSpec, seed: int) -> tuple[ParamTree, ParamTree]:
     All backbone draws happen before adapter draws, so every mode built
     from the same seed shares a bit-identical backbone. Adapter A matrices
     are Gaussian(0, 0.02); B matrices start at zero, which makes a freshly
-    adapted model equal to its backbone.
+    adapted model equal to its backbone. This is the one source of the
+    initial point: the last 128 ``(spec, int(seed))`` pairs are memoised,
+    so equal calls return the same two read-only trees.
     """
-    rng = np.random.default_rng(int(seed))
+    return _initial_point(spec, int(seed))
+
+
+@functools.lru_cache(maxsize=128)
+def _initial_point(spec: ModelSpec, seed: int) -> tuple[ParamTree, ParamTree]:
+    rng = np.random.default_rng(seed)
     backbone: dict[str, np.ndarray] = {}
     for i, (din, dout) in enumerate(spec.layer_dims()):
         backbone[f"layers.{i}.weight"] = rng.standard_normal((dout, din)) / np.sqrt(din)

@@ -19,16 +19,17 @@ class ParamTree(Mapping[str, np.ndarray]):
     task-vector geometry and serialization. Trees derived from one another
     share one ``(path, start, stop, shape)`` layout. Two trees are
     congruent when they share the same paths with the same per-path shapes;
-    all arithmetic requires congruence. Every construction checks once that
-    all values are finite. ``tree[path]`` is a read-only view of the flat
-    vector, shaped as the path's array.
+    all arithmetic requires congruence. The constructor takes int or float
+    arrays, or nested lists of numbers of one shape. Every construction
+    checks once that all values are finite; a value it cannot take raises
+    ``ContractError`` naming its path. ``tree[path]`` is a read-only view of
+    the flat vector, shaped as the path's array.
     """
 
     __slots__ = ("_flat", "_layout", "_spans")
 
     def __init__(self, entries: Mapping[str, np.ndarray]):
-        # ascontiguousarray makes a 0-d value shape (1,)
-        arrays = {path: np.ascontiguousarray(v, dtype=np.float64) for path, v in sorted(entries.items())}
+        arrays = {path: _float_array(path, v) for path, v in sorted(entries.items())}
         flat = np.concatenate([a.reshape(-1) for a in arrays.values()]) if arrays else np.zeros(0)
         self._set(flat, *_layout_of({p: a.shape for p, a in arrays.items()}))
 
@@ -37,7 +38,8 @@ class ParamTree(Mapping[str, np.ndarray]):
         if flat.shape != (size,):
             raise ContractError(f"flat vector of length {flat.shape} does not match tree size {size}")
         if not np.isfinite(flat).all():
-            raise ContractError("tensor values must be finite (no NaN/Inf)")
+            path = next(p for p, start, stop, _ in layout if not np.isfinite(flat[start:stop]).all())
+            raise ContractError(f"parameter {path!r} holds a NaN or Inf: tree values must be finite")
         flat.setflags(write=False)
         self._flat, self._layout, self._spans = flat, layout, spans
         return self
@@ -116,6 +118,18 @@ class ParamTree(Mapping[str, np.ndarray]):
 
     def __repr__(self) -> str:
         return f"ParamTree({len(self)} paths, {self.num_values} values)"
+
+
+def _float_array(path: str, value) -> np.ndarray:
+    """``value`` as a contiguous float64 array, a 0-d value shaped (1,)."""
+    try:
+        array = np.asarray(value)
+    except ValueError as e:  # a ragged nesting
+        raise ContractError(f"parameter {path!r} is not an array of numbers: {e}") from e
+    if array.dtype.kind not in "iuf":  # bools, strings, None and other objects
+        raise ContractError(f"parameter {path!r} is not an array of numbers: "
+                            f"a {type(value).__name__} of dtype {array.dtype}")
+    return np.ascontiguousarray(array, dtype=np.float64)
 
 
 def _layout_of(shapes: Mapping[str, tuple[int, ...]]):

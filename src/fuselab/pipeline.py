@@ -38,7 +38,7 @@ from .config import (analysis_config, config_digest, derive_seed, fusion_config,
 from .errors import ConfigError, ContractError, NumericError
 from .files import leaf_problem, read_json_object, write_atomic, write_csv, write_json
 from .fusion import ALGORITHMS, enumerate_subsets, scorers_for, sweep_and_select
-from .models import LinearizedState, ModeTag, build_model
+from .models import LinearizedState, ModeTag
 from .task_vectors import compute_task_vector, similarity_matrix, write_similarity_csv
 from .tasks import Dataset, Task, export_task, import_task
 from .training import finetune, scored_accuracy, write_metrics_csv
@@ -212,10 +212,8 @@ def stage_finetune(
     written = []
     for mode in modes:
         spec = model_spec(resolved, mode)
-        theta0, trainable0 = build_model(spec, init_seed)
         for task in tasks:
-            cfg = train_config(resolved, mode, task.id)
-            ckpt, history = finetune(spec, theta0, trainable0, task, cfg, init_seed=init_seed)
+            ckpt, history = finetune(spec, task, train_config(resolved, mode, task.id), init_seed)
             f = paths.checkpoint_file(mode, task.id)
             f.parent.mkdir(parents=True, exist_ok=True)
             save_checkpoint(ckpt, f, config_digest=digest)
@@ -247,8 +245,7 @@ def load_mode_checkpoints(resolved: dict, out: str | Path, mode: ModeTag) -> lis
     return cks
 
 
-def _fewshot_for_subset(resolved: dict, tasks: dict[str, Task], subset) -> Dataset:
-    per_task = int(resolved["fusion"]["fewshot_per_task"])
+def _fewshot_for_subset(resolved: dict, tasks: dict[str, Task], subset, per_task: int) -> Dataset:
     xs, ys = [], []
     for task_id in subset:
         val = tasks[task_id].val
@@ -302,7 +299,7 @@ def stage_fuse(
             sub_cks = [by_id[t] for t in subset]
             fewshot = None
             if algorithm == "lorahub":
-                fewshot = _fewshot_for_subset(resolved, tasks, subset)
+                fewshot = _fewshot_for_subset(resolved, tasks, subset, fcfg.fewshot_per_task)
             merged = sweep_and_select(
                 fcfg, sub_cks, validation, fewshot=fewshot,
                 seed=derive_seed(resolved["master_seed"], "lorahub", *subset),

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoints import Checkpoint, backbone_for
+from .checkpoints import Checkpoint
 from .errors import ContractError, TrainingDivergedError
 from .files import write_csv
-from .models import ModelSpec, Scorer, require_trees
+from .models import ModelSpec, Scorer, build_model, require_trees
 from .params import ParamTree
 from .tasks import Dataset, Task
 
@@ -162,29 +162,22 @@ def _make_optimizer(config: TrainConfig):
 
 
 def finetune(
-    spec: ModelSpec,
-    theta0: ParamTree,
-    init_trainable: ParamTree,
-    task: Task,
-    config: TrainConfig,
-    init_seed: int = 0,
+    spec: ModelSpec, task: Task, config: TrainConfig, init_seed: int
 ) -> tuple[Checkpoint, list[tuple[int, float, float]]]:
-    """Fine-tune on one task; returns the checkpoint and per-step history.
+    """Fine-tune on one task from ``build_model(spec, init_seed)``; returns
+    the checkpoint and per-step history.
 
     History rows are (step, train batch loss, val accuracy). The backbone
     is never touched; for adapter paradigms it stays bit-identical by
-    construction. Deterministic given the config's shuffling seed.
+    construction. Deterministic given the seed and the config's shuffling seed.
     """
     if len(task.train) == 0 or len(task.val) == 0:
         raise ContractError("task splits must be non-empty")
-    val = Scorer(spec, theta0, init_trainable, task.val.xs)
+    theta0, initial = build_model(spec, init_seed)
+    val = Scorer(spec, theta0, initial, task.val.xs)
     check_labels(task.train.ys, spec.num_classes)
-    if not theta0.equal_bits(backbone_for(spec, int(init_seed))):
-        raise ContractError(
-            "theta0 does not match init_seed; the checkpoint would not round-trip"
-        )
 
-    flat = init_trainable.flatten().copy()
+    flat = initial.flatten().copy()
     batcher = _Batcher(len(task.train), config.batch_size, config.shuffle_seed)
     opt = _make_optimizer(config)
     history: list[tuple[int, float, float]] = []
@@ -203,7 +196,7 @@ def finetune(
         if not np.isfinite(final_train_loss):
             raise TrainingDivergedError(config.steps)
 
-    trained = init_trainable.with_flat(flat)
+    trained = initial.with_flat(flat)
     metrics = {
         "final_train_loss": float(final_train_loss),
         "final_val_accuracy": history[-1][2],
@@ -212,7 +205,7 @@ def finetune(
         spec=spec,
         task_id=task.id,
         init_seed=int(init_seed),
-        initial=init_trainable,
+        initial=initial,
         trained=trained,
         metrics=metrics,
     )

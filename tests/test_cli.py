@@ -328,9 +328,7 @@ class TestConfigHandling:
         assert carried(spec, given["model"]) and (spec.input_dim, spec.num_classes) == (5, 4)
         assert carried(config.train_config(resolved, "lora", "task0"), given["train"])
         assert carried(config.train_config(resolved, "l_lora", "task0"), override)
-        fusion = dict(given["fusion"])
-        del fusion["fewshot_per_task"]  # the pipeline's, not FusionConfig's
-        assert carried(config.fusion_config(resolved, "lorahub"), fusion)
+        assert carried(config.fusion_config(resolved, "lorahub"), given["fusion"])
         assert carried(config.analysis_config(resolved), given["analysis"])
 
     def test_int_valued_float_leaves_keep_their_float_kind(self, tmp_path):
@@ -768,6 +766,12 @@ def duplicate_first_path(tree: dict) -> None:
     tree["paths"][1] = tree["paths"][0]
 
 
+def move_first_value(tree: dict) -> None:
+    values = np.frombuffer(base64.b64decode(tree["data"]), dtype="<f8").copy()
+    values[0] += 0.5
+    tree["data"] = base64.b64encode(values.tobytes()).decode()
+
+
 def fuse_one_pair(cfg, out) -> int:
     return main(["fuse", "--config", str(cfg), "--out", str(out), "--algorithm",
                  "simple_average", "--subset", "task0,task1", "--mode", "full_ft"])
@@ -820,11 +824,18 @@ def set_spec(key, value):
     (lambda payload: payload.update(seed=-1), "seed"),
     (lambda payload: payload["metrics"].update(final_val_accuracy="high"), "metrics.final_val_accuracy"),
     (lambda payload: payload.update(metrics=[["a", 1]]), "metrics"),
+    (lambda payload: payload.update(version=True), "version"),
+    (lambda payload: payload.update(version=1.0), "version"),
+    (lambda payload: payload.update(mode="full_ft"), "mode"),
+    (lambda payload: move_first_value(payload["initial"]), "initial"),
 ], ids=["lora_rank_float", "lora_alpha_string", "hidden_dim_float", "input_dim_bool", "key_missing",
-        "key_extra", "mode_unknown", "seed_float", "seed_negative", "metric_string", "metrics_a_list"])
+        "key_extra", "mode_unknown", "seed_float", "seed_negative", "metric_string", "metrics_a_list",
+        "version_true", "version_float", "mode_contradicts_spec", "initial_edited"])
 def test_a_checkpoint_field_of_the_wrong_kind_exits_one_naming_the_file_and_field(run_copy, capsys, edit, field):
     # The spec used to be cast field by field, so the first three loaded,
     # equalled the config's spec and exited 0; a negative seed raised a traceback.
+    # A version of true or 1.0, a mode the spec contradicts and an edited
+    # initial tree loaded too, the last giving wrong task vectors.
     cfg, out = run_copy
     path = out / "checkpoints/lora/task0.json"
     rewrite_checkpoint(path, edit)

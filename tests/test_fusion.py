@@ -61,8 +61,9 @@ def first_rows(dataset, n):
     return Dataset(dataset.xs[:n], dataset.ys[:n])
 
 
-def merged_accuracy(model, dataset):
-    return evaluate(model.spec, model.theta0, model.trainable, dataset, anchor=model.initial)
+def merged_accuracy(ckpt, model, dataset):
+    """Accuracy of ``model`` scored on the backbone and paradigm of ``ckpt``, one of its inputs."""
+    return evaluate(ckpt.spec, ckpt.theta0(), model.trainable, dataset, anchor=model.initial)
 
 
 def vec(values, task_id, mode=ModeTag.LORA):
@@ -229,7 +230,7 @@ def setting():
                      lora_rank=2, mode=ModeTag.LORA)
     theta0, phi0 = build_model(spec, seed=301)
     cfg = TrainConfig(steps=150, shuffle_seed=5)
-    cks = [finetune(spec, theta0, phi0, t, cfg, init_seed=301)[0] for t in suite.tasks]
+    cks = [finetune(spec, t, cfg, init_seed=301)[0] for t in suite.tasks]
     return suite, spec, theta0, phi0, cks
 
 
@@ -301,9 +302,8 @@ def trained_setting():
     suite = make_task_suite(n_tasks=2, seed=401, samples_per_split=64)
     spec = ModelSpec(input_dim=16, hidden_dims=(32, 32), num_classes=3,
                      lora_rank=2, mode=ModeTag.LORA)
-    theta0, phi0 = build_model(spec, seed=401)
     cfg = TrainConfig(steps=120, shuffle_seed=5)
-    cks = [finetune(spec, theta0, phi0, t, cfg, init_seed=401)[0] for t in suite.tasks]
+    cks = [finetune(spec, t, cfg, init_seed=401)[0] for t in suite.tasks]
     return suite, cks
 
 
@@ -342,9 +342,8 @@ class TestSweepAndSelect:
         phi0 = cks[0].initial
         best_lam, best_score = None, -1.0
         for lam in sorted(cfg.lambda_grid):
-            cand = task_arithmetic(phi0, vectors, lam,
-                                   (cks[0].spec, cks[0].init_seed, cks[0].theta0()))
-            score = np.mean([merged_accuracy(cand, validation[c.task_id]) for c in cks])
+            cand = task_arithmetic(phi0, vectors, lam)
+            score = np.mean([merged_accuracy(cks[0], cand, validation[c.task_id]) for c in cks])
             if score > best_score:
                 best_lam, best_score = lam, score
         assert merged.provenance["hyperparameters"]["lambda"] == best_lam
@@ -471,9 +470,8 @@ def trained_llora_setting():
     suite = make_task_suite(n_tasks=2, seed=401, samples_per_split=64)
     spec = ModelSpec(input_dim=16, hidden_dims=(32, 32), num_classes=3,
                      lora_rank=2, mode=ModeTag.LLORA)
-    theta0, phi0 = build_model(spec, seed=401)
     cfg = TrainConfig(steps=120, learning_rate=0.02, shuffle_seed=5)
-    cks = [finetune(spec, theta0, phi0, t, cfg, init_seed=401)[0] for t in suite.tasks]
+    cks = [finetune(spec, t, cfg, init_seed=401)[0] for t in suite.tasks]
     return suite, cks
 
 
@@ -487,11 +485,10 @@ def test_llora_selection_matches_exhaustive_oracle(trained_llora_setting):
     merged = sweep_and_select(cfg, cks, validation)
     vectors = [compute_task_vector(c) for c in sorted(cks, key=lambda c: c.task_id)]
     phi0 = cks[0].initial
-    context = (cks[0].spec, cks[0].init_seed, cks[0].theta0())
     scores = {}
     for lam in sorted(cfg.lambda_grid):
-        cand = task_arithmetic(phi0, vectors, lam, context)
-        scores[lam] = np.mean([merged_accuracy(cand, validation[c.task_id]) for c in cks])
+        cand = task_arithmetic(phi0, vectors, lam)
+        scores[lam] = np.mean([merged_accuracy(cks[0], cand, validation[c.task_id]) for c in cks])
     best_lam = max(scores, key=lambda lam: (scores[lam], -lam))
     assert len(set(scores.values())) > 1  # the grid is not flat, so the choice means something
     assert merged.provenance["hyperparameters"]["lambda"] == best_lam
@@ -610,9 +607,8 @@ def two_checkpoint_sets():
     sets = {}
     for mode in (ModeTag.FULL_LINEAR, ModeTag.LLORA):
         spec = ModelSpec(input_dim=16, hidden_dims=(32, 32), num_classes=3, lora_rank=2, mode=mode)
-        theta0, phi0 = build_model(spec, seed=403)
-        sets[mode] = [[finetune(spec, theta0, phi0, t, TrainConfig(steps=steps, learning_rate=0.02),
-                                init_seed=403)[0] for t in suite.tasks] for steps in (300, 60)]
+        sets[mode] = [[finetune(spec, t, TrainConfig(steps=steps, learning_rate=0.02), init_seed=403)[0]
+                       for t in suite.tasks] for steps in (300, 60)]
     return {t.id: t.val for t in suite.tasks}, sets
 
 

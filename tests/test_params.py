@@ -8,7 +8,6 @@ from hypothesis import given, settings
 
 from fuselab.analysis import disentanglement_grid
 from fuselab.autodiff import Tensor
-from fuselab.checkpoints import backbone_for
 from fuselab.errors import ContractError
 from fuselab.fusion import ALGORITHMS, FusionConfig, sweep_and_select
 from fuselab.models import ModeTag, ModelSpec, build_model
@@ -100,12 +99,26 @@ def test_equality_compares_layout_and_values():
         hash(tree)
 
 
+@pytest.mark.parametrize("value", [
+    [[1.0, 2.0], [3.0]],
+    "1.5",
+    None,
+    Tensor(np.ones(2)),
+    np.array([True, False]),
+    [1.0, np.nan],
+], ids=["ragged_list", "string", "none", "tensor", "bools", "nan"])
+def test_a_value_the_tree_cannot_take_raises_naming_its_path(value):
+    # A ragged list or a string used to raise numpy's ValueError, None the
+    # finiteness message naming no path and a Tensor a raw TypeError.
+    with pytest.raises(ContractError, match="'layers.0.bias'"):
+        ParamTree({"layers.0.weight": np.ones((2, 2)), "layers.0.bias": value})
+
+
 @pytest.mark.parametrize("mode", list(ModeTag))
 def test_hot_paths_construct_no_tensor(mode, monkeypatch):
     suite = make_task_suite(n_tasks=2, input_dim=4, samples_per_split=24, seed=2)
     spec = ModelSpec(4, (6,), 3, mode=mode)
-    theta0, init = build_model(spec, seed=3)
-    backbone_for(spec, 3)  # the backbone cache is warm
+    theta0, init = build_model(spec, seed=3)  # the initial point finetune reads is cached
     constructed = []
     original = Tensor.__init__
 
@@ -114,7 +127,7 @@ def test_hot_paths_construct_no_tensor(mode, monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(Tensor, "__init__", counting)
-    cks = [finetune(spec, theta0, init, task, TrainConfig(steps=3), init_seed=3)[0]
+    cks = [finetune(spec, task, TrainConfig(steps=3), init_seed=3)[0]
            for task in suite.tasks]
     validation = {t.id: t.val for t in suite.tasks}
     for algorithm in ALGORITHMS:

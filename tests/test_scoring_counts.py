@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fuselab.config import resolve_config
-from fuselab.models import ModeTag, ModelSpec, Network, build_model
+from fuselab.models import ModeTag, ModelSpec, Network
 from fuselab.pipeline import load_tasks, stage_finetune, stage_fuse, stage_gen_tasks
 from fuselab.tasks import make_task_suite
 from fuselab.training import TrainConfig, finetune
@@ -96,9 +96,8 @@ def test_finetune_runs_the_validation_anchor_once(monkeypatch, mode):
     suite = make_task_suite(n_tasks=2, seed=5, samples_per_split=24, input_dim=4)
     task = suite.tasks[0]
     spec = ModelSpec(input_dim=4, hidden_dims=(6,), num_classes=3, mode=mode)
-    theta0, init = build_model(spec, seed=5)
     calls = Calls(monkeypatch)
     for _ in range(2):
         calls.reset()
-        finetune(spec, theta0, init, task, TrainConfig(steps=6, batch_size=8), init_seed=5)
+        finetune(spec, task, TrainConfig(steps=6, batch_size=8), init_seed=5)
         assert calls.activations[key(task.val.xs)] == 1

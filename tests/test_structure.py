@@ -67,6 +67,19 @@ def test_only_the_scorer_builds_a_network():
     assert builders == {("models.py", "Scorer")}
 
 
+def test_only_finetune_and_the_checkpoint_reader_build_the_initial_point():
+    # finetune used to take theta0 and phi0 beside the seed they are built
+    # from, checking only theta0, and the pipeline built them for it.
+    builders = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = parse(path.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "build_model":
+                builders.add((path.name, innermost_function(tree, node)))
+    assert builders == {("training.py", "finetune"), ("checkpoints.py", "theta0"),
+                        ("checkpoints.py", "_parse_checkpoint")}
+
+
 def test_only_the_scorer_chooses_a_logits_formula_by_paradigm():
     # Elsewhere is_linearized may only guard a contract check: an `if` whose
     # body raises and that has no else branch.

@@ -1,5 +1,6 @@
 """Fine-tuning loop, loss, evaluation, and checkpoint file round-trips."""
 
+import json
 import math
 import os
 
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 
 from fuselab import models
-from fuselab.checkpoints import Checkpoint, load_checkpoint, save_checkpoint
+from fuselab.checkpoints import Checkpoint, checkpoint_payload, load_checkpoint, save_checkpoint
 from fuselab.errors import ContractError, TrainingDivergedError, ConfigError
+from fuselab.files import canonical_digest
 from fuselab.models import ModeTag, ModelSpec, Network, Scorer, build_model
 from fuselab.params import ParamTree
 from fuselab.tasks import Dataset, make_task_suite
@@ -64,50 +66,55 @@ class TestCrossEntropy:
 class TestFinetune:
     def test_zero_learning_rate_keeps_init(self, suite):
         spec = default_spec(ModeTag.LORA)
-        theta0, phi0 = build_model(spec, seed=1)
+        _, phi0 = build_model(spec, seed=1)
         cfg = TrainConfig(steps=5, learning_rate=0.0, optimizer="sgd", shuffle_seed=2)
-        ckpt, _ = finetune(spec, theta0, phi0, suite.tasks[0], cfg, init_seed=1)
+        ckpt, _ = finetune(spec, suite.tasks[0], cfg, init_seed=1)
         assert ckpt.trained.equal_bits(phi0)
 
     def test_lora_learns_above_chance(self, suite):
         spec = default_spec(ModeTag.LORA)
-        theta0, phi0 = build_model(spec, seed=1)
         cfg = TrainConfig(steps=300, shuffle_seed=3)
-        ckpt, _ = finetune(spec, theta0, phi0, suite.tasks[0], cfg, init_seed=1)
+        ckpt, _ = finetune(spec, suite.tasks[0], cfg, init_seed=1)
         acc = checkpoint_accuracy(ckpt, suite.tasks[0].val)
         assert acc > 1.0 / 3.0
 
     def test_llora_learns_above_chance(self, suite):
         spec = default_spec(ModeTag.LLORA)
-        theta0, phi0 = build_model(spec, seed=1)
         cfg = TrainConfig(steps=300, shuffle_seed=3)
-        ckpt, _ = finetune(spec, theta0, phi0, suite.tasks[0], cfg, init_seed=1)
+        ckpt, _ = finetune(spec, suite.tasks[0], cfg, init_seed=1)
         acc = checkpoint_accuracy(ckpt, suite.tasks[0].val)
         assert acc > 1.0 / 3.0
 
     def test_determinism_bit_identical(self, suite):
         spec = default_spec(ModeTag.LLORA)
-        theta0, phi0 = build_model(spec, seed=4)
         cfg = TrainConfig(steps=40, shuffle_seed=9)
-        c1, h1 = finetune(spec, theta0, phi0, suite.tasks[1], cfg, init_seed=4)
-        c2, h2 = finetune(spec, theta0, phi0, suite.tasks[1], cfg, init_seed=4)
+        c1, h1 = finetune(spec, suite.tasks[1], cfg, init_seed=4)
+        c2, h2 = finetune(spec, suite.tasks[1], cfg, init_seed=4)
         assert c1.trained.equal_bits(c2.trained)
         assert h1 == h2
 
     def test_backbone_untouched_in_peft(self, suite):
         spec = default_spec(ModeTag.LORA)
-        theta0, phi0 = build_model(spec, seed=5)
+        theta0 = build_model(spec, 5)[0]  # the cached backbone finetune reads
         before = {p: t.tobytes() for p, t in theta0.items()}
-        finetune(spec, theta0, phi0, suite.tasks[0],
-                 TrainConfig(steps=30, shuffle_seed=1), init_seed=5)
+        finetune(spec, suite.tasks[0], TrainConfig(steps=30, shuffle_seed=1), init_seed=5)
+        assert build_model(spec, 5)[0] is theta0
         assert {p: t.tobytes() for p, t in theta0.items()} == before
+
+    def test_finetune_starts_from_the_cached_initial_point(self, suite):
+        # build_model is the one source of the initial point: equal calls
+        # share their trees, and a checkpoint's initial tree is that phi0.
+        spec = default_spec(ModeTag.LORA)
+        theta0, phi0 = build_model(spec, 2)
+        assert build_model(spec, seed=2)[0] is theta0 and build_model(spec, 2)[1] is phi0
+        ckpt, _ = finetune(spec, suite.tasks[0], TrainConfig(steps=3), init_seed=2)
+        assert ckpt.initial is phi0 and ckpt.theta0() is theta0
 
     def test_divergence_reports_step(self, suite):
         spec = default_spec(ModeTag.FULL_FT)
-        theta0, tr0 = build_model(spec, seed=6)
         cfg = TrainConfig(steps=50, learning_rate=1e308, optimizer="sgd", shuffle_seed=1)
         with pytest.raises(TrainingDivergedError) as err:
-            finetune(spec, theta0, tr0, suite.tasks[0], cfg, init_seed=6)
+            finetune(spec, suite.tasks[0], cfg, init_seed=6)
         assert err.value.step >= 0
 
     def test_one_sgd_step_decreases_batch_loss(self, suite):
@@ -124,11 +131,10 @@ class TestFinetune:
 
     def test_linear_model_full_vs_linearized_trajectories(self, suite):
         base = ModelSpec(input_dim=16, hidden_dims=(), num_classes=3, mode=ModeTag.FULL_FT)
-        theta0, _ = build_model(base, seed=8)
         cfg = TrainConfig(steps=60, learning_rate=0.1, optimizer="sgd", shuffle_seed=11)
-        ck_full, h_full = finetune(base, theta0, theta0, suite.tasks[0], cfg, init_seed=8)
+        ck_full, h_full = finetune(base, suite.tasks[0], cfg, init_seed=8)
         lin = base.with_mode(ModeTag.FULL_LINEAR)
-        ck_lin, h_lin = finetune(lin, theta0, theta0, suite.tasks[0], cfg, init_seed=8)
+        ck_lin, h_lin = finetune(lin, suite.tasks[0], cfg, init_seed=8)
         gap = np.max(np.abs(ck_full.trained.flatten() - ck_lin.trained.flatten()))
         assert gap < 1e-9
         for (s1, l1, _), (s2, l2, _) in zip(h_full, h_lin):
@@ -171,9 +177,7 @@ class TestEvaluate:
 class TestCheckpointFiles:
     def make_checkpoint(self, suite):
         spec = default_spec(ModeTag.LORA)
-        theta0, phi0 = build_model(spec, seed=12)
-        ckpt, _ = finetune(spec, theta0, phi0, suite.tasks[0],
-                           TrainConfig(steps=20, shuffle_seed=13), init_seed=12)
+        ckpt, _ = finetune(spec, suite.tasks[0], TrainConfig(steps=20, shuffle_seed=13), init_seed=12)
         return ckpt
 
     def test_round_trip_bit_identical(self, suite, tmp_path):
@@ -200,6 +204,19 @@ class TestCheckpointFiles:
         path.write_text(flipped)
         with pytest.raises(ContractError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("task_id", [7, ["task0"]], ids=["int", "list"])
+    def test_a_task_id_that_is_not_a_string_is_rejected_naming_the_file(self, suite, tmp_path, task_id):
+        # Each used to load, as the task id of the checkpoint.
+        path = tmp_path / "ck.json"
+        payload = checkpoint_payload(self.make_checkpoint(suite))
+        del payload["digest"]
+        payload["task_id"] = task_id
+        payload["digest"] = canonical_digest(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ContractError, match="task_id") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
 
     def test_config_digest_mismatch_rejected(self, suite, tmp_path):
         ckpt = self.make_checkpoint(suite)
@@ -265,9 +282,9 @@ def test_finetune_builds_the_validation_scorer_once(suite, mode, monkeypatch):
                         or init(self, spec, theta0, template))
     monkeypatch.setattr(models, "require_trees", lambda *trees: checked.append(1) or require_trees(*trees))
     spec = default_spec(mode)
-    theta0, phi0 = build_model(spec, seed=9)
+    _, phi0 = build_model(spec, seed=9)
     task = suite.tasks[0]
     cfg = TrainConfig(steps=7, shuffle_seed=2)
-    finetune(spec, theta0, phi0, task, cfg, init_seed=9)
+    finetune(spec, task, cfg, init_seed=9)
     assert built == [phi0.num_values]
     assert len(checked) == 1
