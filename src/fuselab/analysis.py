@@ -302,6 +302,9 @@ class ReportRow:
     n_subsets: int
     mean_normalized: float
     std_normalized: float
+    mean_absolute: float
+    std_absolute: float
+    mean_single: float
 
 
 @dataclass(frozen=True)
@@ -316,33 +319,42 @@ class FusionReport:
 
 
 def aggregate_report(results: list[dict]) -> FusionReport:
-    """Mean and population std of per-subset normalized scores.
+    """Mean and population std of per-subset scores, normalized and absolute.
 
-    Each result row needs: algorithm, mode, subset (sequence of ids), and
-    mean_normalized_score. Rows group per (algorithm, mode) overall and
-    per subset size.
+    Each result row needs: algorithm, mode, subset (sequence of ids),
+    mean_normalized_score, and test_scores and single_task_test_scores,
+    each mapping the subset's task ids to test accuracies. A subset's
+    absolute score is the mean of its test_scores and its single score the
+    mean of its single_task_test_scores; ``mean_single`` is the mean of
+    those over the group. Rows group per (algorithm, mode) overall and per
+    subset size.
     """
     if not results:
         raise ContractError("report needs at least one subset result")
-    groups: dict[tuple, list[float]] = {}
+    groups: dict[tuple, list[tuple[float, float, float]]] = {}
     for r in results:
         size = len(r["subset"])
-        score = float(r["mean_normalized_score"])
-        groups.setdefault((r["algorithm"], r["mode"], None), []).append(score)
-        groups.setdefault((r["algorithm"], r["mode"], size), []).append(score)
+        scores = (float(r["mean_normalized_score"]),
+                  float(np.mean([r["test_scores"][t] for t in r["subset"]])),
+                  float(np.mean([r["single_task_test_scores"][t] for t in r["subset"]])))
+        groups.setdefault((r["algorithm"], r["mode"], None), []).append(scores)
+        groups.setdefault((r["algorithm"], r["mode"], size), []).append(scores)
     rows = []
     for (algorithm, mode, size) in sorted(
         groups, key=lambda k: (k[0], k[1], -1 if k[2] is None else k[2])
     ):
-        scores = np.asarray(groups[(algorithm, mode, size)])
+        normalized, absolute, single = np.asarray(groups[(algorithm, mode, size)]).T
         rows.append(
             ReportRow(
                 algorithm=algorithm,
                 mode=mode,
                 subset_size=size,
-                n_subsets=scores.size,
-                mean_normalized=float(scores.mean()),
-                std_normalized=float(scores.std()),
+                n_subsets=normalized.size,
+                mean_normalized=float(normalized.mean()),
+                std_normalized=float(normalized.std()),
+                mean_absolute=float(absolute.mean()),
+                std_absolute=float(absolute.std()),
+                mean_single=float(single.mean()),
             )
         )
     return FusionReport(rows=tuple(rows))
@@ -365,19 +377,23 @@ def read_grid_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def write_report_csv(report: FusionReport, path, meta: str = "") -> None:
-    write_csv(path, meta, ["algorithm", "mode", "subset_size", "n_subsets", "mean_normalized", "std_normalized"],
+    write_csv(path, meta, ["algorithm", "mode", "subset_size", "n_subsets", "mean_normalized", "std_normalized",
+                           "mean_absolute", "std_absolute", "mean_single"],
               ([r.algorithm, r.mode, "all" if r.subset_size is None else r.subset_size, r.n_subsets,
-                r.mean_normalized, r.std_normalized] for r in report.rows))
+                r.mean_normalized, r.std_normalized, r.mean_absolute, r.std_absolute, r.mean_single]
+               for r in report.rows))
 
 
 def format_report_table(report: FusionReport) -> str:
     """Human-readable fixed-width table of the aggregated scores."""
-    header = f"{'algorithm':<16} {'mode':<12} {'size':>5} {'n':>4} {'normalized score':>22}"
+    header = (f"{'algorithm':<16} {'mode':<12} {'size':>5} {'n':>4} {'normalized score':>21} "
+              f"{'absolute accuracy':>21} {'single':>7}")
     lines = [header, "-" * len(header)]
     for r in report.rows:
         size = "all" if r.subset_size is None else str(r.subset_size)
         lines.append(
             f"{r.algorithm:<16} {r.mode:<12} {size:>5} {r.n_subsets:>4} "
-            f"{r.mean_normalized:>12.4f} ± {r.std_normalized:.4f}"
+            f"{r.mean_normalized:>12.4f} ± {r.std_normalized:.4f} "
+            f"{r.mean_absolute:>12.4f} ± {r.std_absolute:.4f} {r.mean_single:>7.4f}"
         )
     return "\n".join(lines)

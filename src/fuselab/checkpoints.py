@@ -1,11 +1,12 @@
 """Versioned checkpoint containers with content digests.
 
 A checkpoint file is JSON holding the architecture spec, paradigm, init
-seed, backbone digest, and the initial plus trained trainable trees as
-base64-wrapped little-endian float64 payloads. The trailing digest covers
-every other field, so any corruption is detectable. The seed pins the
-initial point: a file loads only when its backbone digest and its initial
-tree are those ``models.build_model`` makes from its spec and seed.
+seed, the digests of the backbone and the initial trainable tree, and the
+trained trainable tree as a base64-wrapped little-endian float64 payload.
+The trailing digest covers every other field, so any corruption is
+detectable. The seed is the initial point: the file stores no initial
+tree, and it loads only when both digests are those of the trees
+``models.build_model`` makes from its spec and seed.
 """
 
 from __future__ import annotations
@@ -17,23 +18,41 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .files import canonical_digest, json_object, kind_matches, leaf_problem, read_memoized, write_json
-from .models import ModelSpec, build_model
+from .models import ModelSpec, build_model, require_trees
 from .params import ParamTree
 
 FORMAT = "fuselab-checkpoint"
-VERSION = 1
+VERSION = 2
 
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """A fine-tuning result: initial and trained trainable trees."""
+    """A fine-tuning result: the trained trainable tree of a spec and init seed.
+
+    The initial point is ``build_model(spec, init_seed)``. Construction
+    raises ``ContractError`` unless ``task_id`` is a string, ``build_model``
+    accepts the seed, ``trained`` holds the spec's trainable shapes and
+    ``metrics`` maps strings to finite numbers.
+    """
 
     spec: ModelSpec
     task_id: str
     init_seed: int
-    initial: ParamTree
     trained: ParamTree
     metrics: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not isinstance(self.task_id, str):
+            raise ContractError(f"task_id = {self.task_id!r} is not a string")
+        require_trees(self.spec, self.theta0(), self.trained)
+        if not isinstance(self.metrics, dict):
+            raise ContractError(f"metrics = {self.metrics!r} is not a JSON object")
+        for key, value in self.metrics.items():
+            if not isinstance(key, str):
+                raise ContractError(f"metrics key {key!r} is not a string")
+            problem = leaf_problem(value, 0.0)
+            if problem:
+                raise ContractError(f"metrics.{key} = {value!r} {problem}")
 
     @property
     def mode(self):
@@ -41,6 +60,10 @@ class Checkpoint:
 
     def theta0(self) -> ParamTree:
         return build_model(self.spec, self.init_seed)[0]
+
+    @property
+    def initial(self) -> ParamTree:
+        return build_model(self.spec, self.init_seed)[1]
 
 
 def _encode_tree(tree: ParamTree) -> dict:
@@ -68,9 +91,9 @@ def checkpoint_payload(ckpt: Checkpoint, config_digest: str = "") -> dict:
         "spec": ckpt.spec.to_dict(),
         "mode": ckpt.spec.mode.value,
         "task_id": ckpt.task_id,
-        "seed": int(ckpt.init_seed),
+        "seed": ckpt.init_seed,
         "theta0_digest": ckpt.theta0().digest(),
-        "initial": _encode_tree(ckpt.initial),
+        "initial_digest": ckpt.initial.digest(),
         "trained": _encode_tree(ckpt.trained),
         "metrics": {k: float(v) for k, v in sorted(ckpt.metrics.items())},
     }
@@ -102,8 +125,9 @@ def load_checkpoint(path, expected_config_digest: str | None = None) -> Checkpoi
 def _parse_checkpoint(path, data: bytes) -> tuple[Checkpoint, object]:
     """The verified checkpoint in ``data`` and the config digest it records.
 
-    Every field it copies must have its exact kind and agree with the spec:
-    each failure is one ``ContractError`` naming the file and the field.
+    Every field it copies must have its exact kind and agree with the spec,
+    and the ``Checkpoint`` constructor's rules hold: each failure is one
+    ``ContractError`` naming the file and the field.
     """
     payload = json_object(path, data, "checkpoint")
     version = payload.get("version")
@@ -116,30 +140,11 @@ def _parse_checkpoint(path, data: bytes) -> tuple[Checkpoint, object]:
         spec = ModelSpec.from_dict(payload["spec"])
         if payload["mode"] != spec.mode.value:
             raise ContractError(f"mode = {payload['mode']!r} contradicts the spec's {spec.mode.value!r}")
-        if not isinstance(payload["task_id"], str):
-            raise ContractError(f"task_id = {payload['task_id']!r} is not a string")
-        if not (kind_matches(payload["seed"], 0) and payload["seed"] >= 0):
-            raise ContractError(f"seed = {payload['seed']!r} is not a non-negative int")
-        initial = build_model(spec, payload["seed"])[1]
-        if not _decode_tree(payload["initial"], spec).equal_bits(initial):
-            raise ContractError("initial is not the tree build_model makes from the spec and seed")
-        metrics = payload["metrics"]
-        if not isinstance(metrics, dict):
-            raise ContractError(f"metrics = {metrics!r} is not a JSON object")
-        for key, value in metrics.items():
-            problem = leaf_problem(value, 0.0)
-            if problem:
-                raise ContractError(f"metrics.{key} = {value!r} {problem}")
-        ckpt = Checkpoint(
-            spec=spec,
-            task_id=payload["task_id"],
-            init_seed=payload["seed"],
-            initial=initial,
-            trained=_decode_tree(payload["trained"], spec),
-            metrics=metrics,
-        )
+        ckpt = Checkpoint(spec, payload["task_id"], payload["seed"], _decode_tree(payload["trained"], spec),
+                          payload["metrics"])
+        for key, tree in (("theta0_digest", ckpt.theta0()), ("initial_digest", ckpt.initial)):
+            if payload[key] != tree.digest():
+                raise ContractError(f"{key} is not the digest of the tree build_model makes from spec and seed")
     except (KeyError, TypeError, ValueError, ContractError) as e:
         raise ContractError(f"checkpoint {path} is malformed: {e!r}") from e
-    if ckpt.theta0().digest() != payload.get("theta0_digest"):
-        raise ContractError(f"checkpoint {path} backbone digest does not match its seed")
     return ckpt, payload.get("config_digest")

@@ -73,7 +73,6 @@ class MergedModel:
     """A fused multi-task model plus the record of how it was built."""
 
     spec: ModelSpec
-    initial: ParamTree
     trainable: ParamTree
     provenance: dict = field(default_factory=dict)
 
@@ -87,8 +86,6 @@ def _common_context(checkpoints: list[Checkpoint]) -> tuple[ModelSpec, int, Para
             raise ContractError("checkpoints disagree on architecture or paradigm")
         if c.init_seed != head.init_seed:
             raise ContractError("checkpoints were built from different init seeds")
-        if not c.initial.equal_bits(head.initial):
-            raise ContractError("checkpoints do not share the same initialization")
     return head.spec, head.init_seed, head.theta0(), head.initial
 
 
@@ -177,8 +174,7 @@ def _merge(algorithm: str, initial: ParamTree, ordered: list, deltas, trained, h
            spec: ModelSpec | None = None, seed: int | None = None) -> MergedModel:
     """The model ``algorithm`` builds at ``hp``: a one-point grid."""
     flat = next(_candidates(algorithm, initial.flatten(), deltas, trained, [hp]))[2]
-    return MergedModel(spec, initial, initial.with_flat(flat),
-                       _provenance(algorithm, ordered, hp, init_seed=seed))
+    return MergedModel(spec, initial.with_flat(flat), _provenance(algorithm, ordered, hp, init_seed=seed))
 
 
 def simple_average(initial: ParamTree, checkpoints: list[Checkpoint]) -> MergedModel:
@@ -261,7 +257,7 @@ def lorahub_optimize(
     }
     provenance = _provenance("lorahub", ordered, hyperparameters, objective=float(best["obj"]))
     flat = next(_candidates("lorahub", initial.flatten(), deltas, None, [{"weights": weights}]))[2]
-    return weights, MergedModel(spec, initial, initial.with_flat(flat), provenance)
+    return weights, MergedModel(spec, initial.with_flat(flat), provenance)
 
 
 def _lorahub_objective(spec, theta0, initial: ParamTree, deltas: list[np.ndarray],
@@ -496,7 +492,7 @@ def sweep_and_select(
                              validation_scores=scores, mean_validation_score=float(means[best]),
                              candidates_evaluated=len(keys))
     provenance.update(recorded)
-    return MergedModel(spec, initial, initial.with_flat(flats[best]), provenance)
+    return MergedModel(spec, initial.with_flat(flats[best]), provenance)
 
 
 def _recorded(record, key: str, what: str):

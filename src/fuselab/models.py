@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .files import leaf_problem
+from .files import kind_matches, leaf_problem
 from .params import ParamTree, combine
 
 
@@ -145,10 +145,13 @@ def build_model(spec: ModelSpec, seed: int) -> tuple[ParamTree, ParamTree]:
     from the same seed shares a bit-identical backbone. Adapter A matrices
     are Gaussian(0, 0.02); B matrices start at zero, which makes a freshly
     adapted model equal to its backbone. This is the one source of the
-    initial point: the last 128 ``(spec, int(seed))`` pairs are memoised,
-    so equal calls return the same two read-only trees.
+    initial point: the last 128 ``(spec, seed)`` pairs are memoised, so
+    equal calls return the same two read-only trees. A seed that is not a
+    non-negative int (``files.kind_matches``) raises ``ContractError``.
     """
-    return _initial_point(spec, int(seed))
+    if not (kind_matches(seed, 0) and seed >= 0):
+        raise ContractError(f"seed = {seed!r} is not a non-negative int")
+    return _initial_point(spec, seed)
 
 
 @functools.lru_cache(maxsize=128)

@@ -328,7 +328,6 @@ def stage_fuse(
                 spec=merged.spec,
                 task_id="+".join(subset),
                 init_seed=provenance["init_seed"],
-                initial=merged.initial,
                 trained=merged.trainable,
                 metrics={
                     f"test_accuracy_{tid}": score
@@ -468,8 +467,8 @@ def stage_report(resolved: dict, out: str | Path) -> tuple:
         record = read_json_object(pf, "provenance")
         if record.get("config_digest") != digest:
             raise ConfigError(f"{pf} was produced under a different configuration")
-        fields = ("algorithm", "mode", "subset", "mean_normalized_score")
-        algorithm, mode, subset, score = map(record.get, fields)
+        fields = ("algorithm", "mode", "subset", "mean_normalized_score", "test_scores", "single_task_test_scores")
+        algorithm, mode, subset, score, test, single = map(record.get, fields)
         # the slot fusion/<algorithm>/<mode>/<subset joined by +>.provenance.json
         slot = (pf.parent.parent.name, pf.parent.name, pf.name.removesuffix(".provenance.json").split("+"))
         if (algorithm, mode, subset) != slot:
@@ -478,7 +477,12 @@ def stage_report(resolved: dict, out: str | Path) -> tuple:
         if leaf_problem(score, 0.0):
             raise ContractError(f"{pf} is not a provenance record: mean_normalized_score "
                                 "must be a finite number")
-        rows.append(dict(zip(fields, (algorithm, mode, tuple(subset), score))))
+        for key, scores in (("test_scores", test), ("single_task_test_scores", single)):
+            if not (isinstance(scores, dict) and sorted(scores) == sorted(subset)
+                    and leaf_problem([*scores.values()], [0.0]) is None):
+                raise ContractError(f"{pf} is not a provenance record: {key} must map each task "
+                                    "of the subset to a finite number")
+        rows.append(dict(zip(fields, (algorithm, mode, tuple(subset), score, test, single))))
     report = aggregate_report(rows)
     paths.report_dir.mkdir(parents=True, exist_ok=True)
     csv_path = paths.report_dir / "fusion_report.csv"

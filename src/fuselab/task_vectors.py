@@ -31,7 +31,6 @@ class TaskVector:
 
 def compute_task_vector(ckpt: Checkpoint) -> TaskVector:
     """Trained minus initial trainable parameters, per path."""
-    ckpt.initial.require_congruent(ckpt.trained, "checkpoint trees")
     return TaskVector(
         delta=ckpt.trained.sub(ckpt.initial),
         mode=ckpt.spec.mode,

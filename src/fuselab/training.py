@@ -201,14 +201,7 @@ def finetune(
         "final_train_loss": float(final_train_loss),
         "final_val_accuracy": history[-1][2],
     }
-    ckpt = Checkpoint(
-        spec=spec,
-        task_id=task.id,
-        init_seed=int(init_seed),
-        initial=initial,
-        trained=trained,
-        metrics=metrics,
-    )
+    ckpt = Checkpoint(spec=spec, task_id=task.id, init_seed=init_seed, trained=trained, metrics=metrics)
     return ckpt, history
 
 

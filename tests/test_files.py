@@ -39,7 +39,7 @@ def checkpoint_file(tmp_path):
     spec = ModelSpec(input_dim=4, hidden_dims=(5,), num_classes=3, mode=ModeTag.LORA)
     _, phi0 = build_model(spec, seed=5)
     path = tmp_path / "ck.json"
-    save_checkpoint(Checkpoint(spec, "task0", 5, phi0, phi0, {"final_val_accuracy": 0.5}),
+    save_checkpoint(Checkpoint(spec, "task0", 5, phi0, {"final_val_accuracy": 0.5}),
                     path, config_digest="sha256:run")
     return path
 
@@ -267,7 +267,7 @@ def test_a_saved_checkpoint_keeps_the_json_dumps_bytes(tmp_path):
     spec = ModelSpec(input_dim=4, hidden_dims=(6,), num_classes=3, mode=ModeTag.FULL_FT)
     _, init = build_model(spec, 3)
     path = tmp_path / "c.json"
-    save_checkpoint(Checkpoint(spec, "task0", 3, init, init, {"acc": 0.5}), path)
+    save_checkpoint(Checkpoint(spec, "task0", 3, init, {"acc": 0.5}), path)
     payload = json.loads(path.read_text())
     assert path.read_text() == json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
@@ -290,9 +290,11 @@ GRID = np.array([[1 / 3, -0.0, TINY], [HUGE, -1e-300, 2.0]])
 GRID_BODY = ("lambda1\\lambda2,1.7976931348623157e+308,0.10000000000000001,-2.5\n"
              "-0,0.33333333333333331,-0,4.9406564584124654e-324\n"
              "4.9406564584124654e-324,1.7976931348623157e+308,-1e-300,2\n")
-REPORT = FusionReport(rows=(ReportRow("lorahub", "l_lora", None, np.int64(5), np.float64(-0.0), TINY),
-                            ReportRow("ties_merging", "full_ft", 2, 6, 0.1, HUGE)))
-REPORT_HEADER = ["algorithm", "mode", "subset_size", "n_subsets", "mean_normalized", "std_normalized"]
+REPORT = FusionReport(rows=(
+    ReportRow("lorahub", "l_lora", None, np.int64(5), np.float64(-0.0), TINY, 1 / 3, 0.0, 1.0),
+    ReportRow("ties_merging", "full_ft", 2, 6, 0.1, HUGE, np.float64(0.5), -0.0, 2 / 3)))
+REPORT_HEADER = ["algorithm", "mode", "subset_size", "n_subsets", "mean_normalized", "std_normalized",
+                 "mean_absolute", "std_absolute", "mean_single"]
 SIMILARITY = np.array([[1.0, -0.0], [TINY, np.float64(2 / 3)]])
 HISTORY = [(0, np.float64(1.0986), 1 / 3), (np.int64(10), TINY, -0.0)]
 NTK_ROW = [0.05, np.int64(12), np.float64(1e-7), HUGE, -0.0]
@@ -309,11 +311,11 @@ GOLDEN = {
     "report": (
         lambda path: write_report_csv(REPORT, path, meta="config_digest=sha256:ab"),
         "config_digest=sha256:ab", REPORT_HEADER,
-        [["lorahub", "l_lora", "all", np.int64(5), np.float64(-0.0), TINY],
-         ["ties_merging", "full_ft", 2, 6, 0.1, HUGE]],
+        [["lorahub", "l_lora", "all", np.int64(5), np.float64(-0.0), TINY, 1 / 3, 0.0, 1.0],
+         ["ties_merging", "full_ft", 2, 6, 0.1, HUGE, np.float64(0.5), -0.0, 2 / 3]],
         "# config_digest=sha256:ab\n" + ",".join(REPORT_HEADER) + "\n"
-        "lorahub,l_lora,all,5,-0,4.9406564584124654e-324\n"
-        "ties_merging,full_ft,2,6,0.10000000000000001,1.7976931348623157e+308\n"),
+        "lorahub,l_lora,all,5,-0,4.9406564584124654e-324,0.33333333333333331,0,1\n"
+        "ties_merging,full_ft,2,6,0.10000000000000001,1.7976931348623157e+308,0.5,-0,0.66666666666666663\n"),
     "similarity": (
         lambda path: write_similarity_csv(["task0", "task1"], SIMILARITY, path),
         "", ["task_id", "task0", "task1"], [["task0", *SIMILARITY[0]], ["task1", *SIMILARITY[1]]],

@@ -62,8 +62,8 @@ def first_rows(dataset, n):
 
 
 def merged_accuracy(ckpt, model, dataset):
-    """Accuracy of ``model`` scored on the backbone and paradigm of ``ckpt``, one of its inputs."""
-    return evaluate(ckpt.spec, ckpt.theta0(), model.trainable, dataset, anchor=model.initial)
+    """Accuracy of ``model`` on the backbone, paradigm and initial point of ``ckpt``, one of its inputs."""
+    return evaluate(ckpt.spec, ckpt.theta0(), model.trainable, dataset, anchor=ckpt.initial)
 
 
 def vec(values, task_id, mode=ModeTag.LORA):
@@ -83,15 +83,14 @@ def make_checkpoints(n=3, seed=1, mode=ModeTag.LORA, spread=0.5):
     out = []
     for i in range(n):
         trained = phi0.with_flat(phi0.flatten() + spread * rng.standard_normal(phi0.num_values))
-        out.append(Checkpoint(spec, f"task{i}", seed, phi0, trained))
+        out.append(Checkpoint(spec, f"task{i}", seed, trained))
     return spec, theta0, phi0, out
 
 
 class TestSimpleAverage:
     def test_idempotent_on_identical_checkpoints(self):
         _, _, _, cks = make_checkpoints(n=1)
-        same = [cks[0], Checkpoint(cks[0].spec, "other", cks[0].init_seed,
-                                   cks[0].initial, cks[0].trained)]
+        same = [cks[0], Checkpoint(cks[0].spec, "other", cks[0].init_seed, cks[0].trained)]
         merged = simple_average(cks[0].initial, same)
         assert merged.trainable.equal_bits(cks[0].trained)
 
@@ -101,7 +100,7 @@ class TestSimpleAverage:
         init = theta0
         t1 = init.with_flat(np.full(init.num_values, 2.0))
         t2 = init.with_flat(np.full(init.num_values, 4.0))
-        cks = [Checkpoint(spec, "a", 0, init, t1), Checkpoint(spec, "b", 0, init, t2)]
+        cks = [Checkpoint(spec, "a", 0, t1), Checkpoint(spec, "b", 0, t2)]
         merged = simple_average(init, cks)
         assert np.all(merged.trainable.flatten() == 3.0)
 
@@ -368,7 +367,7 @@ class TestReplay:
         spec = ModelSpec(input_dim=16, hidden_dims=(8,), num_classes=3,
                          lora_rank=2, mode=ModeTag.LORA)
         theta0, phi0 = build_model(spec, seed=402)
-        cks = [Checkpoint(spec, t.id, 402, phi0,
+        cks = [Checkpoint(spec, t.id, 402,
                           phi0.with_flat(phi0.flatten() + 0.1 * np.random.default_rng(i).standard_normal(phi0.num_values)))
                for i, t in enumerate(suite.tasks)]
         vectors = [compute_task_vector(c) for c in cks]
@@ -410,21 +409,35 @@ def merge_cases(draw):
     return initial, trained, draw(st.permutations(range(n)))
 
 
-def as_checkpoints(initial, trained):
-    spec = ModelSpec(input_dim=2, hidden_dims=(), num_classes=2, mode=ModeTag.FULL_FT)
-    return [Checkpoint(spec, f"task{i}", 0, initial, t) for i, t in enumerate(trained)]
+def as_vectors(initial, trained):
+    """The task vectors ``trained`` make from ``initial``, as ``compute_task_vector`` gives them."""
+    return [TaskVector(t.sub(initial), ModeTag.FULL_FT, f"task{i}") for i, t in enumerate(trained)]
+
+
+AVERAGE_SPEC = ModelSpec(input_dim=2, hidden_dims=(), num_classes=2, mode=ModeTag.FULL_FT)
+
+
+@st.composite
+def average_cases(draw):
+    """(checkpoints of ``AVERAGE_SPEC`` at seed 0 with arbitrary trained values, a permutation of them)."""
+    n = draw(st.integers(2, 4))
+    shapes = AVERAGE_SPEC.trainable_shapes()
+    cks = [Checkpoint(AVERAGE_SPEC, f"task{i}", 0,
+                      ParamTree({p: draw(hnp.arrays(np.float64, s, elements=finite)) for p, s in shapes.items()}))
+           for i in range(n)]
+    return cks, draw(st.permutations(range(n)))
 
 
 @settings(max_examples=60, deadline=None)
-@given(merge_cases(), st.sampled_from([0.25, 0.5, 0.75, 1.0]), st.sampled_from([0.3, 1.0]))
-def test_merges_bit_invariant_under_permutation(case, k, lam):
+@given(merge_cases(), average_cases(), st.sampled_from([0.25, 0.5, 0.75, 1.0]), st.sampled_from([0.3, 1.0]))
+def test_merges_bit_invariant_under_permutation(case, average, k, lam):
     initial, trained, perm = case
-    cks = as_checkpoints(initial, trained)
-    shuffled = [cks[i] for i in perm]
-    vectors = [compute_task_vector(c) for c in cks]
+    vectors = as_vectors(initial, trained)
     shuffled_vectors = [vectors[i] for i in perm]
-    assert simple_average(initial, shuffled).trainable.equal_bits(
-        simple_average(initial, cks).trainable)
+    cks, order = average
+    phi0 = cks[0].initial
+    assert simple_average(phi0, [cks[i] for i in order]).trainable.equal_bits(
+        simple_average(phi0, cks).trainable)
     assert task_arithmetic(initial, shuffled_vectors, lam).trainable.equal_bits(
         task_arithmetic(initial, vectors, lam).trainable)
     assert ties_merge(initial, shuffled_vectors, k, lam).trainable.equal_bits(
@@ -435,7 +448,7 @@ def test_merges_bit_invariant_under_permutation(case, k, lam):
 @given(merge_cases())
 def test_task_arithmetic_lambda_zero_is_initial(case):
     initial, trained, _ = case
-    vectors = [compute_task_vector(c) for c in as_checkpoints(initial, trained)]
+    vectors = as_vectors(initial, trained)
     assert task_arithmetic(initial, vectors, 0.0).trainable.equal_bits(initial)
 
 
@@ -443,7 +456,7 @@ def test_task_arithmetic_lambda_zero_is_initial(case):
 @given(merge_cases(), st.sampled_from([0.25, 0.5, 0.75, 1.0]), st.sampled_from([0.25, 1.0]))
 def test_ties_merge_matches_reference(case, k, lam):
     initial, trained, _ = case
-    vectors = [compute_task_vector(c) for c in as_checkpoints(initial, trained)]
+    vectors = as_vectors(initial, trained)
     got = ties_merge(initial, vectors, k, lam).trainable.flatten()
     deltas = [list(map(float, v.delta.flatten())) for v in vectors]
     want = initial.flatten() + np.array(reference_ties(deltas, k, lam))

@@ -69,7 +69,8 @@ def test_only_the_scorer_builds_a_network():
 
 def test_only_finetune_and_the_checkpoint_reader_build_the_initial_point():
     # finetune used to take theta0 and phi0 beside the seed they are built
-    # from, checking only theta0, and the pipeline built them for it.
+    # from, checking only theta0, and the pipeline built them for it. A
+    # checkpoint used to store phi0 beside its seed; it now derives both trees.
     builders = set()
     for path in sorted(SOURCE.glob("*.py")):
         tree = parse(path.name)
@@ -77,7 +78,7 @@ def test_only_finetune_and_the_checkpoint_reader_build_the_initial_point():
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "build_model":
                 builders.add((path.name, innermost_function(tree, node)))
     assert builders == {("training.py", "finetune"), ("checkpoints.py", "theta0"),
-                        ("checkpoints.py", "_parse_checkpoint")}
+                        ("checkpoints.py", "initial")}
 
 
 def test_only_the_scorer_chooses_a_logits_formula_by_paradigm():
@@ -330,7 +331,7 @@ def test_a_field_added_to_model_spec_round_trips_through_a_checkpoint(tmp_path):
         "from fuselab.config import model_spec, resolve_config\n"
         "spec = model_spec(resolve_config({'model': {'sigma_b': 0.25}}), 'l_lora')\n"
         "_, initial = build_model(spec, 3)\n"
-        "save_checkpoint(Checkpoint(spec, 'task0', 3, initial, initial), sys.argv[1])\n"
+        "save_checkpoint(Checkpoint(spec, 'task0', 3, initial), sys.argv[1])\n"
         "loaded = load_checkpoint(sys.argv[1]).spec\n"
         "assert loaded == spec and loaded.sigma_b == 0.25, loaded\n")
     path = tmp_path / "task0.json"

@@ -29,18 +29,17 @@ class TestComputeTaskVector:
     def test_zero_when_untrained(self):
         spec = ModelSpec(input_dim=4, hidden_dims=(8,), num_classes=3, mode=ModeTag.LORA)
         _, phi0 = build_model(spec, seed=1)
-        ckpt = Checkpoint(spec, "t0", 1, phi0, phi0)
+        ckpt = Checkpoint(spec, "t0", 1, phi0)
         tv = compute_task_vector(ckpt)
         assert np.all(tv.delta.flatten() == 0.0)
 
     def test_hand_arithmetic(self):
         spec = ModelSpec(input_dim=2, hidden_dims=(), num_classes=2, mode=ModeTag.FULL_FT)
-        init = ParamTree({"layers.0.weight": np.array([[1.0, 2.0]] * 2),
-                          "layers.0.bias": np.array([0.0, 0.0])})
+        _, phi0 = build_model(spec, seed=0)  # the seed's initial point; its biases are zero
         trained = ParamTree({"layers.0.weight": np.array([[3.0, 1.0]] * 2),
                              "layers.0.bias": np.array([0.5, -0.5])})
-        tv = compute_task_vector(Checkpoint(spec, "t0", 0, init, trained))
-        assert np.array_equal(tv.delta["layers.0.weight"], [[2.0, -1.0]] * 2)
+        tv = compute_task_vector(Checkpoint(spec, "t0", 0, trained))
+        assert np.array_equal(tv.delta["layers.0.weight"], np.array([[3.0, 1.0]] * 2) - phi0["layers.0.weight"])
         assert np.array_equal(tv.delta["layers.0.bias"], [0.5, -0.5])
 
     def test_round_tripped_checkpoint_bit_identical(self, tmp_path):
@@ -48,7 +47,7 @@ class TestComputeTaskVector:
         theta0, phi0 = build_model(spec, seed=2)
         rng = np.random.default_rng(3)
         trained = phi0.with_flat(phi0.flatten() + rng.standard_normal(phi0.num_values))
-        ckpt = Checkpoint(spec, "t0", 2, phi0, trained)
+        ckpt = Checkpoint(spec, "t0", 2, trained)
         path = tmp_path / "c.json"
         save_checkpoint(ckpt, path)
         reloaded = load_checkpoint(path)

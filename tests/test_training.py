@@ -110,6 +110,11 @@ class TestFinetune:
         ckpt, _ = finetune(spec, suite.tasks[0], TrainConfig(steps=3), init_seed=2)
         assert ckpt.initial is phi0 and ckpt.theta0() is theta0
 
+    def test_a_seed_that_is_not_a_non_negative_int_is_refused(self, suite):
+        # 1.5 used to train from seed 1's initial point and record seed 1.
+        with pytest.raises(ContractError, match="seed = 1.5 is not a non-negative int"):
+            finetune(default_spec(ModeTag.LORA), suite.tasks[0], TrainConfig(steps=3), init_seed=1.5)
+
     def test_divergence_reports_step(self, suite):
         spec = default_spec(ModeTag.FULL_FT)
         cfg = TrainConfig(steps=50, learning_rate=1e308, optimizer="sgd", shuffle_seed=1)
@@ -218,6 +223,26 @@ class TestCheckpointFiles:
             load_checkpoint(path)
         assert str(path) in str(err.value)
 
+    @pytest.mark.parametrize("change, field", [
+        ({"task_id": 7}, "task_id = 7 is not a string"),
+        ({"init_seed": -1}, "seed = -1 is not a non-negative int"),
+        ({"init_seed": 1.5}, "seed = 1.5 is not a non-negative int"),
+        ({"init_seed": True}, "seed = True is not a non-negative int"),
+        ({"trained": build_model(default_spec(ModeTag.FULL_FT), 3)[1]}, "does not match the lora trainable set"),
+        ({"metrics": [["acc", 0.5]]}, "metrics = .* is not a JSON object"),
+        ({"metrics": {"acc": "high"}}, "metrics.acc = 'high' does not have the kind of 0.0"),
+        ({"metrics": {"acc": math.nan}}, "metrics.acc = nan is not a finite float"),
+        ({"metrics": {1: 0.5}}, "metrics key 1 is not a string"),
+    ], ids=["task_id_int", "seed_negative", "seed_float", "seed_bool", "trained_of_another_mode",
+            "metrics_a_list", "metric_string", "metric_nan", "metric_key_int"])
+    def test_a_checkpoint_the_reader_would_refuse_is_not_built(self, change, field):
+        # Each used to build, and save_checkpoint wrote a file that load_checkpoint
+        # refused or read back as another checkpoint (seed 1 for 1.5, key "1" for 1).
+        spec = default_spec(ModeTag.LORA)
+        fields = dict(spec=spec, task_id="task0", init_seed=3, trained=build_model(spec, 3)[1], metrics={})
+        with pytest.raises(ContractError, match=field):
+            Checkpoint(**{**fields, **change})
+
     def test_config_digest_mismatch_rejected(self, suite, tmp_path):
         ckpt = self.make_checkpoint(suite)
         path = tmp_path / "ck.json"
@@ -231,7 +256,7 @@ def test_failed_checkpoint_write_leaves_no_file(tmp_path, monkeypatch):
     # target nor the temp file behind.
     spec = default_spec(ModeTag.LORA)
     _, phi0 = build_model(spec, seed=3)
-    ckpt = Checkpoint(spec, "task0", 3, phi0, phi0)
+    ckpt = Checkpoint(spec, "task0", 3, phi0)
 
     def failing_replace(src, dst):
         raise OSError("disk full")

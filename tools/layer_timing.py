@@ -122,7 +122,7 @@ def read_timing(repeats: int, loops: int) -> int:
         spec = ModelSpec(16, (32, 32), 3, mode=ModeTag.FULL_FT)
         _, init = build_model(spec, 0)
         ckpt_file = Path(tmp) / "task0.json"
-        save_checkpoint(Checkpoint(spec, "task0", 0, init, init), ckpt_file)
+        save_checkpoint(Checkpoint(spec, "task0", 0, init), ckpt_file)
         for name, read in (("import_task", lambda: import_task(task_file)),
                            ("load_checkpoint", lambda: load_checkpoint(ckpt_file))):
             cold_us = us_per_call(cold(read), repeats, loops)
@@ -273,7 +273,7 @@ def tangent_memory() -> int:
         spec = ModelSpec(16, (32, 32), 3, mode=mode)
         theta0, init = build_model(spec, 0)
         rng = np.random.default_rng(3)
-        cks = {f"task{i}": Checkpoint(spec, f"task{i}", 0, init,
+        cks = {f"task{i}": Checkpoint(spec, f"task{i}", 0,
                                       init.with_flat(init.flatten() + 0.1 * rng.standard_normal(init.num_values)))
                for i in range(4)}
         validation = {t: Dataset(rng.standard_normal((256, 16)), rng.integers(0, 3, size=256)) for t in cks}
