@@ -27,7 +27,7 @@ from .errors import (
     TrainingDivergedError,
     UndefinedSimilarityError,
 )
-from .models import LinearizedState, ModeTag, ModelSpec, build_model, forward, forward_linearized
+from .models import ModeTag, ModelSpec, build_model, forward, forward_linearized
 from .params import ParamTree
 from .task_vectors import (
     TaskVector,

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ResourceLimitError
-from .files import read_csv, write_csv
-from .models import LinearizedState, ModelSpec, Scorer
+from .files import read_csv, require_kinds, write_csv
+from .models import ModelSpec, Scorer, require_trees
 from .params import ParamTree, combine
 from .task_vectors import TaskVector
 from .tasks import Dataset
@@ -41,6 +41,7 @@ class AnalysisConfig:
     ntk_max_samples: int = 64
 
     def __post_init__(self):
+        require_kinds(self)
         # A 2-point axis passes exactly when the configured one does, and a
         # huge resolution allocates nothing here.
         grid_axis((self.lambda_min, self.lambda_max), min(self.resolution, 2))
@@ -247,7 +248,8 @@ def normalized_score(absolute: float, single_task: float) -> float:
 def ntk_one_step_check(
     spec: ModelSpec,
     theta0: ParamTree,
-    lin: LinearizedState,
+    anchor: ParamTree,
+    trained: ParamTree,
     xs,
     ys,
     eta: float,
@@ -265,16 +267,17 @@ def ntk_one_step_check(
     """
     if not spec.mode.is_linearized:
         raise ContractError("ntk check applies to linearized paradigms only")
+    require_trees(spec, theta0, trained)
     ys = np.asarray(ys, dtype=np.int64)
     batch = len(xs)
     if batch > max_jacobian_samples:
         raise ResourceLimitError(
             f"batch of {batch} exceeds the explicit-Jacobian cap {max_jacobian_samples}"
         )
-    scorer = Scorer(spec, theta0, lin.phi0, xs)
+    scorer = Scorer(spec, theta0, anchor, xs)
     jac = scorer.jacobian()
 
-    flat = lin.phi.flatten()
+    flat = trained.flatten()
     outputs_before, _ = scorer.at(flat)
     g = ce_logit_gradient(outputs_before, ys)
 

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from collections import OrderedDict
+from dataclasses import fields
 from numbers import Integral
 from pathlib import Path
 
@@ -106,6 +107,25 @@ def leaf_problem(value, default) -> str | None:
     if isinstance(kind, int) and not all(-2**63 <= v < 2**63 for v in items):
         return "does not fit a 64-bit integer"
     return None
+
+
+def require_kinds(owner, *unbounded: str, **kinds) -> None:
+    """Raise ``ContractError`` naming the first field of the dataclass ``owner`` whose value,
+    a tuple read as a list, ``leaf_problem`` refuses for ``kinds[field]``, or for the field's
+    default where ``kinds`` names none. A field in ``unbounded`` need only have the kind.
+
+    The rule a config file's leaves pass, so an owner a library caller builds
+    refuses what a config file may not hold.
+    """
+    for f in fields(owner):
+        value = getattr(owner, f.name)
+        leaf, kind = list(value) if isinstance(value, tuple) else value, kinds.get(f.name, f.default)
+        if f.name in unbounded:
+            problem = None if kind_matches(leaf, kind) else f"does not have the kind of {kind!r}"
+        else:
+            problem = leaf_problem(leaf, kind)
+        if problem:
+            raise ContractError(f"{f.name} = {value!r} {problem}")
 
 
 def read_memoized(path, parse):

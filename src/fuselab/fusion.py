@@ -28,7 +28,7 @@ import numpy as np
 
 from .checkpoints import Checkpoint
 from .errors import ContractError
-from .files import leaf_problem
+from .files import leaf_problem, require_kinds
 from .models import ModelSpec, Scorer, predict_logits
 from .params import ParamTree, combine
 from .task_vectors import TaskVector, compute_task_vector
@@ -53,6 +53,7 @@ class FusionConfig:
     fewshot_per_task: int = 32  # validation rows per task in the pipeline's lorahub sample
 
     def __post_init__(self):
+        require_kinds(self)
         if self.algorithm not in ALGORITHMS:
             raise ContractError(f"unknown fusion algorithm {self.algorithm!r}")
         if not self.lambda_grid or not self.ties_k_grid or not self.ties_lambda_grid:

@@ -19,13 +19,13 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .files import kind_matches, leaf_problem
+from .files import kind_matches, require_kinds
 from .params import ParamTree, combine
 
 
@@ -58,6 +58,7 @@ class ModelSpec:
     mode: ModeTag = ModeTag.LORA
 
     def __post_init__(self):
+        require_kinds(self, input_dim=0, hidden_dims=[0], num_classes=0)
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
         object.__setattr__(self, "mode", ModeTag(self.mode))
         if self.input_dim < 1 or any(d < 1 for d in self.hidden_dims):
@@ -106,35 +107,14 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d) -> "ModelSpec":
-        """The spec whose ``to_dict`` is ``d``; ``ContractError`` names the field unless ``d`` holds
-        exactly the fields, each of a valid spec's kind (``files.leaf_problem``), mode a ``ModeTag``."""
-        example = cls(1, (1,), 2, mode=ModeTag.FULL_FT).to_dict()
+        """The spec whose ``to_dict`` is ``d``; ``ContractError`` unless ``d`` holds exactly
+        the fields, each of its kind (``__post_init__``), mode a ``ModeTag``."""
         if not isinstance(d, dict):
             raise ContractError(f"spec {d!r} is not a JSON object")
-        wrong = sorted(set(d) ^ set(example))
+        wrong = sorted(set(d) ^ {f.name for f in fields(cls)})
         if wrong:
             raise ContractError(f"spec fields {wrong} are missing or unknown")
-        for key, value in d.items():
-            problem = leaf_problem(value, example[key])
-            if problem:
-                raise ContractError(f"spec.{key} = {value!r} {problem}")
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
-
-
-@dataclass(frozen=True)
-class LinearizedState:
-    """Anchor and current trainable parameters of a tangent model.
-
-    phi0 is the frozen snapshot taken when the model was linearized; it
-    never changes afterwards. phi is the current trainable tree and must
-    stay congruent with phi0.
-    """
-
-    phi0: ParamTree
-    phi: ParamTree
-
-    def __post_init__(self):
-        self.phi0.require_congruent(self.phi, "linearized-state trees")
+        return cls(**d)
 
 
 def build_model(spec: ModelSpec, seed: int) -> tuple[ParamTree, ParamTree]:
@@ -426,12 +406,12 @@ def forward(spec: ModelSpec, theta0: ParamTree, trainable: ParamTree, x) -> np.n
     return predict_logits(spec, theta0, trainable, trainable, x)
 
 
-def forward_linearized(spec: ModelSpec, theta0: ParamTree, lin: LinearizedState, x) -> np.ndarray:
-    """Tangent-model forward: f(x; phi0) plus the JVP in direction phi - phi0.
+def forward_linearized(spec: ModelSpec, theta0: ParamTree, anchor: ParamTree, trainable: ParamTree, x) -> np.ndarray:
+    """Tangent-model forward: f(x; anchor) plus the JVP in direction trainable - anchor.
 
     For the adapter paradigm the Taylor expansion covers adapter parameters
     only; the backbone enters as a frozen constant.
     """
     if not spec.mode.is_linearized:
         raise ContractError(f"mode {spec.mode.value} is not a linearized paradigm")
-    return predict_logits(spec, theta0, lin.phi0, lin.phi, x)
+    return predict_logits(spec, theta0, anchor, trainable, x)

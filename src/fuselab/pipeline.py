@@ -38,7 +38,7 @@ from .config import (analysis_config, config_digest, derive_seed, fusion_config,
 from .errors import ConfigError, ContractError, NumericError
 from .files import leaf_problem, read_json_object, write_atomic, write_csv, write_json
 from .fusion import ALGORITHMS, enumerate_subsets, scorers_for, sweep_and_select
-from .models import LinearizedState, ModeTag
+from .models import ModeTag
 from .task_vectors import compute_task_vector, similarity_matrix, write_similarity_csv
 from .tasks import Dataset, Task, export_task, import_task
 from .training import finetune, scored_accuracy, write_metrics_csv
@@ -440,10 +440,9 @@ def stage_analyze_ntk(resolved: dict, out: str | Path, modes=None, task_id=None)
         task = tasks[tid]
         n = min(a.ntk_max_samples, len(task.train))
         xs, ys = task.train.xs[:n], task.train.ys[:n]
-        lin = LinearizedState(ck.initial, ck.trained)
         with np.errstate(all="ignore"):  # a non-finite result is reported once, below
-            predicted, observed, rel = ntk_one_step_check(ck.spec, ck.theta0(), lin, xs, ys, eta=a.ntk_eta,
-                                                          max_jacobian_samples=a.ntk_max_samples)
+            predicted, observed, rel = ntk_one_step_check(ck.spec, ck.theta0(), ck.initial, ck.trained, xs, ys,
+                                                          eta=a.ntk_eta, max_jacobian_samples=a.ntk_max_samples)
             row = [a.ntk_eta, n, rel, np.linalg.norm(predicted), np.linalg.norm(observed)]
         if not np.isfinite(row).all():  # finite arrays can still overflow their norms
             raise NumericError(f"ntk check of {mode.value} {tid} is not finite: relative_error {rel}, "

@@ -26,14 +26,26 @@ SPLITS = ("train", "val", "test")
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix plus integer labels."""
+    """Feature matrix plus integer labels.
+
+    Features must be numbers (not bools) and labels whole numbers, so that
+    the float64 and int64 copies hold the given values; anything else
+    raises ``ContractError``.
+    """
 
     xs: np.ndarray
     ys: np.ndarray
 
     def __post_init__(self):
-        xs = np.ascontiguousarray(np.asarray(self.xs, dtype=np.float64))
-        ys = np.ascontiguousarray(np.asarray(self.ys, dtype=np.int64))
+        xs, ys = np.asarray(self.xs), np.asarray(self.ys)
+        if xs.dtype.kind not in "iuf":
+            raise ContractError(f"features must be numbers, got dtype {xs.dtype}")
+        with np.errstate(invalid="ignore"):  # a NaN or out-of-range label casts to garbage, refused below
+            labels = ys.astype(np.int64) if ys.dtype.kind in "iuf" else None
+        if labels is None or not np.array_equal(labels, ys):
+            raise ContractError(f"labels must be whole numbers that fit int64, got dtype {ys.dtype}")
+        xs = np.ascontiguousarray(xs, dtype=np.float64)
+        ys = np.ascontiguousarray(labels)
         if xs.ndim != 2 or ys.ndim != 1 or xs.shape[0] != ys.shape[0]:
             raise ContractError(
                 f"dataset needs matching sample counts, got {xs.shape} and {ys.shape}"

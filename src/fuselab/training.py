@@ -17,7 +17,7 @@ import numpy as np
 
 from .checkpoints import Checkpoint
 from .errors import ContractError, TrainingDivergedError
-from .files import write_csv
+from .files import require_kinds, write_csv
 from .models import ModelSpec, Scorer, build_model, require_trees
 from .params import ParamTree
 from .tasks import Dataset, Task
@@ -38,6 +38,7 @@ class TrainConfig:
     shuffle_seed: int = 0
 
     def __post_init__(self):
+        require_kinds(self, "shuffle_seed")  # derive_seed's seeds span 64 unsigned bits
         for key in ("steps", "batch_size"):
             if getattr(self, key) < 1:
                 raise ContractError(f"{key} = {getattr(self, key)} must be at least 1")
@@ -215,26 +216,17 @@ def _accuracy_from_flat(scorer: Scorer, flat: np.ndarray, labels: np.ndarray) ->
     return accuracy(scorer.at(flat)[0], labels)
 
 
-def evaluate(
-    spec: ModelSpec,
-    theta0: ParamTree,
-    trainable: ParamTree,
-    dataset: Dataset,
-    anchor: ParamTree | None = None,
-) -> float:
-    """``accuracy`` of the paradigm's logits (``Scorer.at``) on ``dataset``.
+def evaluate(spec: ModelSpec, theta0: ParamTree, anchor: ParamTree, trainable: ParamTree, dataset: Dataset) -> float:
+    """``accuracy`` of the paradigm's logits at ``trainable`` expanded about
+    ``anchor`` (``Scorer.at``) on ``dataset``.
 
-    Linearized paradigms need the tangent anchor (the trainable tree the
-    model was linearized around); the others use it only for its layout.
-    Non-finite logits raise ``ContractError``.
+    As in ``predict_logits``, nonlinear paradigms use the anchor only for
+    its layout. Non-finite logits raise ``ContractError``.
     """
     if len(dataset) == 0:
         raise ContractError("cannot evaluate on an empty dataset")
-    if spec.mode.is_linearized and anchor is None:
-        raise ContractError("linearized evaluation requires the tangent anchor")
     require_trees(spec, theta0, trainable)
-    scorer = Scorer(spec, theta0, trainable if anchor is None else anchor, dataset.xs)
-    return scored_accuracy(scorer, trainable.flatten(), dataset.ys)
+    return scored_accuracy(Scorer(spec, theta0, anchor, dataset.xs), trainable.flatten(), dataset.ys)
 
 
 def scored_accuracy(scorer: Scorer, flat: np.ndarray, labels: np.ndarray) -> float:

@@ -24,7 +24,6 @@ from fuselab.fusion import (
     ties_merge,
 )
 from fuselab.models import (
-    LinearizedState,
     ModeTag,
     ModelSpec,
     build_model,
@@ -102,7 +101,7 @@ def test_01_exact_affinity_of_tangent_adapters():
 
         def logits(a):
             phi = phi0.with_flat(base + a * delta)
-            return forward_linearized(spec, theta0, LinearizedState(phi0, phi), x)
+            return forward_linearized(spec, theta0, phi0, phi, x)
 
         y0, y1, y2 = logits(0.0), logits(1.0), logits(2.0)
         resid = float(np.max(np.abs(y2 - 2 * y1 + y0)))
@@ -121,14 +120,14 @@ def test_02_tangency_and_first_order_agreement():
         spec = default_spec(ModeTag.LLORA)
         theta0, phi0 = build_model(spec, seed=int(rng.integers(0, 2**31)))
         x = rng.standard_normal((4, 16))
-        at_anchor = forward_linearized(spec, theta0, LinearizedState(phi0, phi0), x)
+        at_anchor = forward_linearized(spec, theta0, phi0, phi0, x)
         nonlin_anchor = forward(spec.with_mode(ModeTag.LORA), theta0, phi0, x)
         worst_tangency = max(worst_tangency, float(np.max(np.abs(at_anchor - nonlin_anchor))))
         d = rng.standard_normal(phi0.num_values)
 
         def gap(eps):
             phi = phi0.with_flat(phi0.flatten() + eps * d)
-            lin = forward_linearized(spec, theta0, LinearizedState(phi0, phi), x)
+            lin = forward_linearized(spec, theta0, phi0, phi, x)
             non = forward(spec.with_mode(ModeTag.LORA), theta0, phi, x)
             return float(np.linalg.norm(non - lin))
 
@@ -283,7 +282,7 @@ def test_07_ntk_one_step_identity():
         xs = suite.tasks[0].train.xs[:64]
         ys = suite.tasks[0].train.ys[:64]
         _, _, rel = ntk_one_step_check(
-            spec, theta0, LinearizedState(tr0, phi), xs, ys,
+            spec, theta0, tr0, phi, xs, ys,
             eta=1e-3, max_jacobian_samples=64,
         )
         worst = max(worst, rel)

@@ -16,7 +16,7 @@ from fuselab.analysis import (
     write_report_csv,
 )
 from fuselab.errors import ContractError, ResourceLimitError
-from fuselab.models import LinearizedState, ModeTag, ModelSpec, build_model, forward
+from fuselab.models import ModeTag, ModelSpec, build_model, forward
 from fuselab.params import ParamTree
 from fuselab.task_vectors import TaskVector
 from fuselab.tasks import Dataset
@@ -225,11 +225,11 @@ class TestNtkOneStep:
         phi = phi0.with_flat(phi0.flatten() + 0.3 * rng.standard_normal(phi0.num_values))
         xs = rng.standard_normal((12, 4))
         ys = rng.integers(0, 3, 12)
-        return spec, theta0, LinearizedState(phi0, phi), xs, ys
+        return spec, theta0, phi0, phi, xs, ys
 
     def test_zero_eta_zero_deltas(self):
-        spec, theta0, lin, xs, ys = self.linearized_setting()
-        pred, obs, rel = ntk_one_step_check(spec, theta0, lin, xs, ys, eta=0.0)
+        spec, theta0, phi0, phi, xs, ys = self.linearized_setting()
+        pred, obs, rel = ntk_one_step_check(spec, theta0, phi0, phi, xs, ys, eta=0.0)
         assert np.all(pred == 0.0) and np.all(obs == 0.0) and rel == 0.0
 
     def test_exact_for_purely_linear_model(self):
@@ -240,26 +240,32 @@ class TestNtkOneStep:
         xs = rng.standard_normal((8, 3))
         ys = rng.integers(0, 2, 8)
         for eta in (1e-3, 0.1, 1.0):
-            _, _, rel = ntk_one_step_check(spec, theta0, LinearizedState(theta0, phi),
+            _, _, rel = ntk_one_step_check(spec, theta0, theta0, phi,
                                            xs, ys, eta=eta)
             assert rel <= 1e-9
 
     def test_tangent_model_identity_at_default_rates(self):
-        spec, theta0, lin, xs, ys = self.linearized_setting()
+        spec, theta0, phi0, phi, xs, ys = self.linearized_setting()
         for eta in (1e-3, 5e-4):
-            _, _, rel = ntk_one_step_check(spec, theta0, lin, xs, ys, eta=eta)
+            _, _, rel = ntk_one_step_check(spec, theta0, phi0, phi, xs, ys, eta=eta)
             assert rel <= 1e-6
 
     def test_batch_cap_enforced(self):
-        spec, theta0, lin, xs, ys = self.linearized_setting()
+        spec, theta0, phi0, phi, xs, ys = self.linearized_setting()
         with pytest.raises(ResourceLimitError):
-            ntk_one_step_check(spec, theta0, lin, xs, ys, eta=1e-3, max_jacobian_samples=4)
+            ntk_one_step_check(spec, theta0, phi0, phi, xs, ys, eta=1e-3, max_jacobian_samples=4)
 
     def test_nonlinear_mode_rejected(self):
-        spec, theta0, lin, xs, ys = self.linearized_setting()
+        spec, theta0, phi0, phi, xs, ys = self.linearized_setting()
         bad = spec.with_mode(ModeTag.LORA)
         with pytest.raises(ContractError):
-            ntk_one_step_check(bad, theta0, lin, xs, ys, eta=1e-3)
+            ntk_one_step_check(bad, theta0, phi0, phi, xs, ys, eta=1e-3)
+
+    def test_trained_tree_of_another_paradigm_rejected(self):
+        # l_lora's trained tree is the adapters; a backbone tree (full_linear's) is refused
+        spec, theta0, phi0, _, xs, ys = self.linearized_setting()
+        with pytest.raises(ContractError, match="l_lora trainable set"):
+            ntk_one_step_check(spec, theta0, phi0, theta0, xs, ys, eta=1e-3)
 
 
 def result(algorithm, mode, subset, normalized, absolute=0.5, single=0.8):

@@ -685,15 +685,39 @@ def test_smallest_counts_and_betas_resolve():
     lambda: FusionConfig(lorahub_max_steps=-1),
     lambda: FusionConfig(lorahub_alpha=math.nan),
     lambda: ModelSpec(4, (6,), 3, lora_alpha=math.nan),
+    lambda: TrainConfig(steps=1.5),
+    lambda: TrainConfig(batch_size=2.5),
+    lambda: TrainConfig(shuffle_seed=True),
+    lambda: FusionConfig(lorahub_max_steps=1.5),
+    lambda: FusionConfig(fewshot_per_task=1.5),
+    lambda: FusionConfig(lambda_grid=("a",)),
+    lambda: AnalysisConfig(resolution=3.5),
+    lambda: ModelSpec(16, (12,), 3, lora_rank=True, mode=ModeTag.LORA),
+    lambda: ModelSpec(16.0, (32,), 3),
+    lambda: ModelSpec(16, (32.0,), 3),
 ], ids=["beta1_one", "beta2_above_one", "beta1_negative", "eps_zero", "eps_negative",
         "learning_rate_nan", "learning_rate_inf", "ties_k_above_one", "ties_k_zero",
-        "lorahub_max_steps_negative", "lorahub_alpha_nan", "lora_alpha_nan"])
+        "lorahub_max_steps_negative", "lorahub_alpha_nan", "lora_alpha_nan",
+        "steps_float", "batch_size_float", "shuffle_seed_bool", "lorahub_max_steps_float",
+        "fewshot_per_task_float", "lambda_grid_string", "resolution_float", "lora_rank_bool",
+        "input_dim_float", "hidden_dim_float"])
 def test_each_owner_rejects_what_the_config_rejects(build):
     # The config refused each of these, but the types took them: beta1 = 1
     # diverged at step 0, lorahub with -1 steps returned the pretrained
-    # weights, and a NaN lorahub_alpha gave an infinite objective.
+    # weights, and a NaN lorahub_alpha gave an infinite objective. A count
+    # of the wrong kind failed later with a raw TypeError from range, a
+    # slice, grid_axis or numpy.
     with pytest.raises(ContractError):
         build()
+
+
+def test_owner_kind_errors_name_the_field():
+    for build, field in [(lambda: TrainConfig(steps=1.5), "steps"),
+                         (lambda: FusionConfig(lambda_grid=("a",)), "lambda_grid"),
+                         (lambda: AnalysisConfig(resolution=3.5), "resolution"),
+                         (lambda: ModelSpec(16.0, (32,), 3), "input_dim")]:
+        with pytest.raises(ContractError, match=f"^{field} = .* does not have the kind of"):
+            build()
 
 
 # --- malformed run artifacts: exit 1 with an error naming the file ------------

@@ -63,7 +63,7 @@ def first_rows(dataset, n):
 
 def merged_accuracy(ckpt, model, dataset):
     """Accuracy of ``model`` on the backbone, paradigm and initial point of ``ckpt``, one of its inputs."""
-    return evaluate(ckpt.spec, ckpt.theta0(), model.trainable, dataset, anchor=ckpt.initial)
+    return evaluate(ckpt.spec, ckpt.theta0(), ckpt.initial, model.trainable, dataset)
 
 
 def vec(values, task_id, mode=ModeTag.LORA):

@@ -10,7 +10,6 @@ from fuselab.autodiff import jvp
 from fuselab.errors import ContractError
 from fuselab.fusion import ties_trim
 from fuselab.models import (
-    LinearizedState,
     ModeTag,
     ModelSpec,
     Network,
@@ -89,7 +88,7 @@ class TestForwardLinearized:
         spec = small_spec(ModeTag.LLORA)
         theta0, phi0 = build_model(spec, seed=21)
         x = np.random.default_rng(2).standard_normal((5, 4))
-        lin = forward_linearized(spec, theta0, LinearizedState(phi0, phi0), x)
+        lin = forward_linearized(spec, theta0, phi0, phi0, x)
         base = forward(spec, theta0, phi0, x)
         assert np.max(np.abs(lin - base)) <= 1e-12
 
@@ -107,7 +106,7 @@ class TestForwardLinearized:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((4, 3))
         phi = theta0.with_flat(theta0.flatten() + rng.standard_normal(theta0.num_values))
-        lin = forward_linearized(spec, theta0, LinearizedState(theta0, phi), x)
+        lin = forward_linearized(spec, theta0, theta0, phi, x)
         nonlin = forward(spec.with_mode(ModeTag.FULL_FT), theta0, phi, x)
         assert np.max(np.abs(lin - nonlin)) <= 1e-12
 
@@ -115,7 +114,7 @@ class TestForwardLinearized:
         spec = small_spec(ModeTag.LORA)
         theta0, phi0 = build_model(spec, seed=6)
         with pytest.raises(ContractError):
-            forward_linearized(spec, theta0, LinearizedState(phi0, phi0), np.zeros((1, 4)))
+            forward_linearized(spec, theta0, phi0, phi0, np.zeros((1, 4)))
 
 
 class TestTangentModelProperties:
@@ -128,7 +127,7 @@ class TestTangentModelProperties:
 
         def at(a):
             phi = phi0.with_flat(phi0.flatten() + a * delta.flatten())
-            return forward_linearized(spec, theta0, LinearizedState(phi0, phi), x)
+            return forward_linearized(spec, theta0, phi0, phi, x)
 
         y0, y1, y2 = at(0.0), at(1.0), at(2.0)
         resid = np.max(np.abs(y2 - 2 * y1 + y0))
@@ -144,7 +143,7 @@ class TestTangentModelProperties:
 
         def gap(eps):
             phi = phi0.with_flat(phi0.flatten() + eps * d)
-            lin = forward_linearized(spec, theta0, LinearizedState(phi0, phi), x)
+            lin = forward_linearized(spec, theta0, phi0, phi, x)
             nonlin = forward(spec.with_mode(ModeTag.LORA), theta0, phi, x)
             return float(np.linalg.norm(nonlin - lin))
 
@@ -226,7 +225,7 @@ def test_tangent_features_match_forward_linearized(mode, case):
     scorer = Scorer(spec, theta0, anchor, x)
     flat = combine(base, directions, weights)
     fast = scorer.candidates(flat[None], [directions], [weights])[0]
-    oracle = forward_linearized(spec, theta0, LinearizedState(anchor, anchor.with_flat(flat)), x)
+    oracle = forward_linearized(spec, theta0, anchor, anchor.with_flat(flat), x)
     f0 = scorer.candidates(base[None], [[]], [[]])[0]
     net = Network(spec, theta0, anchor)
     jds = [net.jvp(base, d, net.activations(base, x))[1] for d in directions]
@@ -239,7 +238,7 @@ def test_tangent_features_without_directions_is_the_anchor_forward(monkeypatch):
     spec = small_spec(ModeTag.LLORA)
     theta0, anchor = build_model(spec, seed=3)
     x = np.random.default_rng(4).standard_normal((5, 4))
-    want = forward_linearized(spec, theta0, LinearizedState(anchor, anchor), x)
+    want = forward_linearized(spec, theta0, anchor, anchor, x)
     jvps = []
     monkeypatch.setattr(Network, "jvp", lambda *args: jvps.append(args))
     f0 = Scorer(spec, theta0, anchor, x).candidates(anchor.flatten()[None], [[]], [[]])[0]

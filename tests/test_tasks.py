@@ -60,6 +60,28 @@ def test_single_task_rejected():
         make_task_suite(n_tasks=1, seed=0)
 
 
+@pytest.mark.parametrize("xs, ys", [
+    (np.zeros((2, 2)), [0.5, 1.7]),
+    (np.zeros((2, 2)), [True, False]),
+    (np.zeros((2, 2)), [np.nan, 1.0]),
+    (np.zeros((2, 2)), [1e30, 0.0]),
+    (np.zeros((2, 2)), ["0", "1"]),
+    ([["a", "b"], ["c", "d"]], [0, 1]),
+    ([[True, False], [False, True]], [0, 1]),
+], ids=["fractional_labels", "bool_labels", "nan_label", "label_beyond_int64", "string_labels",
+        "string_features", "bool_features"])
+def test_dataset_refuses_what_its_casts_would_change(xs, ys):
+    # The int64 cast made [0.5, 1.7] into [0, 1] and [True, False] into
+    # [1, 0]; a NaN label and string features raised numpy's ValueError.
+    with pytest.raises(ContractError):
+        Dataset(xs, ys)
+
+
+def test_dataset_takes_whole_number_float_labels():
+    ds = Dataset(np.zeros((2, 2)), [1.0, 0.0])
+    assert ds.ys.dtype == np.int64 and ds.ys.tolist() == [1, 0]
+
+
 def test_export_import_round_trip(tmp_path):
     suite = make_task_suite(seed=23, samples_per_split=16, input_dim=5)
     task = suite.tasks[0]

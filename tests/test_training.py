@@ -25,7 +25,7 @@ from fuselab.training import (
 
 
 def checkpoint_accuracy(ckpt, dataset):
-    return evaluate(ckpt.spec, ckpt.theta0(), ckpt.trained, dataset, anchor=ckpt.initial)
+    return evaluate(ckpt.spec, ckpt.theta0(), ckpt.initial, ckpt.trained, dataset)
 
 
 def default_spec(mode):
@@ -154,14 +154,14 @@ class TestEvaluate:
             "layers.0.bias": np.array([0.0, 0.0]),
         })
         ds = Dataset(np.array([[2.0, 0.0], [0.0, 2.0]]), np.array([0, 1]))
-        assert evaluate(spec, theta, theta, ds) == 1.0
+        assert evaluate(spec, theta, theta, theta, ds) == 1.0
 
     def test_random_labels_near_chance(self):
         spec = default_spec(ModeTag.FULL_FT)
         theta0, tr0 = build_model(spec, seed=9)
         rng = np.random.default_rng(10)
         ds = Dataset(rng.standard_normal((10000, 16)), rng.integers(0, 3, 10000))
-        assert abs(evaluate(spec, theta0, tr0, ds) - 1.0 / 3.0) < 0.03
+        assert abs(evaluate(spec, theta0, tr0, tr0, ds) - 1.0 / 3.0) < 0.03
 
     def test_tie_resolves_to_class_zero(self):
         spec = ModelSpec(input_dim=2, hidden_dims=(), num_classes=3, mode=ModeTag.FULL_FT)
@@ -170,13 +170,13 @@ class TestEvaluate:
             "layers.0.bias": np.zeros(3),
         })
         ds = Dataset(np.ones((4, 2)), np.array([0, 0, 1, 2]))
-        assert evaluate(spec, theta, theta, ds) == pytest.approx(0.5)
+        assert evaluate(spec, theta, theta, theta, ds) == pytest.approx(0.5)
 
     def test_empty_dataset_rejected(self):
         spec = default_spec(ModeTag.FULL_FT)
         theta0, tr0 = build_model(spec, seed=9)
         with pytest.raises(ContractError):
-            evaluate(spec, theta0, tr0, Dataset(np.zeros((0, 16)), np.zeros(0, dtype=int)))
+            evaluate(spec, theta0, tr0, tr0, Dataset(np.zeros((0, 16)), np.zeros(0, dtype=int)))
 
 
 class TestCheckpointFiles:
